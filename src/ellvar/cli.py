@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 a validation comparison failed, 2 malformed
 input or configuration, 3 dimension mismatch, 4 covariance not positive
 definite, 5 numerical failure.  Every error prints a single
 machine-parseable line ``error: kind=<type> detail=<message>`` to
-stderr.
+stderr; a numerical failure appends its diagnostics to the message as
+`` key=value`` pairs.
 """
 
 from __future__ import annotations
@@ -500,7 +501,10 @@ def main(argv=None) -> int:
         print(f"error: kind={type(exc).__name__} detail={exc}", file=sys.stderr)
         return 2
     except EllvarError as exc:
-        print(f"error: kind={type(exc).__name__} detail={exc}", file=sys.stderr)
+        detail = str(exc)
+        if isinstance(exc, NumericalError):
+            detail += "".join(f" {key}={value}" for key, value in exc.diagnostics.items())
+        print(f"error: kind={type(exc).__name__} detail={detail}", file=sys.stderr)
         for kind, code in _EXIT_CODES:
             if isinstance(exc, kind):
                 return code

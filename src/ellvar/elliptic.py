@@ -34,7 +34,8 @@ from .errors import (
     NumericalError,
     QuadratureError,
 )
-from .linalg import cholesky, quadratic_form, validate_symmetric
+from .linalg import cholesky
+from .linalg import quadratic_form, validate_symmetric  # noqa: F401  wrapped by bench/tracing.py
 from .specfun import QuadratureSpec, integrate_semi_infinite, hyp2f1, log_gamma
 
 __all__ = [
@@ -124,7 +125,12 @@ class DensityGenerator:
 
 @dataclass(eq=False)
 class EllipticModel:
-    """Elliptic factor model: location mu, SPD dispersion sigma, generator."""
+    """Elliptic factor model: location mu, SPD dispersion sigma, generator.
+
+    Construction is the only place mu and sigma are checked; the model
+    keeps references to the arrays it was given, which must not be
+    mutated afterwards.
+    """
 
     mu: np.ndarray
     sigma: np.ndarray
@@ -136,8 +142,8 @@ class EllipticModel:
             raise DimensionError(f"mu must be a vector, got shape {self.mu.shape}")
         if not np.all(np.isfinite(self.mu)):
             raise DomainError("mu entries must be finite")
-        self.sigma = validate_symmetric(self.sigma)
-        cholesky(self.sigma)  # rejects non-PD dispersions outright
+        self.sigma = np.asarray(self.sigma, dtype=np.float64)
+        cholesky(self.sigma)  # checks shape and symmetry, rejects non-PD dispersions
         n = self.generator.dimension
         if self.mu.shape[0] != n or self.sigma.shape[0] != n:
             raise DimensionError(
@@ -155,6 +161,25 @@ def _check_alpha(alpha: float) -> float:
     if not (math.isfinite(alpha) and 0.0 < alpha < 0.5):
         raise DomainError(f"alpha must lie in (0, 0.5), got {alpha!r}")
     return alpha
+
+
+def linear_stats(components, delta) -> tuple[np.ndarray, list[tuple[float, float]]]:
+    """delta as a checked vector, and (mean, vol) of delta . X per component.
+
+    ``components`` are (weight, EllipticModel) pairs on a common space.
+    delta's shape and finiteness are checked here, once per call; the
+    models were checked when they were built.
+    """
+    d = np.asarray(delta, dtype=np.float64)
+    n = components[0][1].dimension
+    if d.ndim != 1 or d.shape[0] != n:
+        raise DimensionError(f"delta must be a vector of length {n}, got shape {d.shape}")
+    if not np.all(np.isfinite(d)):
+        raise DomainError("delta entries must be finite")
+    # an SPD sigma can only give a negative form through rounding
+    return d, [
+        (float(d @ m.mu), math.sqrt(max(float(d @ m.sigma @ d), 0.0))) for _, m in components
+    ]
 
 
 def _big_g_double(s: float, gen: DensityGenerator) -> float:
@@ -338,17 +363,6 @@ def quantile_multiplier(gen: DensityGenerator, alpha: float) -> float:
     return q
 
 
-def _linear_stats(model: EllipticModel, delta) -> tuple[float, float]:
-    d = np.asarray(delta, dtype=np.float64)
-    if d.ndim != 1 or d.shape[0] != model.dimension:
-        raise DimensionError(
-            f"delta must be a vector of length {model.dimension}, got shape {d.shape}"
-        )
-    mean = float(d @ model.mu)
-    vol = math.sqrt(quadratic_form(d, model.sigma))
-    return mean, vol
-
-
 def var(model: EllipticModel, delta, alpha: float) -> float:
     """Value-at-Risk of pnl = delta . X at level alpha.
 
@@ -357,7 +371,7 @@ def var(model: EllipticModel, delta, alpha: float) -> float:
     P(pnl < -VaR) = alpha.
     """
     alpha = _check_alpha(alpha)
-    mean, vol = _linear_stats(model, delta)
+    _, [(mean, vol)] = linear_stats([(1.0, model)], delta)
     q = quantile_multiplier(model.generator, alpha)
     return -mean + q * vol
 
@@ -370,7 +384,7 @@ def expected_shortfall(model: EllipticModel, delta, alpha: float) -> float:
     from quadrature otherwise.
     """
     alpha = _check_alpha(alpha)
-    mean, vol = _linear_stats(model, delta)
+    _, [(mean, vol)] = linear_stats([(1.0, model)], delta)
     q = quantile_multiplier(model.generator, alpha)
     te = marginal_tail_expectation(model.generator, q)
     return -mean + vol * te / alpha

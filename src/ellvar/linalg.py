@@ -1,9 +1,10 @@
-"""Dense symmetric-positive-definite helpers for small covariance matrices.
+"""Dense symmetric-positive-definite helpers for covariance matrices.
 
-Portfolio dimensions here are tens, not thousands, so the Cholesky
-factorization is written out directly: the loop form reports exactly
-which leading minor breaks positive definiteness, which the error
-contract wants and library routines do not expose cleanly.
+The Cholesky factor comes from LAPACK ``dpotrf``, whose ``info`` names
+the first leading minor that breaks positive definiteness, as the error
+contract asks.  The public functions check their matrix argument; a
+model checks its dispersion once, at construction, and later code
+factors it through ``_cholesky_lower`` without checking it again.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from .errors import DimensionError, DomainError, NotPositiveDefiniteError
 
@@ -42,22 +44,19 @@ def cholesky(matrix) -> np.ndarray:
     """Lower-triangular L with L @ L.T equal to the given SPD matrix.
 
     Raises NotPositiveDefiniteError naming the first leading principal
-    minor (1-based) whose pivot is not strictly positive.
+    minor (1-based) that is not positive definite.
     """
-    a = validate_symmetric(matrix)
-    n = a.shape[0]
-    low = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j] - low[j, :j] @ low[j, :j]
-        if not math.isfinite(pivot) or pivot <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"matrix is not positive definite: leading minor {j + 1} "
-                f"has Cholesky pivot {pivot:.6e}",
-                minor_index=j + 1,
-            )
-        low[j, j] = math.sqrt(pivot)
-        if j + 1 < n:
-            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+    return _cholesky_lower(validate_symmetric(matrix))
+
+
+def _cholesky_lower(a: np.ndarray) -> np.ndarray:
+    """cholesky() for a matrix validate_symmetric has already accepted."""
+    low, info = dpotrf(a, lower=1, clean=1)
+    if info > 0:
+        raise NotPositiveDefiniteError(
+            f"matrix is not positive definite: leading minor {info} is not positive definite",
+            minor_index=info,
+        )
     return low
 
 

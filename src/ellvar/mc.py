@@ -1,11 +1,12 @@
 """Monte Carlo validation of the analytic VaR and ES numbers.
 
-Sampling is exact per model family (Gaussian, Student t via the normal
-over chi-square representation, finite mixtures of those), driven by a
+Every model is sampled as its weighted elliptic components, a plain
+model being one component.  Sampling is exact per family (Gaussian,
+Student t via the normal over chi-square representation), driven by a
 counter-based Philox stream so that every batch owns an independent
 substream addressed by its index.  Results are therefore reproducible
 for a fixed seed no matter how many worker threads run the batches or
-in which order they finish.
+in which order they finish.  The analytic side is ``risk_report``.
 """
 
 from __future__ import annotations
@@ -18,11 +19,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .elliptic import EllipticModel, expected_shortfall, var
+from .elliptic import EllipticModel, _check_alpha, linear_stats
 from .errors import DimensionError, DomainError, UnsupportedGeneratorError
-from .linalg import cholesky
-from .mixture import MixtureModel, mixture_expected_shortfall, mixture_var
-from .student import StudentParams
+from .linalg import _cholesky_lower
+from .linalg import cholesky  # noqa: F401  wrapped by bench/tracing.py
+from .mixture import mixture_expected_shortfall  # noqa: F401  wrapped by bench/tracing.py
+from .mixture import mixture_var  # noqa: F401  wrapped by bench/tracing.py
+from .mixture import weighted_components
+from .portfolio import risk_report
 
 __all__ = [
     "SimulationSpec",
@@ -73,7 +77,7 @@ class _ComponentPlan:
     nu: float
 
 
-def _component_plan(model: EllipticModel, delta: np.ndarray) -> _ComponentPlan:
+def _component_plan(model: EllipticModel, delta: np.ndarray, mean: float) -> _ComponentPlan:
     family = model.generator.family
     if family not in ("gaussian", "student"):
         raise UnsupportedGeneratorError(
@@ -81,83 +85,39 @@ def _component_plan(model: EllipticModel, delta: np.ndarray) -> _ComponentPlan:
             "and student families have exact sampling routines"
         )
     nu = model.generator.family_params[0] if family == "student" else 0.0
-    lower = cholesky(model.sigma)
-    return _ComponentPlan(
-        mean=float(delta @ model.mu),
-        projection=lower.T @ delta,
-        family=family,
-        nu=float(nu),
-    )
+    lower = _cholesky_lower(model.sigma)
+    return _ComponentPlan(mean=mean, projection=lower.T @ delta, family=family, nu=float(nu))
 
 
-def _simulation_plan(model, delta: np.ndarray):
-    """Weights and component plans; a plain model is a one-component mixture."""
-    if isinstance(model, StudentParams):
-        model = model.to_model()
-    if isinstance(model, EllipticModel):
-        if delta.shape[0] != model.dimension:
-            raise DimensionError(
-                f"delta has length {delta.shape[0]}, model dimension is {model.dimension}"
-            )
-        return np.array([1.0]), [_component_plan(model, delta)]
-    if isinstance(model, MixtureModel):
-        if delta.shape[0] != model.dimension:
-            raise DimensionError(
-                f"delta has length {delta.shape[0]}, model dimension is {model.dimension}"
-            )
-        weights = np.array([w for w, _ in model.components])
-        plans = [_component_plan(comp, delta) for _, comp in model.components]
-        return weights, plans
-    raise DomainError(f"unsupported model type {type(model).__name__}")
+def _draw_pnl(rng: np.random.Generator, count: int, weights, plans, antithetic: bool) -> np.ndarray:
+    """One pnl draw per path: z @ projection scaled by the mixing variable.
 
-
-def _draw_pnl(rng: np.random.Generator, count: int, weights, plans) -> np.ndarray:
-    """One pnl draw per path: z @ projection scaled by the mixing variable."""
+    Antithetic draws come in pairs (m + t, m - t): mirrored normals with
+    a shared mixing variable and component, so half as many rows are
+    drawn.
+    """
+    rows = (count + 1) // 2 if antithetic else count
     dim = plans[0].projection.shape[0]
     if len(plans) == 1:
         component = None
     else:
-        component = rng.choice(len(plans), size=count, p=weights)
-    z = rng.standard_normal((count, dim))
-    out = np.empty(count)
+        component = rng.choice(len(plans), size=rows, p=weights)
+    z = rng.standard_normal((rows, dim))
+    out = np.empty(2 * rows if antithetic else rows)
     for j, plan in enumerate(plans):
         idx = slice(None) if component is None else np.flatnonzero(component == j)
-        n_j = count if component is None else idx.shape[0]
-        if component is not None and n_j == 0:
+        n_j = rows if component is None else idx.shape[0]
+        if n_j == 0:
             continue
         core = z[idx] @ plan.projection
         if plan.family == "student":
             chi = rng.chisquare(plan.nu, size=n_j)
             core = core * np.sqrt(plan.nu / chi)
-        out[idx] = plan.mean + core
-    return out
-
-
-def _draw_pnl_antithetic(rng, count: int, weights, plans) -> np.ndarray:
-    """Pairs (m + t, m - t): mirrored normals, shared mixing variable."""
-    half = (count + 1) // 2
-    dim = plans[0].projection.shape[0]
-    if len(plans) == 1:
-        component = None
-    else:
-        component = rng.choice(len(plans), size=half, p=weights)
-    z = rng.standard_normal((half, dim))
-    mean = np.empty(half)
-    core = np.empty(half)
-    for j, plan in enumerate(plans):
-        idx = slice(None) if component is None else np.flatnonzero(component == j)
-        n_j = half if component is None else idx.shape[0]
-        if component is not None and n_j == 0:
-            continue
-        c = z[idx] @ plan.projection
-        if plan.family == "student":
-            chi = rng.chisquare(plan.nu, size=n_j)
-            c = c * np.sqrt(plan.nu / chi)
-        core[idx] = c
-        mean[idx] = plan.mean
-    out = np.empty(2 * half)
-    out[0::2] = mean + core
-    out[1::2] = mean - core
+        if antithetic:
+            out[0::2][idx] = plan.mean + core
+            out[1::2][idx] = plan.mean - core
+        else:
+            out[idx] = plan.mean + core
     return out[:count]
 
 
@@ -168,19 +128,18 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
     batches land in the output at their own offsets, so the result is a
     pure function of (model, delta, spec).
     """
-    d = np.asarray(delta, dtype=np.float64)
-    if d.ndim != 1:
-        raise DimensionError(f"delta must be a vector, got shape {d.shape}")
-    weights, plans = _simulation_plan(model, d)
+    components = weighted_components(model)
+    d, stats = linear_stats(components, delta)
+    weights = np.array([w for w, _ in components])
+    plans = [_component_plan(m, d, mean) for (_, m), (mean, _) in zip(components, stats)]
 
     n_batches = -(-spec.paths // spec.batch_size)
-    draw = _draw_pnl_antithetic if spec.antithetic else _draw_pnl
 
     def run_batch(b: int):
         start = b * spec.batch_size
         count = min(spec.batch_size, spec.paths - start)
         rng = np.random.Generator(np.random.Philox(key=spec.seed).jumped(b))
-        return start, draw(rng, count, weights, plans)
+        return start, _draw_pnl(rng, count, weights, plans, spec.antithetic)
 
     out = np.empty(spec.paths)
     if spec.workers == 1 or n_batches == 1:
@@ -224,8 +183,7 @@ def empirical_var_es(pnl: np.ndarray, alpha: float) -> EmpiricalEstimate:
         raise DomainError(
             f"need at least {_MIN_PATHS_FOR_ESTIMATE} paths for a tail estimate, got {n}"
         )
-    if not 0.0 < alpha < 0.5:
-        raise DomainError(f"alpha must lie in (0, 0.5), got {alpha!r}")
+    alpha = _check_alpha(alpha)
 
     k = math.ceil(alpha * n)
     if k < 50:
@@ -268,14 +226,8 @@ class ValidationRow:
 
 
 def _analytic_var_es(model, delta, alpha: float) -> tuple[float, float]:
-    if isinstance(model, StudentParams):
-        model = model.to_model()
-    if isinstance(model, EllipticModel):
-        return var(model, delta, alpha), expected_shortfall(model, delta, alpha)
-    if isinstance(model, MixtureModel):
-        v = mixture_var(model, delta, alpha)
-        return v, mixture_expected_shortfall(model, delta, alpha, var=v)
-    raise DomainError(f"unsupported model type {type(model).__name__}")
+    report = risk_report(model, delta, alpha)
+    return report.var, report.es
 
 
 def validate_model(

@@ -12,6 +12,9 @@ ES assembles componentwise from the same thresholds:
 where E_j is the component's marginal partial expectation.  A
 single-component mixture must reproduce the plain elliptic numbers, and
 the whole construction is validated against Monte Carlo in the tests.
+
+``weighted_components`` reads any model as such a list of weighted
+components; a plain elliptic model is one component of weight one.
 """
 
 from __future__ import annotations
@@ -25,11 +28,13 @@ from scipy import optimize
 
 from .elliptic import (
     EllipticModel,
+    _check_alpha,
+    linear_stats,
     marginal_tail,
     marginal_tail_expectation,
 )
 from .errors import BracketError, DimensionError, DomainError, NumericalError
-from .linalg import quadratic_form
+from .linalg import quadratic_form  # noqa: F401  wrapped by bench/tracing.py
 
 __all__ = ["MixtureModel", "mixture_var", "mixture_expected_shortfall"]
 
@@ -64,27 +69,28 @@ class MixtureModel:
         return self.components[0][1].dimension
 
 
+def weighted_components(model) -> tuple[tuple[float, EllipticModel], ...]:
+    """Any accepted model as (weight, EllipticModel) pairs.
+
+    This is the one place a model's type is examined: a mixture is its
+    components, and an EllipticModel (a StudentParams among them) is a
+    single component of weight one.
+    """
+    if isinstance(model, MixtureModel):
+        return model.components
+    if isinstance(model, EllipticModel):
+        return ((1.0, model),)
+    raise DomainError(f"unsupported model type {type(model).__name__}")
+
+
 def _component_stats(mixture: MixtureModel, delta) -> list[tuple[float, EllipticModel, float, float]]:
-    d = np.asarray(delta, dtype=np.float64)
-    if d.ndim != 1 or d.shape[0] != mixture.dimension:
-        raise DimensionError(
-            f"delta must be a vector of length {mixture.dimension}, got shape {d.shape}"
-        )
+    _, stats = linear_stats(mixture.components, delta)
     rows = []
-    for w, m in mixture.components:
-        mean = float(d @ m.mu)
-        vol = math.sqrt(quadratic_form(d, m.sigma))
+    for (w, m), (mean, vol) in zip(mixture.components, stats):
         if vol == 0.0:
             raise DomainError("component volatility is zero; delta must be non-zero")
         rows.append((w, m, mean, vol))
     return rows
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and 0.0 < alpha < 0.5):
-        raise DomainError(f"alpha must lie in (0, 0.5), got {alpha!r}")
-    return alpha
 
 
 def mixture_var(mixture: MixtureModel, delta, alpha: float) -> float:

@@ -3,8 +3,10 @@
 The engine consumes one vector: the delta-equivalent exposure of the
 portfolio to each risk factor.  The helpers here build that vector for
 the common cases (option books via spot times sensitivity, cash equity
-books, aggregation across businesses) and wrap the model dispatch needed
-to produce a full report from any supported model object.
+books, aggregation across businesses).  ``risk_report`` and
+``incremental_var`` accept every model type: each model is read as its
+weighted elliptic components, one component takes the closed forms and
+several take the mixture root.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import elliptic, mixture as mixture_mod, student as student_mod
+from . import elliptic, mixture as mixture_mod
 from .errors import DimensionError, DomainError
-from .linalg import quadratic_form
+from .linalg import quadratic_form  # noqa: F401  wrapped by bench/tracing.py
 
 __all__ = [
     "Position",
@@ -95,52 +97,40 @@ def _require_centered(mu: np.ndarray) -> None:
 def incremental_var(model, delta, alpha: float) -> IncrementalVar:
     """Per-factor VaR gradient gamma and Euler contributions, mu = 0 only.
 
-    For an elliptic model the gradient is closed-form,
+    For a single elliptic component the gradient is closed-form,
     gamma = q * Sigma delta / sqrt(delta Sigma delta^t), and the
     contributions sum to VaR exactly.  For a mixture the gradient comes
     from central finite differences on the mixture VaR (step scaled by
     the exposure norm); homogeneity still makes the contributions sum to
     VaR, up to differencing error.
     """
-    d = np.asarray(delta, dtype=np.float64)
-    if d.ndim != 1:
-        raise DimensionError(f"delta must be a vector, got shape {d.shape}")
+    alpha = elliptic._check_alpha(alpha)
+    components = mixture_mod.weighted_components(model)
+    for _, comp in components:
+        _require_centered(comp.mu)
+    d, stats = elliptic.linear_stats(components, delta)
 
-    if isinstance(model, student_mod.StudentParams):
-        model = model.to_model()
-
-    if isinstance(model, elliptic.EllipticModel):
-        _require_centered(model.mu)
-        if d.shape[0] != model.dimension:
-            raise DimensionError(
-                f"delta has length {d.shape[0]}, model dimension is {model.dimension}"
-            )
-        q = elliptic.quantile_multiplier(model.generator, alpha)
-        qf = quadratic_form(d, model.sigma)
-        if qf == 0.0:
+    if len(components) == 1:
+        comp = components[0][1]
+        vol = stats[0][1]
+        if vol == 0.0:
             raise DomainError("delta has zero volatility; no VaR to decompose")
-        vol = math.sqrt(qf)
-        gamma = q * (model.sigma @ d) / vol
-        contributions = d * gamma
-        return IncrementalVar(gamma=gamma, contributions=contributions, total=q * vol)
+        q = elliptic.quantile_multiplier(comp.generator, alpha)
+        gamma = q * (comp.sigma @ d) / vol
+        return IncrementalVar(gamma=gamma, contributions=d * gamma, total=q * vol)
 
-    if isinstance(model, mixture_mod.MixtureModel):
-        for _, comp in model.components:
-            _require_centered(comp.mu)
-        total = mixture_mod.mixture_var(model, d, alpha)
-        step = 1e-6 * float(np.linalg.norm(d))
-        if step == 0.0:
-            raise DomainError("delta is zero; no VaR to decompose")
-        gamma = np.empty_like(d)
-        for i in range(d.shape[0]):
-            bump = np.zeros_like(d)
-            bump[i] = step
-            up = mixture_mod.mixture_var(model, d + bump, alpha)
-            down = mixture_mod.mixture_var(model, d - bump, alpha)
-            gamma[i] = (up - down) / (2.0 * step)
-        return IncrementalVar(gamma=gamma, contributions=d * gamma, total=total)
-
-    raise DomainError(f"unsupported model type {type(model).__name__}")
+    total = mixture_mod.mixture_var(model, d, alpha)
+    step = 1e-6 * float(np.linalg.norm(d))
+    if step == 0.0:
+        raise DomainError("delta is zero; no VaR to decompose")
+    gamma = np.empty_like(d)
+    for i in range(d.shape[0]):
+        bump = np.zeros_like(d)
+        bump[i] = step
+        up = mixture_mod.mixture_var(model, d + bump, alpha)
+        down = mixture_mod.mixture_var(model, d - bump, alpha)
+        gamma[i] = (up - down) / (2.0 * step)
+    return IncrementalVar(gamma=gamma, contributions=d * gamma, total=total)
 
 
 @dataclass(frozen=True)
@@ -179,56 +169,42 @@ class RiskReport:
 
 def risk_report(model, delta, alpha: float) -> RiskReport:
     """Compute VaR and ES for any supported model and wrap them in a report."""
-    d = np.asarray(delta, dtype=np.float64)
+    alpha = elliptic._check_alpha(alpha)
+    components = mixture_mod.weighted_components(model)
+    d, stats = elliptic.linear_stats(components, delta)
 
-    if isinstance(model, student_mod.StudentParams):
-        model = model.to_model()
-
-    if isinstance(model, (elliptic.EllipticModel, mixture_mod.MixtureModel)):
-        if d.ndim != 1 or d.shape[0] != model.dimension:
-            raise DimensionError(
-                f"delta must be a vector of length {model.dimension}, got shape {d.shape}"
-            )
-
-    if isinstance(model, elliptic.EllipticModel):
-        mean = float(d @ model.mu)
-        qf = quadratic_form(d, model.sigma)
-        if qf == 0.0:
+    if len(components) == 1:
+        gen = components[0][1].generator
+        mean, vol = stats[0]
+        if vol == 0.0:
             raise DomainError("delta has zero volatility")
-        vol = math.sqrt(qf)
-        q = elliptic.quantile_multiplier(model.generator, alpha)
-        v = elliptic.var(model, d, alpha)
-        es = elliptic.expected_shortfall(model, d, alpha)
+        q = elliptic.quantile_multiplier(gen, alpha)
+        te = elliptic.marginal_tail_expectation(gen, q)
         return RiskReport(
-            model=model.generator.name,
-            alpha=float(alpha),
+            model=gen.name,
+            alpha=alpha,
             mean=mean,
             volatility=vol,
             quantile=q,
-            var=v,
-            es=es,
+            var=-mean + q * vol,
+            es=-mean + vol * te / alpha,
         )
 
-    if isinstance(model, mixture_mod.MixtureModel):
-        v = mixture_mod.mixture_var(model, d, alpha)
-        es = mixture_mod.mixture_expected_shortfall(model, d, alpha, var=v)
-        mean = 0.0
-        pooled = 0.0
-        for w, comp in model.components:
-            mean += w * float(d @ comp.mu)
-            pooled += w * quadratic_form(d, comp.sigma)
-        vol = math.sqrt(pooled)
-        label = "mixture(" + ", ".join(
-            f"{w:g}*{comp.generator.name}" for w, comp in model.components
-        ) + ")"
-        return RiskReport(
-            model=label,
-            alpha=float(alpha),
-            mean=mean,
-            volatility=vol,
-            quantile=(v + mean) / vol,
-            var=v,
-            es=es,
-        )
-
-    raise DomainError(f"unsupported model type {type(model).__name__}")
+    v = mixture_mod.mixture_var(model, d, alpha)
+    es = mixture_mod.mixture_expected_shortfall(model, d, alpha, var=v)
+    mean = 0.0
+    pooled = 0.0
+    for (w, _), (m, scale) in zip(components, stats):
+        mean += w * m
+        pooled += w * scale * scale
+    vol = math.sqrt(pooled)
+    label = "mixture(" + ", ".join(f"{w:g}*{comp.generator.name}" for w, comp in components) + ")"
+    return RiskReport(
+        model=label,
+        alpha=alpha,
+        mean=mean,
+        volatility=vol,
+        quantile=(v + mean) / vol,
+        var=v,
+        es=es,
+    )

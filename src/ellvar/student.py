@@ -14,15 +14,21 @@ The Gaussian generator lives here as the nu -> infinity limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .elliptic import DensityGenerator, EllipticModel, _solve_decreasing
+from .elliptic import (
+    DensityGenerator,
+    EllipticModel,
+    _check_alpha,
+    _solve_decreasing,
+    linear_stats,
+)
 from .elliptic import var as _elliptic_var
-from .errors import DimensionError, DomainError
-from .linalg import quadratic_form, validate_symmetric
+from .errors import DomainError
+from .linalg import quadratic_form  # noqa: F401  wrapped by bench/tracing.py
+from .linalg import validate_symmetric
 from .specfun import hyp2f1_log, log_gamma, reg_inc_beta
 
 __all__ = [
@@ -44,13 +50,6 @@ def _check_nu(nu: float, minimum: float = 1.0) -> float:
     if not (math.isfinite(nu) and nu > minimum):
         raise DomainError(f"degrees of freedom must exceed {minimum}, got {nu!r}")
     return nu
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and 0.0 < alpha < 0.5):
-        raise DomainError(f"alpha must lie in (0, 0.5), got {alpha!r}")
-    return alpha
 
 
 def _student_log_pdf(s: float, nu: float) -> float:
@@ -140,23 +139,26 @@ def student_es_multiplier(alpha: float, nu: float, quantile: float | None = None
 def student_generator(dimension: int, nu: float) -> DensityGenerator:
     """Student-t density generator in the given dimension.
 
-    The closed-form normalizer is supplied, so construction does not
-    re-derive it by quadrature.  Factory results are memoized, which lets
-    quantile caching work across models sharing (dimension, nu).
+    The closed-form normalizer stays in log space, folded into
+    ``density``, so it cannot overflow or underflow on its own at large
+    dimension, and construction does not re-derive it by quadrature.  Factory results
+    are memoized, which lets quantile caching work across models sharing
+    (dimension, nu).
     """
     nu = _check_nu(nu)
     if not isinstance(dimension, int) or dimension < 1:
         raise DomainError(f"dimension must be an integer >= 1, got {dimension!r}")
-    normalizer = math.exp(
+    log_norm = (
         log_gamma((nu + dimension) / 2.0)
         - log_gamma(nu / 2.0)
         - dimension / 2.0 * math.log(nu * math.pi)
     )
+    power = -(dimension + nu) / 2.0
     return DensityGenerator(
         dimension=dimension,
-        density=lambda u: (1.0 + u / nu) ** (-(dimension + nu) / 2.0),
+        density=lambda u: math.exp(log_norm + power * math.log1p(u / nu)),
         name=f"student(nu={nu:g})",
-        normalizer=normalizer,
+        normalizer=1.0,
         tail=lambda s: student_big_g(s, nu),
         tail_expectation=lambda t: student_tail_expectation(t, nu),
         family="student",
@@ -177,11 +179,12 @@ def gaussian_generator(dimension: int) -> DensityGenerator:
     """Gaussian density generator: the nu -> infinity Student limit."""
     if not isinstance(dimension, int) or dimension < 1:
         raise DomainError(f"dimension must be an integer >= 1, got {dimension!r}")
+    log_norm = -dimension / 2.0 * math.log(2.0 * math.pi)
     return DensityGenerator(
         dimension=dimension,
-        density=lambda u: math.exp(-0.5 * u),
+        density=lambda u: math.exp(log_norm - 0.5 * u),
         name="gaussian",
-        normalizer=(2.0 * math.pi) ** (-dimension / 2.0),
+        normalizer=1.0,
         tail=_normal_tail,
         # E[Z 1{Z >= t}] = phi(t) for the standard normal, any real t
         tail_expectation=_normal_density,
@@ -189,34 +192,27 @@ def gaussian_generator(dimension: int) -> DensityGenerator:
     )
 
 
-@dataclass(eq=False)
-class StudentParams:
+class StudentParams(EllipticModel):
     """Multivariate Student-t model: nu > 2, location mu, dispersion sigma.
 
     ``sigma`` is the dispersion matrix of the density, not the covariance;
     the covariance is nu/(nu - 2) * sigma.  Use dispersion_from_covariance
     to convert an estimated covariance before constructing the model.
+    It is the EllipticModel with the Student generator of its dimension,
+    checked once, when it is built.
     """
 
-    nu: float
-    mu: np.ndarray
-    sigma: np.ndarray
+    def __init__(self, nu: float, mu, sigma):
+        self.nu = _check_nu(nu, minimum=2.0)
+        dimension = len(np.atleast_1d(mu))
+        super().__init__(mu=mu, sigma=sigma, generator=student_generator(dimension, self.nu))
 
-    def __post_init__(self):
-        self.nu = _check_nu(self.nu, minimum=2.0)
-        self.mu = np.asarray(self.mu, dtype=np.float64)
-        self.sigma = validate_symmetric(self.sigma)
-
-    @property
-    def dimension(self) -> int:
-        return int(self.mu.shape[0])
+    def __repr__(self) -> str:
+        return f"StudentParams(nu={self.nu!r}, mu={self.mu!r}, sigma={self.sigma!r})"
 
     def to_model(self) -> EllipticModel:
-        return EllipticModel(
-            mu=self.mu,
-            sigma=self.sigma,
-            generator=student_generator(self.dimension, self.nu),
-        )
+        """The model as an EllipticModel, which it already is."""
+        return self
 
     @property
     def covariance(self) -> np.ndarray:
@@ -232,17 +228,11 @@ def dispersion_from_covariance(covariance, nu: float) -> np.ndarray:
 
 def student_var(params: StudentParams, delta, alpha: float) -> float:
     """Closed-form Student VaR: -delta.mu + q_(alpha,nu) * vol."""
-    return _elliptic_var(params.to_model(), delta, alpha)
+    return _elliptic_var(params, delta, alpha)
 
 
 def student_expected_shortfall(params: StudentParams, delta, alpha: float) -> float:
     """Closed-form Student ES: -delta.mu + m(alpha, nu) * vol."""
     alpha = _check_alpha(alpha)
-    d = np.asarray(delta, dtype=np.float64)
-    if d.ndim != 1 or d.shape[0] != params.dimension:
-        raise DimensionError(
-            f"delta must be a vector of length {params.dimension}, got shape {d.shape}"
-        )
-    vol = math.sqrt(quadratic_form(d, params.sigma))
-    m = student_es_multiplier(alpha, params.nu)
-    return -float(d @ params.mu) + m * vol
+    _, [(mean, vol)] = linear_stats([(1.0, params)], delta)
+    return -mean + student_es_multiplier(alpha, params.nu) * vol

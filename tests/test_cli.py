@@ -218,6 +218,22 @@ def test_alpha_out_of_range_exit_2(one_factor, capsys):
     assert "alpha" in err
 
 
+def test_numerical_error_line_keeps_diagnostics(one_factor, capsys):
+    code, _, err = run_cli(
+        capsys,
+        ["var", "--portfolio", one_factor, "--model", "student", "--nu", "3",
+         "--alpha", "1e-300"],
+    )
+    assert code == 5
+    line = err.strip()
+    assert "\n" not in line
+    assert line.startswith(
+        "error: kind=BracketError detail=tail probability never fell below alpha"
+    )
+    assert " alpha=1e-300 " in line
+    assert float(line.rsplit(" upper=", 1)[1]) > 1e19
+
+
 def test_table_default_grid(capsys):
     code, out, _ = run_cli(capsys, ["table"])
     assert code == 0

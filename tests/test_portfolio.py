@@ -266,3 +266,29 @@ def test_risk_report_dimension_mismatch():
 def test_risk_report_rejects_unknown_model():
     with pytest.raises(DomainError):
         risk_report("not a model", np.ones(2), 0.05)
+
+
+@pytest.mark.parametrize("nu", [None, 3.0, 5.0])
+def test_risk_report_large_book_matches_scipy(nu):
+    # at n = 1000 the generator normalizers leave the double range unless
+    # they stay in log space
+    from scipy import stats
+
+    n = 1000
+    rng = np.random.default_rng(83)
+    loadings = rng.normal(size=(n, 3))
+    sigma = loadings @ loadings.T / 3.0 + np.diag(rng.uniform(0.5, 1.5, n))
+    d = rng.normal(size=n)
+    mu = np.zeros(n)
+    if nu is None:
+        model = EllipticModel(mu=mu, sigma=sigma, generator=gaussian_generator(n))
+        q = stats.norm.isf(0.01)
+        tail_mean = stats.norm.pdf(q)
+    else:
+        model = StudentParams(nu=nu, mu=mu, sigma=sigma)
+        q = stats.t.isf(0.01, nu)
+        tail_mean = stats.t.pdf(q, nu) * (nu + q * q) / (nu - 1.0)
+    vol = math.sqrt(float(d @ sigma @ d))
+    report = risk_report(model, d, 0.01)
+    assert report.var == pytest.approx(q * vol, rel=1e-12)
+    assert report.es == pytest.approx(vol * tail_mean / 0.01, rel=1e-12)
