@@ -11,9 +11,15 @@ generator g:
 Both are computed by adaptive quadrature for arbitrary generators; known
 families attach closed forms on the generator object and the dispatch
 helpers use them when present.  ``big_g`` carries two independent
-quadrature formulations (a nested double integral and a single-integral
-kernel form built on the hypergeometric function); they are cross-checked
-in the test suite and the double integral is the reference route.
+quadrature formulations.  The "kernel" route is one integral of the
+generator against the closed-form share of a sphere beyond s, a
+regularized incomplete beta (the marginal form of a spherical law, Fang,
+Kotz & Ng 1990); quantile solves and generators without a tail hook use
+it.  The "double" route integrates the marginal density, itself an
+integral, and is the independent reference the kernel route is checked
+against.  Powers of the radius and the sphere-area constants are formed
+in log space, so large dimensions give a number or a typed error, never
+an OverflowError.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
+from scipy.special import betainc
 
 from .errors import (
     BracketError,
@@ -36,7 +43,8 @@ from .errors import (
 )
 from .linalg import cholesky
 from .linalg import quadratic_form, validate_symmetric  # noqa: F401  wrapped by bench/tracing.py
-from .specfun import QuadratureSpec, integrate_semi_infinite, hyp2f1, log_gamma
+from .specfun import QuadratureSpec, integrate_semi_infinite, log_gamma
+from .specfun import hyp2f1  # noqa: F401  wrapped by bench/tracing.py
 
 __all__ = [
     "DensityGenerator",
@@ -51,18 +59,39 @@ __all__ = [
     "clear_quantile_cache",
 ]
 
-# inner integrals must be resolved tighter than the outer ones consuming them
+# the double route: inner integrals must be resolved tighter than the
+# outer ones consuming them
 _OUTER_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13, max_subdivisions=200)
 _INNER_QUAD = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=200)
+# The one-integral tail forms (the kernel route and the tail expectation)
+# are held to their relative tolerance alone: the absolute floor is
+# negligible, so at a solved quantile the absolute tolerance is
+# 1e-11 * alpha (1e-13 at alpha = 0.01) and deep tails keep their digits.
+_TAIL_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-300, max_subdivisions=200)
 
 _NORMALIZATION_TOL = 1e-8
+# on |G(q) / alpha - 1|
 _QUANTILE_RESIDUAL_TOL = 1e-10
 _MAX_BRACKET_DOUBLINGS = 64
 
 
-def _sphere_area(n: int) -> float:
-    """Surface area of the unit sphere in R^n."""
-    return 2.0 * math.pi ** (n / 2.0) / math.exp(log_gamma(n / 2.0))
+def _log_sphere_area(n: int) -> float:
+    """ln of the surface area of the unit sphere in R^n."""
+    return math.log(2.0) + n / 2.0 * math.log(math.pi) - log_gamma(n / 2.0)
+
+
+def _log_pow(x: float, p: float) -> float:
+    """p * ln x for x >= 0, with 0 ** 0 = 1 and 0 ** p = 0 for p > 0."""
+    if p == 0.0:
+        return 0.0
+    return p * math.log(x) if x > 0.0 else -math.inf
+
+
+def _times_exp(gu: float, log_factor: float) -> float:
+    """gu * exp(log_factor) for a density value gu >= 0, formed in log space."""
+    if gu == 0.0:
+        return 0.0
+    return math.exp(math.log(gu) + log_factor)
 
 
 @dataclass(eq=False)
@@ -102,9 +131,11 @@ class DensityGenerator:
             self._scale = float(self.normalizer)
             return
         n = self.dimension
-        area = _sphere_area(n)
-        mass = area * integrate_semi_infinite(
-            lambda r: r ** (n - 1) * self.density(r * r), 0.0, _INNER_QUAD
+        log_area = _log_sphere_area(n)
+        mass = integrate_semi_infinite(
+            lambda r: _times_exp(self._checked_density(r * r), log_area + _log_pow(r, n - 1)),
+            0.0,
+            _INNER_QUAD,
         )
         if abs(mass - 1.0) <= _NORMALIZATION_TOL:
             self._scale = 1.0
@@ -118,9 +149,20 @@ class DensityGenerator:
                 f"normalizer, fix the density, or pass auto_rescale=True"
             )
 
+    def _checked_density(self, u: float) -> float:
+        try:
+            value = self.density(u)
+        except OverflowError as err:
+            raise NumericalError(
+                f"generator '{self.name}' density overflowed", u=u, dimension=self.dimension
+            ) from err
+        if value < 0.0:
+            raise DomainError(f"generator '{self.name}' density is negative at u={u!r}")
+        return value
+
     def g(self, u: float) -> float:
         """Normalized radial density at u = |z|^2."""
-        return self._scale * self.density(u)
+        return self._scale * self._checked_density(u)
 
 
 @dataclass(eq=False)
@@ -186,61 +228,56 @@ def _big_g_double(s: float, gen: DensityGenerator) -> float:
     n = gen.dimension
     if n == 1:
         return integrate_semi_infinite(lambda z: gen.g(z * z), s, _OUTER_QUAD)
-    ring = _sphere_area(n - 1)
+    log_ring = _log_sphere_area(n - 1)
 
     def marginal_density(z: float) -> float:
         # Substituting r = max(1,|z|) w keeps the inner integrand's mass
         # near w ~ 1 however far out the outer quadrature probes.
         zz = z * z
         scale = max(1.0, abs(z))
-        inner = integrate_semi_infinite(
-            lambda w: w ** (n - 2) * gen.g(zz + (scale * w) ** 2), 0.0, _INNER_QUAD
-        )
-        return ring * scale ** (n - 1) * inner
+        log_front = log_ring + (n - 1) * math.log(scale)
+
+        def inner(w: float) -> float:
+            sw = scale * w
+            return _times_exp(gen.g(zz + sw * sw), log_front + _log_pow(w, n - 2))
+
+        return integrate_semi_infinite(inner, 0.0, _INNER_QUAD)
 
     return integrate_semi_infinite(marginal_density, s, _OUTER_QUAD)
 
 
-def _kernel_slice(s: float, u: float, n: int) -> float:
-    """Integral of (u - z^2)^((n-3)/2) over z in [s, sqrt(u)], for u >= s^2.
-
-    Evaluated through the hypergeometric form where its series converges
-    within budget; otherwise through the substitution z = sqrt(u) sin(t),
-    which turns the slice into a smooth finite-interval integral.
-    """
-    if u <= s * s:
-        return 0.0
-    if s > 0.0:
-        try:
-            h = hyp2f1(0.5, 1.0, (n + 1) / 2.0, -(u - s * s) / (s * s))
-            return (u - s * s) ** ((n - 1) / 2.0) * h / (s * (n - 1))
-        except NumericalError:
-            pass
-    lo = math.asin(min(s / math.sqrt(u), 1.0))
-    val, _ = integrate.quad(
-        lambda t: math.cos(t) ** (n - 2), lo, math.pi / 2.0, epsabs=1e-15, epsrel=1e-13
-    )
-    return u ** ((n - 2) / 2.0) * val
-
-
 def _big_g_kernel(s: float, gen: DensityGenerator) -> float:
+    # G(s) = pi^(n/2) / (2 Gamma(n/2))
+    #        * int_{s^2}^inf g(u) u^((n-2)/2) I_{1-s^2/u}((n-1)/2, 1/2) du,
+    # where I/2 is the share of the sphere of radius sqrt(u) beyond z1 = s
+    # (1 for n = 1); u = s^2 + v^2 removes the endpoint root at n = 2 and
+    # brings in a factor 2v.
     n = gen.dimension
-    if n == 1:
-        return 0.5 * integrate_semi_infinite(
-            lambda u: gen.g(u) / math.sqrt(u) if u > 0.0 else 0.0, s * s, _OUTER_QUAD
-        )
-    const = math.pi ** ((n - 1) / 2.0) / math.exp(log_gamma((n - 1) / 2.0))
-    return const * integrate_semi_infinite(
-        lambda u: gen.g(u) * _kernel_slice(s, u, n), s * s, _OUTER_QUAD
-    )
+    a = (n - 1) / 2.0
+    ss = s * s
+    log_const = n / 2.0 * math.log(math.pi) - log_gamma(n / 2.0)
+
+    def integrand(v: float) -> float:
+        vv = v * v
+        u = ss + vv
+        weighted = _times_exp(gen.g(u), log_const + _log_pow(u, (n - 2) / 2.0))
+        if weighted == 0.0 or v == 0.0:
+            return 0.0
+        share = float(betainc(a, 0.5, vv / u)) if n > 1 else 1.0
+        return v * share * weighted
+
+    return integrate_semi_infinite(integrand, 0.0, _TAIL_QUAD)
 
 
 def big_g(s: float, gen: DensityGenerator, route: str = "double") -> float:
     """Survival function P(Z1 >= s) of one coordinate of the spherical law.
 
-    ``route="double"`` integrates the marginal density (reference);
-    ``route="kernel"`` integrates the generator against a closed-form
-    slice kernel.  Negative s is folded back by symmetry.
+    ``route="double"`` integrates the marginal density, itself an
+    integral over the other coordinates; it is the reference route.
+    ``route="kernel"`` is one integral of the generator against the
+    closed-form incomplete-beta share of the sphere beyond s, held to
+    relative accuracy however small G(s) is; quantile solves and hook-less
+    tails use it.  Negative s is folded back by symmetry.
     """
     s = float(s)
     if not math.isfinite(s):
@@ -258,7 +295,7 @@ def marginal_tail(gen: DensityGenerator, s: float) -> float:
     """P(Z1 >= s), using the generator's closed form when it has one."""
     if gen.tail is not None:
         return gen.tail(float(s))
-    return big_g(float(s), gen)
+    return big_g(float(s), gen, route="kernel")
 
 
 def marginal_tail_expectation(gen: DensityGenerator, t: float) -> float:
@@ -273,11 +310,11 @@ def marginal_tail_expectation(gen: DensityGenerator, t: float) -> float:
         return gen.tail_expectation(t)
     t = abs(t)
     n = gen.dimension
-    const = math.pi ** ((n - 1) / 2.0) / math.exp(log_gamma((n + 1) / 2.0))
+    log_const = (n - 1) / 2.0 * math.log(math.pi) - log_gamma((n + 1) / 2.0)
     tt = t * t
     try:
-        value = const * integrate_semi_infinite(
-            lambda v: v**n * gen.g(tt + v * v), 0.0, _OUTER_QUAD
+        value = integrate_semi_infinite(
+            lambda v: _times_exp(gen.g(tt + v * v), log_const + _log_pow(v, n)), 0.0, _TAIL_QUAD
         )
     except QuadratureError as err:
         raise DivergentTailError(
@@ -314,16 +351,25 @@ def _solve_decreasing(f: Callable[[float], float], alpha: float) -> float:
             alpha=alpha,
             upper=hi,
         )
-    return float(
-        optimize.brentq(lambda q: f(q) - alpha, lo, hi, xtol=1e-12, rtol=8.9e-16)
-    )
+    try:
+        root = optimize.brentq(lambda q: f(q) - alpha, lo, hi, xtol=1e-12, rtol=8.9e-16)
+    except ValueError as err:
+        # f(lo) fell below alpha too: at lo = 0 the tail should be 1/2
+        raise BracketError(
+            "tail probability lies below alpha at both ends of the bracket",
+            alpha=alpha,
+            lower=lo,
+            upper=hi,
+        ) from err
+    return float(root)
 
 
 def solve_quantile(alpha: float, gen: DensityGenerator) -> float:
     """q with big_g(q) = alpha, alpha in (0, 0.5), by bracketed root-finding.
 
     This is the pure quadrature route: it never consults the generator's
-    closed-form tail, so it exercises the full double-integral machinery.
+    closed-form tail.  It solves on the one-integral kernel route of
+    ``big_g`` and checks the relative residual |G(q) / alpha - 1| there.
     Results are cached per (generator, alpha).
     """
     alpha = _check_alpha(alpha)
@@ -331,8 +377,8 @@ def solve_quantile(alpha: float, gen: DensityGenerator) -> float:
     with _quantile_lock:
         if key in _quantile_cache:
             return _quantile_cache[key]
-    q = _solve_decreasing(lambda t: big_g(t, gen), alpha)
-    residual = abs(big_g(q, gen) - alpha)
+    q = _solve_decreasing(lambda t: big_g(t, gen, route="kernel"), alpha)
+    residual = abs(big_g(q, gen, route="kernel") / alpha - 1.0)
     if residual > _QUANTILE_RESIDUAL_TOL:
         raise NumericalError(
             "quantile solve left a residual above tolerance",

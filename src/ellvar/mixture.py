@@ -45,7 +45,11 @@ _MAX_EXPANSIONS = 64
 
 @dataclass(eq=False)
 class MixtureModel:
-    """Convex combination of elliptic component models on a common space."""
+    """Convex combination of elliptic component models on a common space.
+
+    Each component is an EllipticModel (a StudentParams among them); a
+    mixture of mixtures is rejected at construction.
+    """
 
     components: Sequence[tuple[float, EllipticModel]]
 
@@ -53,9 +57,14 @@ class MixtureModel:
         comps = [(float(w), m) for w, m in self.components]
         if not comps:
             raise DomainError("mixture needs at least one component")
-        for w, _ in comps:
+        for w, m in comps:
             if not (math.isfinite(w) and w > 0.0):
                 raise DomainError(f"mixture weights must be positive, got {w!r}")
+            if not isinstance(m, EllipticModel):
+                # a nested MixtureModel included: components are elliptic laws
+                raise DomainError(
+                    f"mixture components must be elliptic models, got {type(m).__name__}"
+                )
         total = math.fsum(w for w, _ in comps)
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise DomainError(f"mixture weights sum to {total!r}, not 1")

@@ -320,6 +320,23 @@ def test_mc_validate_reproducible_across_workers(one_factor):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_python_m_ellvar_runs_the_cli(one_factor):
+    runs = []
+    for module in ("ellvar", "ellvar.cli"):
+        for argv in (
+            ["var", "--portfolio", one_factor, "--model", "student", "--nu", "5",
+             "--alpha", "0.05"],
+            ["var", "--portfolio", one_factor, "--alpha", "0.7"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", module, *argv], capture_output=True, text=True
+            )
+            runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs[:2] == runs[2:]
+    assert runs[0][0] == 0 and "2.01505" in runs[0][1]
+    assert runs[1][0] == 2 and "error: kind=DomainError" in runs[1][2]
+
+
 def test_console_script_is_installed():
     proc = subprocess.run(
         ["ellvar", "table", "--nu", "5", "--alpha", "0.05"],

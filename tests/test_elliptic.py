@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from ellvar import (
     DensityGenerator,
@@ -26,7 +26,9 @@ from ellvar.errors import (
     DimensionError,
     DivergentTailError,
     DomainError,
+    EllvarError,
     NotPositiveDefiniteError,
+    QuadratureError,
 )
 
 
@@ -44,6 +46,12 @@ def test_generator_rejects_wrong_normalization():
     # e^{-u} in dimension 2 integrates to pi, not 1
     with pytest.raises(DomainError):
         DensityGenerator(dimension=2, density=lambda u: math.exp(-u))
+
+
+def test_generator_rejects_negative_density():
+    gen = DensityGenerator(dimension=2, density=lambda u: -math.exp(-u), normalizer=1.0)
+    with pytest.raises(DomainError):
+        big_g(1.0, gen, route="kernel")
 
 
 def test_generator_auto_rescale():
@@ -76,6 +84,68 @@ def test_student_big_g_both_routes(n, nu):
         ref = stats.t.sf(s, nu)
         assert big_g(s, gen, route="double") == pytest.approx(ref, rel=1e-9)
         assert big_g(s, gen, route="kernel") == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_kernel_route_small_and_large_s(n):
+    # relative accuracy holds both next to s = 0 and deep in the tail
+    for s in (1e-3, 1e-2, 8.0):
+        gauss = big_g(s, gaussian_generator(n), route="kernel")
+        assert gauss == pytest.approx(stats.norm.sf(s), rel=1e-9)
+        student = big_g(s, student_generator(n, 5.0), route="kernel")
+        assert student == pytest.approx(stats.t.sf(s, 5.0), rel=1e-9)
+
+
+def _bare(gen):
+    """The generator's density without its closed-form hooks."""
+    return DensityGenerator(dimension=gen.dimension, density=gen.density, normalizer=1.0)
+
+
+def test_solve_quantile_power_exponential():
+    # at n = 5 and beta this low the double route may not converge; the solve does
+    gen = DensityGenerator(
+        dimension=5, density=lambda u: math.exp(-(u**0.42) / 2.0), auto_rescale=True
+    )
+    previous = 0.0
+    for alpha in (0.01, 1e-3):
+        q = solve_quantile(alpha, gen)
+        assert q > previous
+        previous = q
+        try:
+            double = big_g(q, gen, route="double")
+        except QuadratureError:
+            continue
+        assert abs(double / alpha - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_solve_quantile_deep_tail(n):
+    gen = _bare(gaussian_generator(n))
+    for alpha in (1e-12, 1e-15):
+        q = solve_quantile(alpha, gen)
+        assert q == pytest.approx(-special.ndtri(alpha), rel=1e-12)
+        assert marginal_tail_expectation(gen, q) == pytest.approx(stats.norm.pdf(q), rel=1e-10)
+
+
+def test_large_dimension_generator_is_built_in_log_space():
+    gen = DensityGenerator(dimension=100, density=lambda u: math.exp(-0.5 * u), auto_rescale=True)
+    assert gen.g(0.0) == pytest.approx((2.0 * math.pi) ** -50, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [100, 300, 1000])
+def test_large_dimension_quantile_is_accurate_or_typed(n):
+    cases = (
+        (gaussian_generator(n), -special.ndtri(0.01)),
+        (student_generator(n, 5.0), -special.stdtrit(5.0, 0.01)),
+    )
+    for gen, ref in cases:
+        try:
+            q = solve_quantile(0.01, gen)
+        except EllvarError:
+            # the density's values leave double range at this dimension
+            assert n > 100
+            continue
+        assert q == pytest.approx(ref, rel=1e-10)
 
 
 def test_big_g_routes_agree_for_custom_generator():

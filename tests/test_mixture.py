@@ -136,6 +136,15 @@ def test_weight_validation():
         MixtureModel(components=[])
 
 
+def test_components_must_be_elliptic_models():
+    comp = _component(gaussian_generator(2), [0.0, 0.0], np.eye(2))
+    inner = MixtureModel(components=[(1.0, comp)])
+    with pytest.raises(DomainError, match="elliptic models"):
+        MixtureModel(components=[(0.5, inner), (0.5, comp)])
+    with pytest.raises(DomainError, match="elliptic models"):
+        MixtureModel(components=[(1.0, "gaussian")])
+
+
 def test_component_dimension_mismatch():
     a = _component(gaussian_generator(1), [0.0], [[1.0]])
     b = _component(gaussian_generator(2), [0.0, 0.0], np.eye(2))
