@@ -250,8 +250,8 @@ def _big_g_kernel(s: float, gen: DensityGenerator) -> float:
     # G(s) = pi^(n/2) / (2 Gamma(n/2))
     #        * int_{s^2}^inf g(u) u^((n-2)/2) I_{1-s^2/u}((n-1)/2, 1/2) du,
     # where I/2 is the share of the sphere of radius sqrt(u) beyond z1 = s
-    # (1 for n = 1); u = s^2 + v^2 removes the endpoint root at n = 2 and
-    # brings in a factor 2v.
+    # (I = 1 for n = 1, whose sphere is the two points +-sqrt(u));
+    # u = s^2 + v^2 removes the endpoint root at n = 2 and brings in 2v.
     n = gen.dimension
     a = (n - 1) / 2.0
     ss = s * s
