@@ -11,7 +11,10 @@ actually evaluate, and it is reachable from a single Pfaff transformation
 into the unit disk, which keeps the series analysis short.  Arguments far
 out on the negative axis map close to the disk boundary, so the series is
 summed in vectorized blocks with a geometric tail estimate rather than
-term by term.
+term by term.  Where that boundary is so close that the series would need
+millions of terms, the 1 - x connection formula turns it into two short
+series, unless a - b is an integer (or nearly so, when its two terms
+cancel), which is left to the direct series.
 """
 
 from __future__ import annotations
@@ -39,6 +42,13 @@ __all__ = [
 _SERIES_TOL = 1e-13
 _SERIES_BLOCK = 65536
 _MAX_SERIES_TERMS = 8_000_000
+# the connection formula near the Pfaff argument 1 is tried where 1 minus
+# that argument is at most _CONNECTION_MAX_W (beyond it the direct series
+# is short anyway), and used only where every term ratio of its two series
+# is at most _FAST_RATIO in size and its two terms' sum keeps at least
+# that fraction of the larger term
+_CONNECTION_MAX_W = 1.0 / 64.0
+_FAST_RATIO = 0.25
 
 
 def log_gamma(x: float) -> float:
@@ -166,13 +176,89 @@ def _series_2f1(a: float, b: float, c: float, z: float) -> float:
     )
 
 
-def _hyp2f1_parts(a: float, b: float, c: float, z: float) -> tuple[float, float]:
-    """Return (exponent, series) with 2F1(a,b;c;z) = (1-z)^exponent * series.
+def _fast_series(a: float, b: float, c: float, w: float) -> bool:
+    """True when every term ratio of the Gauss series 2F1(a, b; c; w) is at most 1/4 in size.
+
+    Then the terms shrink at least geometrically and their sum lies within
+    a third of the first term.  Past k = 4 (|a| + |b| + |c| + 1) a ratio is
+    below 2.1 w, so only the terms before that are checked one by one.
+    """
+    if 2.1 * w > _FAST_RATIO:
+        return False
+    k_max = 4.0 * (abs(a) + abs(b) + abs(c) + 1.0)
+    if k_max > _SERIES_BLOCK:
+        return False
+    k = np.arange(math.ceil(k_max) + 1, dtype=np.float64)
+    ratios = np.abs((a + k) * (b + k) / ((c + k) * (k + 1.0))) * w
+    return bool(ratios.max() <= _FAST_RATIO)
+
+
+def _short_series(a: float, b: float, c: float, w: float) -> float:
+    """Sum the Gauss series term by term where ``_fast_series`` holds.
+
+    The terms shrink by at least 4x each, so what is left after a term is
+    at most a third of it, and a few dozen terms reach double precision.
+    """
+    total = term = 1.0
+    k = 0.0
+    while abs(term) > 2.2e-16 * abs(total):
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * w
+        total += term
+        k += 1.0
+    return total
+
+
+def _log_gamma_ratio(num: tuple, den: tuple) -> tuple[float, float]:
+    """(sign, ln |prod Gamma(num) / prod Gamma(den)|); sign 0 when a denominator is at a pole."""
+    sign, log = 1.0, 0.0
+    for x, power in [(x, 1.0) for x in num] + [(x, -1.0) for x in den]:
+        if x <= 0.0 and x == math.floor(x):
+            return 0.0, -math.inf  # only denominators reach here: 1/Gamma vanishes
+        if x < 0.0 and math.floor(x) % 2:
+            sign = -sign
+        log += power * math.lgamma(x)
+    return sign, log
+
+
+def _connection(a: float, b: float, c: float, w: float) -> tuple[float, float] | None:
+    """(log_scale, series) with 2F1(a, b; c; 1 - w) = exp(log_scale) * series.
+
+    The 1 - x connection formula (Abramowitz & Stegun 15.3.6) for small w,
+    where the direct series needs about 1/w terms.  It takes two series
+    in w that converge fast and two gamma ratios.  Returns None where it
+    does not apply: c - a - b an integer (the formula's gamma poles),
+    either series slow, or the two terms cancelling.
+    """
+    d = c - a - b
+    if w > _CONNECTION_MAX_W or d == math.floor(d):
+        return None
+    if not (_fast_series(a, b, 1.0 - d, w) and _fast_series(c - a, c - b, 1.0 + d, w)):
+        return None
+    s1, l1 = _log_gamma_ratio((c, d), (c - a, c - b))
+    s2, l2 = _log_gamma_ratio((c, -d), (a, b))
+    if s1 == 0.0 and s2 == 0.0:
+        return None
+    l2 += d * math.log(w)
+    scale = max(l1, l2)
+    t1 = s1 * math.exp(l1 - scale) * _short_series(a, b, 1.0 - d, w) if s1 else 0.0
+    t2 = s2 * math.exp(l2 - scale) * _short_series(c - a, c - b, 1.0 + d, w) if s2 else 0.0
+    series = t1 + t2
+    if abs(series) < _FAST_RATIO * max(abs(t1), abs(t2)):
+        return None
+    return scale, series
+
+
+def _hyp2f1_parts(a: float, b: float, c: float, z: float) -> tuple[float, float, float]:
+    """Return (exponent, log_scale, series) with
+    2F1(a,b;c;z) = (1-z)^exponent * exp(log_scale) * series.
 
     Valid for z <= 0 only.  The Pfaff transformation maps the argument to
     z/(z-1) in [0, 1); of its two variants we keep the one whose series
     terms decay like k^(-|a-b|-1), i.e. we transform away the larger of
-    a and b.
+    a and b.  Far out on the negative axis that argument nears 1 and the
+    series needs about 1 - z terms; there the 1 - x connection formula
+    takes over where it is well conditioned, and log_scale carries its
+    gamma ratios.  Elsewhere log_scale is 0.
     """
     for val, name in ((a, "a"), (b, "b"), (c, "c"), (z, "z")):
         if not math.isfinite(val):
@@ -182,20 +268,25 @@ def _hyp2f1_parts(a: float, b: float, c: float, z: float) -> tuple[float, float]
     if c <= 0.0 and c == math.floor(c):
         raise DomainError(f"hyp2f1 undefined for non-positive integer c={c!r}")
     if z == 0.0:
-        return 0.0, 1.0
-    zeta = z / (z - 1.0)
+        return 0.0, 0.0, 1.0
     if a <= b:
-        series = _series_2f1(a, c - b, c, zeta)
-        return -a, series
-    series = _series_2f1(c - a, b, c, zeta)
-    return -b, series
+        exponent, a, b = -a, a, c - b
+    else:
+        exponent, a, b = -b, c - a, b
+    # 1 - z/(z-1) = 1/(1-z), formed without cancellation
+    connected = _connection(a, b, c, 1.0 / (1.0 - z))
+    if connected is not None:
+        return (exponent, *connected)
+    return exponent, 0.0, _series_2f1(a, b, c, z / (z - 1.0))
 
 
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric 2F1(a, b; c; z) for real z <= 0."""
     a, b, c, z = float(a), float(b), float(c), float(z)
-    exponent, series = _hyp2f1_parts(a, b, c, z)
-    return (1.0 - z) ** exponent * series
+    exponent, log_scale, series = _hyp2f1_parts(a, b, c, z)
+    if log_scale == 0.0:
+        return (1.0 - z) ** exponent * series
+    return math.exp(exponent * math.log1p(-z) + log_scale) * series
 
 
 def hyp2f1_log(a: float, b: float, c: float, z: float) -> float:
@@ -205,12 +296,12 @@ def hyp2f1_log(a: float, b: float, c: float, z: float) -> float:
     overflows on its own; composing in log space keeps the product finite.
     """
     a, b, c, z = float(a), float(b), float(c), float(z)
-    exponent, series = _hyp2f1_parts(a, b, c, z)
+    exponent, log_scale, series = _hyp2f1_parts(a, b, c, z)
     if series <= 0.0:
         raise DomainError(
             f"hyp2f1({a}, {b}; {c}; {z}) is not positive; no real logarithm"
         )
-    return exponent * math.log1p(-z) + math.log(series)
+    return exponent * math.log1p(-z) + log_scale + math.log(series)
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,42 @@ def test_hyp2f1_against_scipy_sweep():
         )
 
 
+# mpmath oracle, frozen: z far out on the negative axis, where the Pfaff
+# argument nears 1.  The first case has a - b an integer and is summed
+# directly; the others take the 1 - x connection formula.
+HYP2F1_FAR_CASES = [
+    (0.5, 2.5, 3.5, -1e9, 3.9528470712576272e-5),
+    (1.25, 0.75, 2.0, -3e6, 2.9910070094225564e-5),
+    (3.0, 0.3, 1.7, -1e12, 0.00019867748131125066),
+    (-1.5, 2.25, 0.8, -5e4, 43553285.284349517),
+    (0.5, 500.0, 501.0, -1e11, 3.165443103255792e-6),
+]
+
+
+@pytest.mark.parametrize("a, b, c, z, expected", HYP2F1_FAR_CASES)
+def test_hyp2f1_far_negative_oracle(a, b, c, z, expected):
+    assert hyp2f1(a, b, c, z) == pytest.approx(expected, rel=1e-12)
+
+
+def test_hyp2f1_far_negative_against_scipy_sweep():
+    # The connection formula has gamma poles where a - b is an integer;
+    # draws close to one are left to the direct series and skipped here.
+    rng = np.random.default_rng(46)
+    checked = 0
+    for _ in range(200):
+        a, b = rng.uniform(0.1, 4.0, size=2)
+        c = rng.uniform(0.6, 9.0)
+        z = -(10.0 ** rng.uniform(1.8, 12.0))
+        if abs(abs(a - b) - round(abs(a - b))) < 0.05:
+            continue
+        checked += 1
+        expected = special.hyp2f1(a, b, c, z)
+        assert hyp2f1(a, b, c, z) == pytest.approx(expected, rel=1e-10)
+        if expected > 0.0:
+            assert hyp2f1_log(a, b, c, z) == pytest.approx(math.log(expected), abs=1e-10)
+    assert checked >= 150
+
+
 def test_hyp2f1_domain_restrictions():
     with pytest.raises(DomainError):
         hyp2f1(0.5, 1.0, 2.0, 0.3)  # only z <= 0 supported

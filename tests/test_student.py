@@ -69,6 +69,18 @@ def test_student_big_g_methods_agree():
         assert abs(hyp - bet) <= 1e-12
 
 
+def test_student_big_g_hyp2f1_route_small_s():
+    # s << 1 puts the hypergeometric argument -nu/s^2 far out on the
+    # negative axis; the route must still agree with scipy there.
+    rng = np.random.default_rng(32)
+    cases = [(0.01, 1000.0), (0.001, 2.5)]
+    cases += [(1e-4 * 1e3 ** rng.uniform(), 2.5 * 400.0 ** rng.uniform()) for _ in range(60)]
+    for s, nu in cases:
+        assert student_big_g(s, nu, method="hyp2f1") == pytest.approx(
+            stats.t.sf(s, nu), rel=1e-11
+        )
+
+
 def test_student_big_g_rejects_unknown_method():
     with pytest.raises(DomainError):
         student_big_g(1.0, 5.0, method="series")
