@@ -10,9 +10,11 @@ generator g:
 
 Both are computed by adaptive quadrature for arbitrary generators; known
 families attach closed forms on the generator object and the dispatch
-helpers use them when present.  ``big_g`` carries two independent
-quadrature formulations.  The "kernel" route is one integral of the
-generator against the closed-form share of a sphere beyond s, a
+helpers use them when present.  A quantile is either a generator's
+closed form or one bracketed root solve, ``_solve_decreasing``, and
+both end in the same relative residual check.  ``big_g`` carries two
+independent quadrature formulations.  The "kernel" route is one integral
+of the generator against the closed-form share of a sphere beyond s, a
 regularized incomplete beta (the marginal form of a spherical law, Fang,
 Kotz & Ng 1990); quantile solves and generators without a tail hook use
 it.  The "double" route integrates the marginal density, itself an
@@ -73,6 +75,9 @@ _NORMALIZATION_TOL = 1e-8
 # on |G(q) / alpha - 1|
 _QUANTILE_RESIDUAL_TOL = 1e-10
 _MAX_BRACKET_DOUBLINGS = 64
+# hook-less quantiles are cached per (generator, alpha) and each entry
+# keeps its generator alive, so the oldest entries give way past this size
+_QUANTILE_CACHE_SIZE = 4096
 
 
 def _log_sphere_area(n: int) -> float:
@@ -104,9 +109,11 @@ class DensityGenerator:
     integrates to unit mass over R^n; ``auto_rescale`` instead folds the
     measured mass into the scale.
 
-    ``tail`` and ``tail_expectation``, when set by a factory, are closed
-    forms for the marginal survival function and partial expectation; the
-    dispatch helpers prefer them over quadrature.  ``family`` tags
+    ``tail``, ``tail_expectation`` and ``quantile``, when set by a
+    factory, are closed forms for the marginal survival function, the
+    partial expectation and the alpha-tail quantile (alpha in (0, 0.5));
+    the dispatch helpers prefer them over quadrature.  A ``quantile``
+    hook checks its own residual against ``tail``.  ``family`` tags
     generators that Monte Carlo knows how to sample ("gaussian",
     "student").
     """
@@ -118,6 +125,7 @@ class DensityGenerator:
     auto_rescale: bool = False
     tail: Callable[[float], float] | None = None
     tail_expectation: Callable[[float], float] | None = None
+    quantile: Callable[[float], float] | None = None
     family: str | None = None
     family_params: tuple = ()
     _scale: float = field(init=False, default=1.0, repr=False)
@@ -336,9 +344,28 @@ def clear_quantile_cache() -> None:
         _quantile_cache.clear()
 
 
-def _solve_decreasing(f: Callable[[float], float], alpha: float) -> float:
-    """Root of f(q) = alpha for decreasing f on [0, inf), f(0) ~ 0.5."""
-    lo = 0.0
+def _checked_quantile(f: Callable[[float], float], alpha: float, q: float) -> float:
+    """q, once the decreasing tail f meets |f(q) / alpha - 1| <= _QUANTILE_RESIDUAL_TOL.
+
+    A q that is not finite fails the check without f being called.
+    """
+    residual = abs(f(q) / alpha - 1.0) if math.isfinite(q) else math.inf
+    if not residual <= _QUANTILE_RESIDUAL_TOL:
+        raise NumericalError(
+            "quantile left a relative tail residual above tolerance",
+            alpha=alpha,
+            quantile=q,
+            residual=residual,
+        )
+    return q
+
+
+def _solve_decreasing(f: Callable[[float], float], alpha: float, lo: float = 0.0) -> float:
+    """Root of f(x) = alpha for decreasing f, given lo < 1 with f(lo) > alpha.
+
+    Brackets upward from lo by doubling, runs brentq and checks the
+    relative residual of the root.
+    """
     hi = 1.0
     for _ in range(_MAX_BRACKET_DOUBLINGS):
         if f(hi) < alpha:
@@ -352,7 +379,9 @@ def _solve_decreasing(f: Callable[[float], float], alpha: float) -> float:
             upper=hi,
         )
     try:
-        root = optimize.brentq(lambda q: f(q) - alpha, lo, hi, xtol=1e-12, rtol=8.9e-16)
+        # xtol lies below the rounding of any root of unit scale, so brentq
+        # stops on rtol and the root is good to a few ulps
+        root = optimize.brentq(lambda x: f(x) - alpha, lo, hi, xtol=1e-15, rtol=8.9e-16)
     except ValueError as err:
         # f(lo) fell below alpha too: at lo = 0 the tail should be 1/2
         raise BracketError(
@@ -361,52 +390,40 @@ def _solve_decreasing(f: Callable[[float], float], alpha: float) -> float:
             lower=lo,
             upper=hi,
         ) from err
-    return float(root)
+    return _checked_quantile(f, alpha, float(root))
 
 
 def solve_quantile(alpha: float, gen: DensityGenerator) -> float:
     """q with big_g(q) = alpha, alpha in (0, 0.5), by bracketed root-finding.
 
     This is the pure quadrature route: it never consults the generator's
-    closed-form tail.  It solves on the one-integral kernel route of
+    closed forms.  It solves on the one-integral kernel route of
     ``big_g`` and checks the relative residual |G(q) / alpha - 1| there.
-    Results are cached per (generator, alpha).
+    Results are cached per (generator, alpha); past
+    ``_QUANTILE_CACHE_SIZE`` entries the oldest is evicted first.
     """
     alpha = _check_alpha(alpha)
-    key = (gen, alpha, "quadrature")
+    key = (gen, alpha)
     with _quantile_lock:
         if key in _quantile_cache:
             return _quantile_cache[key]
     q = _solve_decreasing(lambda t: big_g(t, gen, route="kernel"), alpha)
-    residual = abs(big_g(q, gen, route="kernel") / alpha - 1.0)
-    if residual > _QUANTILE_RESIDUAL_TOL:
-        raise NumericalError(
-            "quantile solve left a residual above tolerance",
-            quantile=q,
-            residual=residual,
-            alpha=alpha,
-        )
     with _quantile_lock:
+        if len(_quantile_cache) >= _QUANTILE_CACHE_SIZE:
+            del _quantile_cache[next(iter(_quantile_cache))]
         _quantile_cache[key] = q
     return q
 
 
 def quantile_multiplier(gen: DensityGenerator, alpha: float) -> float:
-    """Quantile of the spherical marginal, preferring closed-form tails.
+    """Quantile of the spherical marginal.
 
-    Identical to solve_quantile for generators without a ``tail`` hook.
+    The generator's ``quantile`` hook when it has one, else ``solve_quantile``.
     """
     alpha = _check_alpha(alpha)
-    if gen.tail is None:
-        return solve_quantile(alpha, gen)
-    key = (gen, alpha, "tail")
-    with _quantile_lock:
-        if key in _quantile_cache:
-            return _quantile_cache[key]
-    q = _solve_decreasing(gen.tail, alpha)
-    with _quantile_lock:
-        _quantile_cache[key] = q
-    return q
+    if gen.quantile is not None:
+        return gen.quantile(alpha)
+    return solve_quantile(alpha, gen)
 
 
 def var(model: EllipticModel, delta, alpha: float) -> float:

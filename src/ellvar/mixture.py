@@ -4,7 +4,9 @@ VaR no longer has a closed form under a mixture: it is the root of
 
     sum_j beta_j * G_j((delta.mu_j + V) / vol_j) = alpha,
 
-which is strictly decreasing in V, so a bracketed solve is exact enough.
+which is strictly decreasing in V.  It is solved by the engine's one
+bracketed root solve and held to the same relative residual,
+|tail / alpha - 1| <= 1e-10, as every quantile.
 ES assembles componentwise from the same thresholds:
 
     ES = (1/alpha) * sum_j beta_j * (vol_j * E_j(thr_j) - delta.mu_j * G_j(thr_j)),
@@ -24,22 +26,21 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .elliptic import (
     EllipticModel,
     _check_alpha,
+    _solve_decreasing,
     linear_stats,
     marginal_tail,
     marginal_tail_expectation,
 )
-from .errors import BracketError, DimensionError, DomainError, NumericalError
+from .errors import BracketError, DimensionError, DomainError
 from .linalg import quadratic_form  # noqa: F401  wrapped by bench/tracing.py
 
 __all__ = ["MixtureModel", "mixture_var", "mixture_expected_shortfall"]
 
 _WEIGHT_TOL = 1e-12
-_RESIDUAL_TOL = 1e-10
 _MAX_EXPANSIONS = 64
 
 
@@ -105,41 +106,30 @@ def _component_stats(mixture: MixtureModel, delta) -> list[tuple[float, Elliptic
 def mixture_var(mixture: MixtureModel, delta, alpha: float) -> float:
     """VaR of delta . X when X is drawn from a mixture of elliptic laws.
 
-    Root-finds the mixture tail equation; the residual of the returned
-    value is checked against 1e-10.
+    Solves for V in units of the largest component vol, so the solve
+    and its tolerances do not depend on the book's scale: searches
+    downward for a V whose mixture tail exceeds alpha, then root-finds
+    the tail equation upward from there; the returned value's tail is
+    within 1e-10 of alpha in relative terms.
     """
     alpha = _check_alpha(alpha)
     rows = _component_stats(mixture, delta)
+    scale = max(vol for _, _, _, vol in rows)
 
-    def tail_prob(v: float) -> float:
+    def tail_prob(t: float) -> float:
+        v = t * scale
         return math.fsum(
             w * marginal_tail(m.generator, (mean + v) / vol) for w, m, mean, vol in rows
         )
 
-    lo, hi = -1.0, 1.0
+    lo = -1.0
     for _ in range(_MAX_EXPANSIONS):
         if tail_prob(lo) > alpha:
             break
         lo *= 2.0
     else:
         raise BracketError("could not bracket mixture VaR from below", alpha=alpha)
-    for _ in range(_MAX_EXPANSIONS):
-        if tail_prob(hi) < alpha:
-            break
-        hi *= 2.0
-    else:
-        raise BracketError("could not bracket mixture VaR from above", alpha=alpha)
-
-    v = float(optimize.brentq(lambda t: tail_prob(t) - alpha, lo, hi, xtol=1e-12, rtol=8.9e-16))
-    residual = abs(tail_prob(v) - alpha)
-    if residual > _RESIDUAL_TOL:
-        raise NumericalError(
-            "mixture VaR solve left a residual above tolerance",
-            var=v,
-            residual=residual,
-            alpha=alpha,
-        )
-    return v
+    return _solve_decreasing(tail_prob, alpha, lo) * scale
 
 
 def mixture_expected_shortfall(

@@ -4,7 +4,9 @@ The quantile and tail machinery upstream needs four things: log-gamma,
 the beta function, the regularized incomplete beta, and the Gauss
 hypergeometric function on the negative real axis.  Everything here is
 scalar float-in/float-out; vectorization happens at the call sites that
-need it.
+need it.  The incomplete beta is ``scipy.special.betainc`` behind this
+module's argument checks; the hypergeometric function is summed here,
+because it is the independent route the Student tail is checked by.
 
 ``hyp2f1`` only supports z <= 0.  That is the branch the tail formulas
 actually evaluate, and it is reachable from a single Pfaff transformation
@@ -25,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import integrate
+from scipy.special import betainc
 
 from .errors import DomainError, NumericalError, QuadratureError
 
@@ -40,6 +43,9 @@ __all__ = [
 ]
 
 _SERIES_TOL = 1e-13
+# blocks grow geometrically from the first size up to the largest, so a
+# short series sums a few dozen terms and a slow one still runs in big blocks
+_FIRST_SERIES_BLOCK = 64
 _SERIES_BLOCK = 65536
 _MAX_SERIES_TERMS = 8_000_000
 # the connection formula near the Pfaff argument 1 is tried where 1 minus
@@ -64,78 +70,17 @@ def beta(a: float, b: float) -> float:
     return math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))
 
 
-def _inc_beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta, modified Lentz scheme.
-
-    Converges quickly only for x < (a + 1) / (a + b + 2); the caller is
-    responsible for switching to the symmetric tail outside that region.
-    """
-    max_iter = 600
-    eps = 1e-16
-    tiny = 1e-300
-
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    raise NumericalError(
-        "incomplete beta continued fraction did not converge",
-        a=a,
-        b=b,
-        x=x,
-        iterations=max_iter,
-        partial=h,
-    )
-
-
 def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1]."""
+    """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1].
+
+    The arguments are checked here and the value is ``scipy.special.betainc``.
+    """
     x, a, b = float(x), float(a), float(b)
     if not (math.isfinite(a) and a > 0.0 and math.isfinite(b) and b > 0.0):
         raise DomainError(f"reg_inc_beta requires a, b > 0, got a={a!r}, b={b!r}")
     if not (math.isfinite(x) and 0.0 <= x <= 1.0):
         raise DomainError(f"reg_inc_beta requires x in [0, 1], got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        a * math.log(x)
-        + b * math.log1p(-x)
-        - (log_gamma(a) + log_gamma(b) - log_gamma(a + b))
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _inc_beta_cf(a, b, x) / a
-    return 1.0 - front * _inc_beta_cf(b, a, 1.0 - x) / b
+    return float(betainc(a, b, x))
 
 
 def _series_2f1(a: float, b: float, c: float, z: float) -> float:
@@ -144,12 +89,15 @@ def _series_2f1(a: float, b: float, c: float, z: float) -> float:
     Stops when a geometric bound on the remaining tail drops below the
     relative tolerance.  The callers always land here with z in [0, 1);
     z very close to 1 (slow decay) is where the block structure pays off.
+    Each block doubles the last, up to ``_SERIES_BLOCK`` terms.
     """
     total = 1.0
     term = 1.0
     k = 0
+    block = _FIRST_SERIES_BLOCK
     while k < _MAX_SERIES_TERMS:
-        n = min(_SERIES_BLOCK, _MAX_SERIES_TERMS - k)
+        n = min(block, _MAX_SERIES_TERMS - k)
+        block = min(2 * block, _SERIES_BLOCK)
         kk = k + np.arange(n, dtype=np.float64)
         ratios = (a + kk) * (b + kk) / ((c + kk) * (kk + 1.0)) * z
         terms = term * np.cumprod(ratios)

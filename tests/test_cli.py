@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ellvar import RiskReport, StudentParams, risk_report, student_quantile
 from ellvar.cli import main
@@ -218,11 +219,19 @@ def test_alpha_out_of_range_exit_2(one_factor, capsys):
     assert "alpha" in err
 
 
-def test_numerical_error_line_keeps_diagnostics(one_factor, capsys):
+def test_numerical_error_line_keeps_diagnostics(one_factor, tmp_path, capsys):
+    # a t3 component's tail at 2^64 is still far above 1e-300
+    spec = tmp_path / "mix.json"
+    spec.write_text(json.dumps({
+        "components": [
+            {"beta": 0.5},
+            {"beta": 0.5, "nu": 3},
+        ]
+    }))
     code, _, err = run_cli(
         capsys,
-        ["var", "--portfolio", one_factor, "--model", "student", "--nu", "3",
-         "--alpha", "1e-300"],
+        ["var", "--portfolio", one_factor, "--model", "mixture",
+         "--mixture-spec", str(spec), "--alpha", "1e-300"],
     )
     assert code == 5
     line = err.strip()
@@ -232,6 +241,26 @@ def test_numerical_error_line_keeps_diagnostics(one_factor, capsys):
     )
     assert " alpha=1e-300 " in line
     assert float(line.rsplit(" upper=", 1)[1]) > 1e19
+
+
+def test_student_var_deep_tail_is_exact_or_numerical_error(one_factor, capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["var", "--portfolio", one_factor, "--model", "student", "--nu", "3",
+         "--alpha", "1e-30", "--format", "json"],
+    )
+    assert code == 0
+    assert json.loads(out)[0]["var"] == pytest.approx(stats.t.isf(1e-30, 3.0), rel=1e-12)
+    # stdtrit gives -inf here; the closed form must fail its residual check
+    code, _, err = run_cli(
+        capsys,
+        ["var", "--portfolio", one_factor, "--model", "student", "--nu", "3",
+         "--alpha", "1e-300"],
+    )
+    assert code == 5
+    line = err.strip()
+    assert line.startswith("error: kind=NumericalError ")
+    assert " alpha=1e-300 " in line
 
 
 def test_table_default_grid(capsys):

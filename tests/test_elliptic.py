@@ -22,6 +22,7 @@ from ellvar import (
     student_generator,
     var,
 )
+from ellvar import elliptic
 from ellvar.errors import (
     DimensionError,
     DivergentTailError,
@@ -179,6 +180,19 @@ def test_solve_quantile_student():
     assert q == pytest.approx(stats.t.ppf(0.95, 4.0), abs=1e-9)
 
 
+def test_solve_quantile_matches_closed_form_to_rounding():
+    # the hook-less solve against stdtrit, at the criterion 4 points
+    for nu in (3.0, 5.0, 10.0):
+        for n in (2, 3, 5):
+            bare = DensityGenerator(
+                dimension=n, density=student_generator(n, nu).density, normalizer=1.0
+            )
+            for alpha in (0.01, 0.05):
+                assert solve_quantile(alpha, bare) == pytest.approx(
+                    -special.stdtrit(nu, alpha), rel=1e-14, abs=0.0
+                )
+
+
 def test_solve_quantile_is_cached():
     clear_quantile_cache()
     gen = _pearson_vii_generator()
@@ -187,6 +201,24 @@ def test_solve_quantile_is_cached():
     assert first == again
     residual = big_g(first, gen) - 0.05
     assert abs(residual) <= 1e-10
+
+
+def test_quantile_cache_is_bounded_oldest_first():
+    cap = elliptic._QUANTILE_CACHE_SIZE
+    assert cap >= 4096
+    clear_quantile_cache()
+    try:
+        # stand-in entries fill the cache to its cap, oldest first
+        for i in range(cap):
+            elliptic._quantile_cache[("filler", i)] = float(i)
+        gen = _pearson_vii_generator()
+        q = solve_quantile(0.05, gen)
+        assert len(elliptic._quantile_cache) == cap
+        assert ("filler", 0) not in elliptic._quantile_cache
+        assert ("filler", 1) in elliptic._quantile_cache
+        assert elliptic._quantile_cache[(gen, 0.05)] == q
+    finally:
+        clear_quantile_cache()
 
 
 def test_quantile_multiplier_prefers_closed_tail():

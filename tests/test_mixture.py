@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize, stats
+from scipy import optimize, special, stats
 
 from ellvar import (
     EllipticModel,
@@ -81,6 +81,37 @@ def test_var_threshold_recovers_alpha():
         marginal_tail(gaussian_generator(2), v / vol2)
     )
     assert residual == pytest.approx(0.05, abs=1e-12)
+
+
+def _normal_t5_mixture():
+    """0.7 N + 0.3 t5 in one dimension, at unit and doubled scale."""
+    return MixtureModel(components=[
+        (0.7, _component(gaussian_generator(1), [0.0], [[1.0]])),
+        (0.3, _component(student_generator(1, 5.0), [0.0], [[4.0]])),
+    ])
+
+
+def test_deep_tail_normal_student_mixture():
+    # at these alphas only a residual taken relative to alpha constrains V
+    mix = _normal_t5_mixture()
+    d = np.array([1.0])
+    for alpha in (1e-8, 1e-12):
+        ref = optimize.brentq(
+            lambda x: 0.7 * special.ndtr(-x) + 0.3 * special.stdtr(5.0, -x / 2.0) - alpha,
+            1.0, 1e6, xtol=1e-300, rtol=8.9e-16,
+        )
+        assert mixture_var(mix, d, alpha) == pytest.approx(ref, rel=1e-10)
+
+
+def test_var_solve_does_not_depend_on_book_scale():
+    # small books need the solve's tolerances taken in units of their vol
+    mix = _normal_t5_mixture()
+    for alpha in (0.01, 1e-6):
+        base = mixture_var(mix, np.array([1.0]), alpha)
+        for scale in (1e3, 1e-5, 1e-8):
+            assert mixture_var(mix, np.array([scale]), alpha) == pytest.approx(
+                scale * base, rel=1e-12
+            )
 
 
 def test_var_sits_between_component_vars():

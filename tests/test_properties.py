@@ -2,7 +2,8 @@
 
 Each property is checked through ``risk_report`` on a plain
 ``EllipticModel``, a ``StudentParams`` and a two-component
-``MixtureModel``.  The examples are derandomized so that the suite is
+``MixtureModel``; the Euler decomposition ``incremental_var`` gets its
+own properties on centered models.  The examples are derandomized so that the suite is
 reproducible, and bounded so that it stays a few seconds long.
 """
 
@@ -18,6 +19,7 @@ from ellvar import (
     MixtureModel,
     StudentParams,
     gaussian_generator,
+    incremental_var,
     risk_report,
     student_generator,
 )
@@ -150,3 +152,63 @@ def test_student_params_report_equals_its_model(n, seed, nu, alpha):
     params = StudentParams(nu=nu, mu=rng.normal(scale=0.1, size=n), sigma=_spd(rng, n))
     delta = rng.normal(size=n)
     assert risk_report(params, delta, alpha) == risk_report(params.to_model(), delta, alpha)
+
+
+@st.composite
+def centered_cases(draw, kinds=KINDS, max_n=4):
+    """(model, delta) with mu = 0 for every component, as incremental_var needs."""
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nu = draw(st.floats(2.5, 40.0))
+    sigma = _spd(rng, n)
+    zero = np.zeros(n)
+    if kind == "elliptic":
+        gen = gaussian_generator(n) if draw(st.booleans()) else student_generator(n, nu)
+        model = EllipticModel(mu=zero, sigma=sigma, generator=gen)
+    elif kind == "student":
+        model = StudentParams(nu=nu, mu=zero, sigma=sigma)
+    else:
+        w = draw(st.floats(0.05, 0.95))
+        model = MixtureModel(
+            components=[
+                (w, EllipticModel(mu=zero, sigma=sigma, generator=gaussian_generator(n))),
+                (
+                    1.0 - w,
+                    EllipticModel(
+                        mu=zero, sigma=2.0 * _spd(rng, n), generator=student_generator(n, nu)
+                    ),
+                ),
+            ]
+        )
+    return model, rng.normal(size=n)
+
+
+@PROPERTY
+@given(case=centered_cases(kinds=("elliptic", "student")), alpha=alphas)
+def test_incremental_var_single_component_sums_to_var(case, alpha):
+    model, delta = case
+    inc = incremental_var(model, delta, alpha)
+    report = risk_report(model, delta, alpha)
+    assert float(np.sum(inc.contributions)) == pytest.approx(report.var, rel=1e-12, abs=0.0)
+
+
+@PROPERTY
+@given(case=centered_cases(), alpha=alphas, factor=st.floats(0.01, 100.0))
+def test_incremental_var_gamma_is_scale_invariant(case, alpha, factor):
+    model, delta = case
+    base = incremental_var(model, delta, alpha).gamma
+    scaled = incremental_var(model, factor * delta, alpha).gamma
+    # closed-form gradients agree to rounding; mixture gradients are
+    # central differences with a step proportional to |delta|
+    rel = 1e-12 if isinstance(model, EllipticModel) else 1e-6
+    assert scaled == pytest.approx(base, rel=rel, abs=rel * float(np.max(np.abs(base))))
+
+
+@PROPERTY
+@given(case=centered_cases(kinds=("mixture",), max_n=3), alpha=alphas)
+def test_incremental_var_mixture_sums_to_var(case, alpha):
+    model, delta = case
+    inc = incremental_var(model, delta, alpha)
+    report = risk_report(model, delta, alpha)
+    assert float(np.sum(inc.contributions)) == pytest.approx(report.var, rel=1e-6, abs=0.0)

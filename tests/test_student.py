@@ -41,6 +41,31 @@ def test_student_big_g_oracle(s, nu, expected):
     assert student_big_g(s, nu) == pytest.approx(expected, rel=1e-12)
 
 
+# mpmath (50 digits, exact s) oracle, frozen: small s, where nu/(nu + s^2)
+# rounds near 1, and two tails near 1e-12
+BETA_ROUTE_MPMATH_CASES = [
+    (0.0001, 2.5, 0.49996381912768145),
+    (0.0001, 850.0, 0.4999601175038948),
+    (0.0001, 1000.0, 0.49996011574433513),
+    (0.0002, 2.5, 0.49992763825586944),
+    (0.0002, 850.0, 0.49992023500818894),
+    (0.0002, 1000.0, 0.49992023148906956),
+    (0.01, 2.5, 0.49638199717895415),
+    (0.01, 850.0, 0.4960118169308535),
+    (0.01, 1000.0, 0.4960116409660936),
+    (0.3, 2.5, 0.39367118574759863),
+    (0.3, 850.0, 0.3821252525566366),
+    (0.3, 1000.0, 0.38211975208362203),
+    (10000.0, 3.0, 1.102657751147905e-12),
+    (40.0, 10.0, 1.1404288715428774e-12),
+]
+
+
+@pytest.mark.parametrize("s, nu, expected", BETA_ROUTE_MPMATH_CASES)
+def test_student_big_g_beta_route_mpmath(s, nu, expected):
+    assert student_big_g(s, nu, method="beta") == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
 def test_student_big_g_symmetry_and_center():
     assert student_big_g(0.0, 5.0) == 0.5
     for s, nu in ((0.7, 3.0), (2.2, 11.0)):
