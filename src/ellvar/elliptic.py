@@ -22,6 +22,12 @@ integral, and is the independent reference the kernel route is checked
 against.  Powers of the radius and the sphere-area constants are formed
 in log space, so large dimensions give a number or a typed error, never
 an OverflowError.
+
+Every VaR and ES, here and in the mixture, portfolio, Student and Monte
+Carlo modules, takes one private path: ``_component_rows`` reads a model
+as (weight, generator, mean, vol) rows, ``_rows_var`` takes the closed
+form for one row and the mixture root for several, and ``_rows_es``
+builds ES at the same thresholds.
 """
 
 from __future__ import annotations
@@ -213,12 +219,13 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def linear_stats(components, delta) -> tuple[np.ndarray, list[tuple[float, float]]]:
-    """delta as a checked vector, and (mean, vol) of delta . X per component.
+def _component_rows(components, delta) -> tuple[np.ndarray, list[tuple]]:
+    """delta as a checked vector, and one (weight, generator, mean, vol) row per component.
 
     ``components`` are (weight, EllipticModel) pairs on a common space.
     delta's shape and finiteness are checked here, once per call; the
-    models were checked when they were built.
+    models were checked when they were built.  A delta with zero vol has
+    no risk to measure and raises here, for every entry point.
     """
     d = np.asarray(delta, dtype=np.float64)
     n = components[0][1].dimension
@@ -226,10 +233,14 @@ def linear_stats(components, delta) -> tuple[np.ndarray, list[tuple[float, float
         raise DimensionError(f"delta must be a vector of length {n}, got shape {d.shape}")
     if not np.all(np.isfinite(d)):
         raise DomainError("delta entries must be finite")
-    # an SPD sigma can only give a negative form through rounding
-    return d, [
-        (float(d @ m.mu), math.sqrt(max(float(d @ m.sigma @ d), 0.0))) for _, m in components
-    ]
+    rows = []
+    for w, m in components:
+        # an SPD sigma can only give a negative form through rounding
+        vol = math.sqrt(max(float(d @ m.sigma @ d), 0.0))
+        if vol == 0.0:
+            raise DomainError("delta has zero volatility; there is no risk to measure")
+        rows.append((w, m.generator, float(d @ m.mu), vol))
+    return d, rows
 
 
 def _big_g_double(s: float, gen: DensityGenerator) -> float:
@@ -361,21 +372,30 @@ def _checked_quantile(f: Callable[[float], float], alpha: float, q: float) -> fl
 
 
 def _solve_decreasing(f: Callable[[float], float], alpha: float, lo: float = 0.0) -> float:
-    """Root of f(x) = alpha for decreasing f, given lo < 1 with f(lo) > alpha.
+    """Root of f(x) = alpha for decreasing f, bracketed from lo < 1.
 
-    Brackets upward from lo by doubling, runs brentq and checks the
-    relative residual of the root.
+    lo = 0 is taken to lie below the root, as it does for a symmetric
+    tail at alpha < 1/2; a negative lo is doubled downward until f
+    exceeds alpha there.  The upper end doubles from 1 until f falls
+    below alpha, brentq finds the root and its relative residual is
+    checked.
     """
     hi = 1.0
     for _ in range(_MAX_BRACKET_DOUBLINGS):
-        if f(hi) < alpha:
+        # each lo and hi is evaluated once: a lo that passes is left behind
+        # as soon as hi moves, since the old hi >= 1 takes its place
+        if lo < 0.0 and not f(lo) > alpha:
+            lo *= 2.0
+        elif not f(hi) < alpha:
+            lo, hi = hi, 2.0 * hi
+        else:
             break
-        lo = hi
-        hi *= 2.0
     else:
+        moved = "rose above" if lo < 0.0 else "fell below"
         raise BracketError(
-            "tail probability never fell below alpha while expanding the bracket",
+            f"tail probability never {moved} alpha while expanding the bracket",
             alpha=alpha,
+            lower=lo,
             upper=hi,
         )
     try:
@@ -426,6 +446,43 @@ def quantile_multiplier(gen: DensityGenerator, alpha: float) -> float:
     return solve_quantile(alpha, gen)
 
 
+def _rows_var(rows: list[tuple], alpha: float) -> tuple[float, list[float]]:
+    """VaR over component rows, and each row's threshold at it.
+
+    One row is the closed form -mean + q * vol, its threshold q.  Several
+    rows solve sum_k w_k G_k((mean_k + V) / vol_k) = alpha for V in units
+    of the largest vol, so the solve does not depend on the book's scale;
+    the root's tail is within 1e-10 of alpha in relative terms.
+    """
+    if len(rows) == 1:
+        _, gen, mean, vol = rows[0]
+        q = quantile_multiplier(gen, alpha)
+        return -mean + q * vol, [q]
+    scale = max(vol for _, _, _, vol in rows)
+
+    def tail_prob(t: float) -> float:
+        v = t * scale
+        return math.fsum(w * marginal_tail(gen, (mean + v) / vol) for w, gen, mean, vol in rows)
+
+    v = _solve_decreasing(tail_prob, alpha, -1.0) * scale
+    return v, [(mean + v) / vol for _, _, mean, vol in rows]
+
+
+def _rows_es(rows: list[tuple], alpha: float, thresholds: list[float]) -> float:
+    """ES over component rows at their VaR thresholds z_k.
+
+    (1/alpha) sum_k w_k (vol_k E_k(z_k) - mean_k G_k(z_k)), E_k the partial
+    expectation; one row has G(q) = alpha and gives -mean + vol E(q) / alpha.
+    """
+    if len(rows) == 1:
+        _, gen, mean, vol = rows[0]
+        return -mean + vol * marginal_tail_expectation(gen, thresholds[0]) / alpha
+    acc = 0.0
+    for (w, gen, mean, vol), z in zip(rows, thresholds):
+        acc += w * (vol * marginal_tail_expectation(gen, z) - mean * marginal_tail(gen, z))
+    return acc / alpha
+
+
 def var(model: EllipticModel, delta, alpha: float) -> float:
     """Value-at-Risk of pnl = delta . X at level alpha.
 
@@ -434,9 +491,8 @@ def var(model: EllipticModel, delta, alpha: float) -> float:
     P(pnl < -VaR) = alpha.
     """
     alpha = _check_alpha(alpha)
-    _, [(mean, vol)] = linear_stats([(1.0, model)], delta)
-    q = quantile_multiplier(model.generator, alpha)
-    return -mean + q * vol
+    _, rows = _component_rows([(1.0, model)], delta)
+    return _rows_var(rows, alpha)[0]
 
 
 def expected_shortfall(model: EllipticModel, delta, alpha: float) -> float:
@@ -447,7 +503,5 @@ def expected_shortfall(model: EllipticModel, delta, alpha: float) -> float:
     from quadrature otherwise.
     """
     alpha = _check_alpha(alpha)
-    _, [(mean, vol)] = linear_stats([(1.0, model)], delta)
-    q = quantile_multiplier(model.generator, alpha)
-    te = marginal_tail_expectation(model.generator, q)
-    return -mean + vol * te / alpha
+    _, rows = _component_rows([(1.0, model)], delta)
+    return _rows_es(rows, alpha, _rows_var(rows, alpha)[1])

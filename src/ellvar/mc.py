@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .elliptic import EllipticModel, _check_alpha, linear_stats
+from .elliptic import EllipticModel, _check_alpha, _component_rows
 from .errors import DimensionError, DomainError, UnsupportedGeneratorError
 from .linalg import _cholesky_lower
 from .linalg import cholesky  # noqa: F401  wrapped by bench/tracing.py
@@ -129,9 +129,9 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
     pure function of (model, delta, spec).
     """
     components = weighted_components(model)
-    d, stats = linear_stats(components, delta)
+    d, rows = _component_rows(components, delta)
     weights = np.array([w for w, _ in components])
-    plans = [_component_plan(m, d, mean) for (_, m), (mean, _) in zip(components, stats)]
+    plans = [_component_plan(m, d, mean) for (_, m), (_, _, mean, _) in zip(components, rows)]
 
     n_batches = -(-spec.paths // spec.batch_size)
 
@@ -198,7 +198,8 @@ def empirical_var_es(pnl: np.ndarray, alpha: float) -> EmpiricalEstimate:
     es_hat = -float(np.mean(tail))
 
     h = alpha / 2.0
-    width = float(np.quantile(x, alpha + h) - np.quantile(x, alpha - h))
+    lower, upper = np.quantile(x, [alpha - h, alpha + h])
+    width = float(upper - lower)
     if width <= 0.0:
         var_se = float("nan")
     else:

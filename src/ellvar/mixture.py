@@ -4,18 +4,14 @@ VaR no longer has a closed form under a mixture: it is the root of
 
     sum_j beta_j * G_j((delta.mu_j + V) / vol_j) = alpha,
 
-which is strictly decreasing in V.  It is solved by the engine's one
-bracketed root solve and held to the same relative residual,
-|tail / alpha - 1| <= 1e-10, as every quantile.
-ES assembles componentwise from the same thresholds:
+and ES assembles componentwise from the same thresholds.  Both are
+computed by the engine's one path over component rows
+(``elliptic._rows_var`` and ``elliptic._rows_es``), the path every model
+takes, so a single-component mixture gives its component's numbers bit
+for bit.  The construction is validated against Monte Carlo in the
+tests.
 
-    ES = (1/alpha) * sum_j beta_j * (vol_j * E_j(thr_j) - delta.mu_j * G_j(thr_j)),
-
-where E_j is the component's marginal partial expectation.  A
-single-component mixture must reproduce the plain elliptic numbers, and
-the whole construction is validated against Monte Carlo in the tests.
-
-``weighted_components`` reads any model as such a list of weighted
+``weighted_components`` reads any model as a list of weighted
 components; a plain elliptic model is one component of weight one.
 """
 
@@ -25,23 +21,15 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .elliptic import (
-    EllipticModel,
-    _check_alpha,
-    _solve_decreasing,
-    linear_stats,
-    marginal_tail,
-    marginal_tail_expectation,
-)
-from .errors import BracketError, DimensionError, DomainError
+from .elliptic import EllipticModel, _check_alpha, _component_rows, _rows_es, _rows_var
+from .elliptic import marginal_tail  # noqa: F401  wrapped by bench/tracing.py
+from .elliptic import marginal_tail_expectation  # noqa: F401  wrapped by bench/tracing.py
+from .errors import DimensionError, DomainError
 from .linalg import quadratic_form  # noqa: F401  wrapped by bench/tracing.py
 
 __all__ = ["MixtureModel", "mixture_var", "mixture_expected_shortfall"]
 
 _WEIGHT_TOL = 1e-12
-_MAX_EXPANSIONS = 64
 
 
 @dataclass(eq=False)
@@ -93,43 +81,15 @@ def weighted_components(model) -> tuple[tuple[float, EllipticModel], ...]:
     raise DomainError(f"unsupported model type {type(model).__name__}")
 
 
-def _component_stats(mixture: MixtureModel, delta) -> list[tuple[float, EllipticModel, float, float]]:
-    _, stats = linear_stats(mixture.components, delta)
-    rows = []
-    for (w, m), (mean, vol) in zip(mixture.components, stats):
-        if vol == 0.0:
-            raise DomainError("component volatility is zero; delta must be non-zero")
-        rows.append((w, m, mean, vol))
-    return rows
-
-
 def mixture_var(mixture: MixtureModel, delta, alpha: float) -> float:
     """VaR of delta . X when X is drawn from a mixture of elliptic laws.
 
-    Solves for V in units of the largest component vol, so the solve
-    and its tolerances do not depend on the book's scale: searches
-    downward for a V whose mixture tail exceeds alpha, then root-finds
-    the tail equation upward from there; the returned value's tail is
-    within 1e-10 of alpha in relative terms.
+    The root of the mixture tail equation, held to a relative tail
+    residual of 1e-10; one component takes the closed form.
     """
     alpha = _check_alpha(alpha)
-    rows = _component_stats(mixture, delta)
-    scale = max(vol for _, _, _, vol in rows)
-
-    def tail_prob(t: float) -> float:
-        v = t * scale
-        return math.fsum(
-            w * marginal_tail(m.generator, (mean + v) / vol) for w, m, mean, vol in rows
-        )
-
-    lo = -1.0
-    for _ in range(_MAX_EXPANSIONS):
-        if tail_prob(lo) > alpha:
-            break
-        lo *= 2.0
-    else:
-        raise BracketError("could not bracket mixture VaR from below", alpha=alpha)
-    return _solve_decreasing(tail_prob, alpha, lo) * scale
+    _, rows = _component_rows(mixture.components, delta)
+    return _rows_var(rows, alpha)[0]
 
 
 def mixture_expected_shortfall(
@@ -137,17 +97,12 @@ def mixture_expected_shortfall(
 ) -> float:
     """ES of delta . X under the mixture, at the mixture-wide VaR threshold.
 
-    Pass ``var`` to reuse an already-solved VaR; otherwise it is solved
-    here.  Each component contributes its partial tail expectation and a
-    location correction, evaluated at the common threshold.
+    Pass ``var`` to reuse this mixture's already-solved VaR at alpha;
+    otherwise it is solved here.  Each component contributes its partial
+    tail expectation and a location correction at the common threshold.
     """
     alpha = _check_alpha(alpha)
-    v = mixture_var(mixture, delta, alpha) if var is None else float(var)
-    rows = _component_stats(mixture, delta)
-    acc = 0.0
-    for w, m, mean, vol in rows:
-        thr = (mean + v) / vol
-        te = marginal_tail_expectation(m.generator, thr)
-        tail = marginal_tail(m.generator, thr)
-        acc += w * (vol * te - mean * tail)
-    return acc / alpha
+    _, rows = _component_rows(mixture.components, delta)
+    if var is None:
+        return _rows_es(rows, alpha, _rows_var(rows, alpha)[1])
+    return _rows_es(rows, alpha, [(mean + float(var)) / vol for _, _, mean, vol in rows])

@@ -4,9 +4,10 @@ The engine consumes one vector: the delta-equivalent exposure of the
 portfolio to each risk factor.  The helpers here build that vector for
 the common cases (option books via spot times sensitivity, cash equity
 books, aggregation across businesses).  ``risk_report`` and
-``incremental_var`` accept every model type: each model is read as its
-weighted elliptic components, one component takes the closed forms and
-several take the mixture root.
+``incremental_var`` accept every model type: each model is read once as
+rows of its weighted elliptic components and handed to the engine's one
+VaR/ES path, where one row takes the closed forms and several take the
+mixture root.
 """
 
 from __future__ import annotations
@@ -86,14 +87,6 @@ class IncrementalVar:
     total: float
 
 
-def _require_centered(mu: np.ndarray) -> None:
-    if float(np.max(np.abs(mu))) != 0.0:
-        raise DomainError(
-            "incremental VaR requires mu = 0: the closed-form gradient and the "
-            "Euler identity rely on VaR being homogeneous in the exposures"
-        )
-
-
 def incremental_var(model, delta, alpha: float) -> IncrementalVar:
     """Per-factor VaR gradient gamma and Euler contributions, mu = 0 only.
 
@@ -106,30 +99,28 @@ def incremental_var(model, delta, alpha: float) -> IncrementalVar:
     """
     alpha = elliptic._check_alpha(alpha)
     components = mixture_mod.weighted_components(model)
-    for _, comp in components:
-        _require_centered(comp.mu)
-    d, stats = elliptic.linear_stats(components, delta)
+    if any(float(np.max(np.abs(comp.mu))) != 0.0 for _, comp in components):
+        raise DomainError(
+            "incremental VaR requires mu = 0: the closed-form gradient and the "
+            "Euler identity rely on VaR being homogeneous in the exposures"
+        )
+    d, rows = elliptic._component_rows(components, delta)
+    total, thresholds = elliptic._rows_var(rows, alpha)
 
-    if len(components) == 1:
-        comp = components[0][1]
-        vol = stats[0][1]
-        if vol == 0.0:
-            raise DomainError("delta has zero volatility; no VaR to decompose")
-        q = elliptic.quantile_multiplier(comp.generator, alpha)
-        gamma = q * (comp.sigma @ d) / vol
-        return IncrementalVar(gamma=gamma, contributions=d * gamma, total=q * vol)
+    if len(rows) == 1:
+        # one row's threshold is its quantile q
+        gamma = thresholds[0] * (components[0][1].sigma @ d) / rows[0][3]
+        return IncrementalVar(gamma=gamma, contributions=d * gamma, total=total)
 
-    total = mixture_mod.mixture_var(model, d, alpha)
+    def var_at(x: np.ndarray) -> float:
+        return elliptic._rows_var(elliptic._component_rows(components, x)[1], alpha)[0]
+
     step = 1e-6 * float(np.linalg.norm(d))
-    if step == 0.0:
-        raise DomainError("delta is zero; no VaR to decompose")
     gamma = np.empty_like(d)
     for i in range(d.shape[0]):
         bump = np.zeros_like(d)
         bump[i] = step
-        up = mixture_mod.mixture_var(model, d + bump, alpha)
-        down = mixture_mod.mixture_var(model, d - bump, alpha)
-        gamma[i] = (up - down) / (2.0 * step)
+        gamma[i] = (var_at(d + bump) - var_at(d - bump)) / (2.0 * step)
     return IncrementalVar(gamma=gamma, contributions=d * gamma, total=total)
 
 
@@ -138,8 +129,9 @@ class RiskReport:
     """One (model, alpha) row of risk numbers for a fixed exposure vector.
 
     ``mean`` is E[pnl], ``volatility`` the dispersion scale of pnl (for a
-    mixture: the weight-averaged component scale), ``quantile`` the
-    implied multiplier (var + mean) / volatility.
+    mixture: sqrt(sum_k w_k vol_k^2), the root of the weight-averaged
+    squared component scales), ``quantile`` the implied multiplier
+    (var + mean) / volatility.
     """
 
     model: str
@@ -171,40 +163,28 @@ def risk_report(model, delta, alpha: float) -> RiskReport:
     """Compute VaR and ES for any supported model and wrap them in a report."""
     alpha = elliptic._check_alpha(alpha)
     components = mixture_mod.weighted_components(model)
-    d, stats = elliptic.linear_stats(components, delta)
+    _, rows = elliptic._component_rows(components, delta)
+    v, thresholds = elliptic._rows_var(rows, alpha)
+    es = elliptic._rows_es(rows, alpha, thresholds)
 
-    if len(components) == 1:
-        gen = components[0][1].generator
-        mean, vol = stats[0]
-        if vol == 0.0:
-            raise DomainError("delta has zero volatility")
-        q = elliptic.quantile_multiplier(gen, alpha)
-        te = elliptic.marginal_tail_expectation(gen, q)
-        return RiskReport(
-            model=gen.name,
-            alpha=alpha,
-            mean=mean,
-            volatility=vol,
-            quantile=q,
-            var=-mean + q * vol,
-            es=-mean + vol * te / alpha,
-        )
-
-    v = mixture_mod.mixture_var(model, d, alpha)
-    es = mixture_mod.mixture_expected_shortfall(model, d, alpha, var=v)
-    mean = 0.0
-    pooled = 0.0
-    for (w, _), (m, scale) in zip(components, stats):
-        mean += w * m
-        pooled += w * scale * scale
-    vol = math.sqrt(pooled)
-    label = "mixture(" + ", ".join(f"{w:g}*{comp.generator.name}" for w, comp in components) + ")"
+    if len(rows) == 1:
+        _, gen, mean, vol = rows[0]
+        label, quantile = gen.name, thresholds[0]
+    else:
+        mean = 0.0
+        pooled = 0.0
+        for w, _, m, scale in rows:
+            mean += w * m
+            pooled += w * scale * scale
+        vol = math.sqrt(pooled)
+        label = "mixture(" + ", ".join(f"{w:g}*{gen.name}" for w, gen, _, _ in rows) + ")"
+        quantile = (v + mean) / vol
     return RiskReport(
         model=label,
         alpha=alpha,
         mean=mean,
         volatility=vol,
-        quantile=(v + mean) / vol,
+        quantile=quantile,
         var=v,
         es=es,
     )

@@ -28,7 +28,7 @@ from .elliptic import (
     EllipticModel,
     _check_alpha,
     _checked_quantile,
-    linear_stats,
+    _component_rows,
 )
 from .elliptic import var as _elliptic_var
 from .errors import DomainError
@@ -251,5 +251,5 @@ def student_var(params: StudentParams, delta, alpha: float) -> float:
 def student_expected_shortfall(params: StudentParams, delta, alpha: float) -> float:
     """Closed-form Student ES: -delta.mu + m(alpha, nu) * vol."""
     alpha = _check_alpha(alpha)
-    _, [(mean, vol)] = linear_stats([(1.0, params)], delta)
+    _, [(_, _, mean, vol)] = _component_rows([(1.0, params)], delta)
     return -mean + student_es_multiplier(alpha, params.nu) * vol

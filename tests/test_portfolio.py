@@ -20,10 +20,14 @@ from ellvar import (
     expected_shortfall,
     gaussian_generator,
     incremental_var,
+    mixture_expected_shortfall,
     mixture_var,
     risk_report,
+    simulate_pnl,
+    student_expected_shortfall,
     student_generator,
     student_quantile,
+    student_var,
     var,
 )
 from ellvar.errors import DimensionError, DomainError
@@ -238,7 +242,9 @@ def test_risk_report_mixture_dispatch():
     d = np.array([1.0, 1.0])
     report = risk_report(mix, d, 0.01)
     assert report.model == "mixture(0.8*gaussian, 0.2*student(nu=5))"
-    assert report.var == pytest.approx(mixture_var(mix, d, 0.01), rel=1e-12)
+    # the report and the mixture functions take the same path over the rows
+    assert report.var == mixture_var(mix, d, 0.01)
+    assert report.es == mixture_expected_shortfall(mix, d, 0.01)
     assert report.es > report.var
     # pooled second moment of the scale: 0.8 * 2 + 0.2 * 4
     assert report.volatility == pytest.approx(math.sqrt(0.8 * 2.0 + 0.2 * 4.0), rel=1e-12)
@@ -292,3 +298,37 @@ def test_risk_report_large_book_matches_scipy(nu):
     report = risk_report(model, d, 0.01)
     assert report.var == pytest.approx(q * vol, rel=1e-12)
     assert report.es == pytest.approx(vol * tail_mean / 0.01, rel=1e-12)
+
+
+def _zero_exposure_models():
+    student = StudentParams(nu=5.0, mu=np.zeros(2), sigma=np.eye(2))
+    gauss = EllipticModel(generator=gaussian_generator(2), mu=np.zeros(2), sigma=np.eye(2))
+    return student, MixtureModel(components=[(0.6, gauss), (0.4, student)])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda s, m, d: var(s, d, 0.05),
+        lambda s, m, d: expected_shortfall(s, d, 0.05),
+        lambda s, m, d: student_var(s, d, 0.05),
+        lambda s, m, d: student_expected_shortfall(s, d, 0.05),
+        lambda s, m, d: mixture_var(m, d, 0.05),
+        lambda s, m, d: mixture_expected_shortfall(m, d, 0.05),
+        lambda s, m, d: risk_report(m, d, 0.05),
+        lambda s, m, d: risk_report(s, d, 0.05),
+        lambda s, m, d: incremental_var(m, d, 0.05),
+        lambda s, m, d: incremental_var(s, d, 0.05),
+        lambda s, m, d: simulate_pnl(m, d),
+    ],
+    ids=[
+        "var", "expected_shortfall", "student_var", "student_expected_shortfall",
+        "mixture_var", "mixture_expected_shortfall", "risk_report_mixture",
+        "risk_report_student", "incremental_var_mixture", "incremental_var_student",
+        "simulate_pnl",
+    ],
+)
+def test_zero_exposure_raises_one_error_everywhere(entry):
+    student, mix = _zero_exposure_models()
+    with pytest.raises(DomainError, match="^delta has zero volatility; there is no risk to measure$"):
+        entry(student, mix, np.zeros(2))

@@ -18,10 +18,14 @@ from ellvar import (
     EllipticModel,
     MixtureModel,
     StudentParams,
+    expected_shortfall,
     gaussian_generator,
     incremental_var,
+    mixture_expected_shortfall,
+    mixture_var,
     risk_report,
     student_generator,
+    var,
 )
 
 KINDS = ("elliptic", "student", "mixture")
@@ -138,6 +142,10 @@ def test_single_component_mixture_matches_component(case, alpha):
     for _, comp in parts:
         wrapped = MixtureModel(components=[(1.0, comp)])
         assert risk_report(wrapped, delta, alpha) == risk_report(comp, delta, alpha)
+        assert mixture_var(wrapped, delta, alpha) == var(comp, delta, alpha)
+        assert mixture_expected_shortfall(wrapped, delta, alpha) == expected_shortfall(
+            comp, delta, alpha
+        )
 
 
 @PROPERTY
