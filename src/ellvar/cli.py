@@ -169,14 +169,22 @@ def _read_json(path: str) -> dict:
     return doc
 
 
+def _numbers(value, ndim: int, where: str, name: str):
+    """A JSON field as float64 with ndim axes (a float for ndim 0), else DomainError naming it."""
+    try:
+        arr = np.asarray(value, dtype=np.float64) if value is not None else None
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != ndim:
+        shape = ("a number", "a vector of numbers", "a matrix of numbers")[ndim]
+        raise DomainError(f"{where}: {name!r} must be {shape}")
+    return float(arr) if ndim == 0 else arr
+
+
 def _as_moments(doc: dict, path: str) -> tuple[np.ndarray, np.ndarray]:
     if "mu" not in doc or "sigma" not in doc:
         raise DomainError(f"{path}: expected fields 'mu' and 'sigma'")
-    mu = np.asarray(doc["mu"], dtype=np.float64)
-    sigma = np.asarray(doc["sigma"], dtype=np.float64)
-    if mu.ndim != 1 or sigma.ndim != 2:
-        raise DomainError(f"{path}: 'mu' must be a vector and 'sigma' a matrix")
-    return mu, sigma
+    return _numbers(doc["mu"], 1, path, "mu"), _numbers(doc["sigma"], 2, path, "sigma")
 
 
 def read_mixture_spec(path: str, dimension: int, interpretation: str) -> MixtureModel:
@@ -193,18 +201,15 @@ def read_mixture_spec(path: str, dimension: int, interpretation: str) -> Mixture
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "beta" not in entry:
             raise DomainError(f"{path}: component {i}: expected an object with 'beta'")
-        beta = float(entry["beta"])
-        mu = np.asarray(entry.get("mu", np.zeros(dimension)), dtype=np.float64)
-        sigma = np.asarray(entry.get("sigma", np.eye(dimension)), dtype=np.float64)
-        if mu.ndim != 1 or sigma.ndim != 2:
-            raise DomainError(
-                f"{path}: component {i}: 'mu' must be a vector and 'sigma' a matrix"
-            )
+        where = f"{path}: component {i}"
+        beta = _numbers(entry["beta"], 0, where, "beta")
+        mu = _numbers(entry.get("mu", np.zeros(dimension)), 1, where, "mu")
+        sigma = _numbers(entry.get("sigma", np.eye(dimension)), 2, where, "sigma")
         nu = entry.get("nu")
         if nu is None:
             generator = gaussian_generator(mu.shape[0])
         else:
-            nu = float(nu)
+            nu = _numbers(nu, 0, where, "nu")
             if interpretation == "covariance":
                 sigma = dispersion_from_covariance(sigma, nu)
             generator = student_generator(mu.shape[0], nu)

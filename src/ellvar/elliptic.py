@@ -32,6 +32,7 @@ builds ES at the same thresholds.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -243,26 +244,25 @@ def _component_rows(components, delta) -> tuple[np.ndarray, list[tuple]]:
     return d, rows
 
 
-def _big_g_double(s: float, gen: DensityGenerator) -> float:
+def _marginal_density(z: float, gen: DensityGenerator) -> float:
+    """Density of one spherical coordinate at z: the generator integrated over the others."""
     n = gen.dimension
+    zz = z * z
     if n == 1:
-        return integrate_semi_infinite(lambda z: gen.g(z * z), s, _OUTER_QUAD)
-    log_ring = _log_sphere_area(n - 1)
+        return gen.g(zz)
+    # r = max(1,|z|) w keeps the integrand's mass near w ~ 1 however far out z lies
+    scale = max(1.0, abs(z))
+    log_front = _log_sphere_area(n - 1) + (n - 1) * math.log(scale)
 
-    def marginal_density(z: float) -> float:
-        # Substituting r = max(1,|z|) w keeps the inner integrand's mass
-        # near w ~ 1 however far out the outer quadrature probes.
-        zz = z * z
-        scale = max(1.0, abs(z))
-        log_front = log_ring + (n - 1) * math.log(scale)
+    def inner(w: float) -> float:
+        sw = scale * w
+        return _times_exp(gen.g(zz + sw * sw), log_front + _log_pow(w, n - 2))
 
-        def inner(w: float) -> float:
-            sw = scale * w
-            return _times_exp(gen.g(zz + sw * sw), log_front + _log_pow(w, n - 2))
+    return integrate_semi_infinite(inner, 0.0, _INNER_QUAD)
 
-        return integrate_semi_infinite(inner, 0.0, _INNER_QUAD)
 
-    return integrate_semi_infinite(marginal_density, s, _OUTER_QUAD)
+def _big_g_double(s: float, gen: DensityGenerator) -> float:
+    return integrate_semi_infinite(lambda z: _marginal_density(z, gen), s, _OUTER_QUAD)
 
 
 def _big_g_kernel(s: float, gen: DensityGenerator) -> float:
@@ -378,15 +378,17 @@ def _solve_decreasing(f: Callable[[float], float], alpha: float, lo: float = 0.0
     tail at alpha < 1/2; a negative lo is doubled downward until f
     exceeds alpha there.  The upper end doubles from 1 until f falls
     below alpha, brentq finds the root and its relative residual is
-    checked.
+    checked.  f is evaluated once per point, brentq's ends and the root
+    it returns included.
     """
+    tail = functools.cache(f)
     hi = 1.0
     for _ in range(_MAX_BRACKET_DOUBLINGS):
         # each lo and hi is evaluated once: a lo that passes is left behind
         # as soon as hi moves, since the old hi >= 1 takes its place
-        if lo < 0.0 and not f(lo) > alpha:
+        if lo < 0.0 and not tail(lo) > alpha:
             lo *= 2.0
-        elif not f(hi) < alpha:
+        elif not tail(hi) < alpha:
             lo, hi = hi, 2.0 * hi
         else:
             break
@@ -401,7 +403,7 @@ def _solve_decreasing(f: Callable[[float], float], alpha: float, lo: float = 0.0
     try:
         # xtol lies below the rounding of any root of unit scale, so brentq
         # stops on rtol and the root is good to a few ulps
-        root = optimize.brentq(lambda x: f(x) - alpha, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        root = optimize.brentq(lambda x: tail(x) - alpha, lo, hi, xtol=1e-15, rtol=8.9e-16)
     except ValueError as err:
         # f(lo) fell below alpha too: at lo = 0 the tail should be 1/2
         raise BracketError(
@@ -410,7 +412,7 @@ def _solve_decreasing(f: Callable[[float], float], alpha: float, lo: float = 0.0
             lower=lo,
             upper=hi,
         ) from err
-    return _checked_quantile(f, alpha, float(root))
+    return _checked_quantile(tail, alpha, float(root))
 
 
 def solve_quantile(alpha: float, gen: DensityGenerator) -> float:

@@ -142,14 +142,9 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
         return start, _draw_pnl(rng, count, weights, plans, spec.antithetic)
 
     out = np.empty(spec.paths)
-    if spec.workers == 1 or n_batches == 1:
-        for b in range(n_batches):
-            start, chunk = run_batch(b)
+    with ThreadPoolExecutor(max_workers=min(spec.workers, n_batches)) as pool:
+        for start, chunk in pool.map(run_batch, range(n_batches)):
             out[start : start + chunk.shape[0]] = chunk
-    else:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            for start, chunk in pool.map(run_batch, range(n_batches)):
-                out[start : start + chunk.shape[0]] = chunk
     return out
 
 

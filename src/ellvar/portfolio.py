@@ -4,10 +4,11 @@ The engine consumes one vector: the delta-equivalent exposure of the
 portfolio to each risk factor.  The helpers here build that vector for
 the common cases (option books via spot times sensitivity, cash equity
 books, aggregation across businesses).  ``risk_report`` and
-``incremental_var`` accept every model type: each model is read once as
-rows of its weighted elliptic components and handed to the engine's one
-VaR/ES path, where one row takes the closed forms and several take the
-mixture root.
+``incremental_var`` accept every model type and location: each model is
+read once as rows of its weighted elliptic components and handed to the
+engine's one VaR/ES path, where one row takes the closed forms and
+several take the mixture root.  The Euler allocation takes its gradient
+from that one solve's thresholds, by the implicit-function theorem.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import elliptic, mixture as mixture_mod
+from . import elliptic, mixture as mixture_mod, student
 from .errors import DimensionError, DomainError
 from .linalg import quadratic_form  # noqa: F401  wrapped by bench/tracing.py
 
@@ -88,39 +89,26 @@ class IncrementalVar:
 
 
 def incremental_var(model, delta, alpha: float) -> IncrementalVar:
-    """Per-factor VaR gradient gamma and Euler contributions, mu = 0 only.
+    """Per-factor VaR gradient gamma and Euler contributions, for any model and mu.
 
-    For a single elliptic component the gradient is closed-form,
-    gamma = q * Sigma delta / sqrt(delta Sigma delta^t), and the
-    contributions sum to VaR exactly.  For a mixture the gradient comes
-    from central finite differences on the mixture VaR (step scaled by
-    the exposure norm); homogeneity still makes the contributions sum to
-    VaR, up to differencing error.
+    VaR solves sum_k w_k G_k(z_k) = alpha, z_k = (delta.mu_k + VaR) / vol_k, and
+    the implicit-function theorem (Tasche 1999) gives its gradient from that one
+    solve: gamma = sum_k c_k (z_k Sigma_k delta / vol_k - mu_k) / sum_k c_k, with
+    c_k = w_k f_k(z_k) / vol_k and f_k the marginal density.  As vol_k z_k -
+    delta.mu_k = VaR for every k, the contributions sum to VaR to rounding.  One
+    component needs no density: gamma = q Sigma delta / vol - mu.
     """
     alpha = elliptic._check_alpha(alpha)
     components = mixture_mod.weighted_components(model)
-    if any(float(np.max(np.abs(comp.mu))) != 0.0 for _, comp in components):
-        raise DomainError(
-            "incremental VaR requires mu = 0: the closed-form gradient and the "
-            "Euler identity rely on VaR being homogeneous in the exposures"
-        )
     d, rows = elliptic._component_rows(components, delta)
     total, thresholds = elliptic._rows_var(rows, alpha)
-
-    if len(rows) == 1:
-        # one row's threshold is its quantile q
-        gamma = thresholds[0] * (components[0][1].sigma @ d) / rows[0][3]
-        return IncrementalVar(gamma=gamma, contributions=d * gamma, total=total)
-
-    def var_at(x: np.ndarray) -> float:
-        return elliptic._rows_var(elliptic._component_rows(components, x)[1], alpha)[0]
-
-    step = 1e-6 * float(np.linalg.norm(d))
-    gamma = np.empty_like(d)
-    for i in range(d.shape[0]):
-        bump = np.zeros_like(d)
-        bump[i] = step
-        gamma[i] = (var_at(d + bump) - var_at(d - bump)) / (2.0 * step)
+    shares = np.ones(1)
+    if len(rows) > 1:
+        c = [w * student._marginal_pdf(g, z) / vol for (w, g, _, vol), z in zip(rows, thresholds)]
+        shares = np.array(c) / math.fsum(c)
+    gamma = shares @ np.array(
+        [z * (m.sigma @ d) / row[3] - m.mu for (_, m), row, z in zip(components, rows, thresholds)]
+    )
     return IncrementalVar(gamma=gamma, contributions=d * gamma, total=total)
 
 

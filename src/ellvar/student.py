@@ -29,6 +29,7 @@ from .elliptic import (
     _check_alpha,
     _checked_quantile,
     _component_rows,
+    _marginal_density,
 )
 from .elliptic import var as _elliptic_var
 from .errors import DomainError
@@ -188,6 +189,15 @@ def _normal_density(s: float) -> float:
 
 def _normal_quantile(alpha: float) -> float:
     return _checked_quantile(_normal_tail, alpha, -float(ndtri(alpha)))
+
+
+def _marginal_pdf(gen: DensityGenerator, z: float) -> float:
+    """Density of one spherical coordinate at z, closed form for the tagged families."""
+    if gen.family == "gaussian":
+        return _normal_density(z)
+    if gen.family == "student":
+        return math.exp(_student_log_pdf(z, gen.family_params[0]))
+    return _marginal_density(z, gen)
 
 
 @lru_cache(maxsize=32)

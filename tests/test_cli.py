@@ -203,6 +203,31 @@ def test_non_positive_definite_model_file_exit_4(two_factor, tmp_path, capsys):
     assert err.startswith("error: kind=NotPositiveDefiniteError")
 
 
+MALFORMED_FILES = {
+    "beta_text": ("--mixture-spec", {"components": [{"beta": "x"}]}, "beta"),
+    "beta_null": ("--mixture-spec", {"components": [{"beta": None}]}, "beta"),
+    "nu_text": ("--mixture-spec", {"components": [{"beta": 1.0, "nu": "abc"}]}, "nu"),
+    "mu_text": ("--model-file", {"mu": ["a", 0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}, "mu"),
+    "sigma_ragged": ("--model-file", {"mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0]]}, "sigma"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_model_file_field_exit_2(case, two_factor, tmp_path, capsys):
+    option, doc, field = MALFORMED_FILES[case]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    argv = ["var", "--portfolio", two_factor, option, str(path)]
+    if option == "--mixture-spec":
+        argv += ["--model", "mixture"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: kind=DomainError")
+    assert str(path) in err and repr(field) in err
+
+
 def test_student_requires_nu(one_factor, capsys):
     code, _, err = run_cli(
         capsys, ["var", "--portfolio", one_factor, "--model", "student"]

@@ -11,12 +11,14 @@ from scipy import special, stats
 from ellvar import (
     DensityGenerator,
     EllipticModel,
+    MixtureModel,
     big_g,
     clear_quantile_cache,
     expected_shortfall,
     gaussian_generator,
     marginal_tail,
     marginal_tail_expectation,
+    mixture_var,
     quantile_multiplier,
     solve_quantile,
     student_generator,
@@ -320,3 +322,42 @@ def test_var_rejects_alpha_outside_range():
     for alpha in (0.0, 0.5, 0.7, -0.1):
         with pytest.raises(DomainError):
             var(model, np.ones(1), alpha)
+
+
+def test_root_solves_evaluate_each_tail_point_once(monkeypatch):
+    # the bracket's ends and the returned root are read back, not re-evaluated
+    points = []
+    big_g_route = elliptic.big_g
+    tail = elliptic.marginal_tail
+
+    def counting_big_g(s, gen, route="double"):
+        points.append(("big_g", s))
+        return big_g_route(s, gen, route)
+
+    def counting_tail(gen, s):
+        points.append((gen.name, s))
+        return tail(gen, s)
+
+    monkeypatch.setattr(elliptic, "big_g", counting_big_g)
+    monkeypatch.setattr(elliptic, "marginal_tail", counting_tail)
+    hookless = DensityGenerator(
+        dimension=3, density=student_generator(3, 5.0).density, normalizer=1.0
+    )
+    q = solve_quantile(0.01, hookless)
+    assert len(points) == len(set(points)) == 12
+    assert ("big_g", q) in points
+
+    points.clear()
+    mix = MixtureModel(
+        components=[
+            (0.7, EllipticModel(mu=np.zeros(2), sigma=np.eye(2), generator=gaussian_generator(2))),
+            (
+                0.3,
+                EllipticModel(
+                    mu=np.zeros(2), sigma=2.0 * np.eye(2), generator=student_generator(2, 4.0)
+                ),
+            ),
+        ]
+    )
+    mixture_var(mix, np.array([1.0, 2.0]), 0.01)
+    assert len(points) == len(set(points)) == 24

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ellvar import (
+    DensityGenerator,
     EllipticModel,
     IncrementalVar,
     MixtureModel,
@@ -145,11 +146,58 @@ def test_incremental_var_euler_identity():
         assert float(np.sum(inc.contributions)) == pytest.approx(inc.total, rel=1e-12)
 
 
-def test_incremental_var_matches_finite_differences():
-    sigma = np.array([[2.0, 0.6], [0.6, 1.0]])
-    model = EllipticModel(
-        generator=student_generator(2, 6.0), mu=np.zeros(2), sigma=sigma
-    )
+def _hookless_student(n: int, nu: float) -> DensityGenerator:
+    return DensityGenerator(dimension=n, density=student_generator(n, nu).density, normalizer=1.0)
+
+
+FD_SIGMA = np.array([[2.0, 0.6], [0.6, 1.0]])
+FD_MODELS = {
+    "student_centered": lambda: EllipticModel(
+        generator=student_generator(2, 6.0), mu=np.zeros(2), sigma=FD_SIGMA
+    ),
+    "gaussian_located": lambda: EllipticModel(
+        generator=gaussian_generator(2), mu=np.array([0.3, -0.2]), sigma=FD_SIGMA
+    ),
+    "mixture_means_differ": lambda: MixtureModel(
+        components=[
+            (
+                0.7,
+                EllipticModel(
+                    generator=gaussian_generator(2), mu=np.array([0.1, 0.0]), sigma=np.eye(2)
+                ),
+            ),
+            (
+                0.3,
+                EllipticModel(
+                    generator=student_generator(2, 4.0),
+                    mu=np.array([-0.4, 0.2]),
+                    sigma=np.array([[2.0, 0.5], [0.5, 1.5]]),
+                ),
+            ),
+        ]
+    ),
+    "mixture_hookless": lambda: MixtureModel(
+        components=[
+            (
+                0.6,
+                EllipticModel(generator=gaussian_generator(2), mu=np.zeros(2), sigma=np.eye(2)),
+            ),
+            (
+                0.4,
+                EllipticModel(
+                    generator=_hookless_student(2, 5.0),
+                    mu=np.array([0.2, -0.1]),
+                    sigma=np.array([[1.5, -0.3], [-0.3, 2.0]]),
+                ),
+            ),
+        ]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FD_MODELS))
+def test_incremental_var_matches_finite_differences(name):
+    model = FD_MODELS[name]()
     d = np.array([3.0, -1.0])
     inc = incremental_var(model, d, 0.025)
     h = 1e-6
@@ -157,17 +205,10 @@ def test_incremental_var_matches_finite_differences():
         bump = np.zeros(2)
         bump[i] = h
         fd = (
-            var(model, d + bump, 0.025) - var(model, d - bump, 0.025)
+            risk_report(model, d + bump, 0.025).var - risk_report(model, d - bump, 0.025).var
         ) / (2.0 * h)
         assert inc.gamma[i] == pytest.approx(fd, rel=1e-6)
-
-
-def test_incremental_var_rejects_noncentered():
-    model = EllipticModel(
-        generator=gaussian_generator(2), mu=np.array([0.1, 0.0]), sigma=np.eye(2)
-    )
-    with pytest.raises(DomainError):
-        incremental_var(model, np.ones(2), 0.05)
+    assert float(np.sum(inc.contributions)) == pytest.approx(inc.total, rel=1e-12)
 
 
 def test_incremental_var_mixture_route():
@@ -186,8 +227,7 @@ def test_incremental_var_mixture_route():
     d = np.array([1.0, 2.0])
     inc = incremental_var(mix, d, 0.05)
     assert inc.total == pytest.approx(mixture_var(mix, d, 0.05), rel=1e-12)
-    # finite-difference gradient, so the Euler identity holds to ~1e-6
-    assert float(np.sum(inc.contributions)) == pytest.approx(inc.total, rel=1e-6)
+    assert float(np.sum(inc.contributions)) == pytest.approx(inc.total, rel=1e-12)
 
 
 def test_incremental_var_rejects_unknown_model():
