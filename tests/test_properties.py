@@ -43,9 +43,9 @@ def _spd(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 @st.composite
-def cases(draw):
+def cases(draw, kinds=KINDS):
     """(build, mu, delta): build(mu) makes the model with location mu."""
-    kind = draw(st.sampled_from(KINDS))
+    kind = draw(st.sampled_from(kinds))
     n = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     nu = draw(st.floats(2.5, 40.0))
@@ -163,15 +163,25 @@ def test_student_params_report_equals_its_model(n, seed, nu, alpha):
     assert risk_report(params, delta, alpha) == risk_report(params.to_model(), delta, alpha)
 
 
-@PROPERTY
-@given(case=cases(), alpha=alphas)
-def test_incremental_var_sums_to_var(case, alpha):
+def _assert_incremental_var_sums_to_var(case, alpha):
     build, mu, delta = case
     model = build(mu)
     inc = incremental_var(model, delta, alpha)
     report = risk_report(model, delta, alpha)
     assert inc.total == report.var
     assert float(np.sum(inc.contributions)) == pytest.approx(report.var, rel=1e-12, abs=0.0)
+
+
+@PROPERTY
+@given(case=cases(kinds=("elliptic", "student")), alpha=alphas)
+def test_incremental_var_single_component_sums_to_var(case, alpha):
+    _assert_incremental_var_sums_to_var(case, alpha)
+
+
+@PROPERTY
+@given(case=cases(kinds=("mixture",)), alpha=alphas)
+def test_incremental_var_mixture_sums_to_var(case, alpha):
+    _assert_incremental_var_sums_to_var(case, alpha)
 
 
 @PROPERTY
