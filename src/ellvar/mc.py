@@ -7,6 +7,12 @@ counter-based Philox stream so that every batch owns an independent
 substream addressed by its index.  Results are therefore reproducible
 for a fixed seed no matter how many worker threads run the batches or
 in which order they finish.  The analytic side is ``risk_report``.
+
+Memory is O(batch_size) and independent of the number of risk factors:
+a batch draws its normals in chunks of a fixed number of variates and
+projects each chunk onto the portfolio at once, so only the per-path
+pnl of a batch is ever held whole.  The estimator selects the order
+statistics of a sample once, for every alpha of a validation.
 """
 
 from __future__ import annotations
@@ -39,6 +45,14 @@ __all__ = [
 
 _MIN_PATHS_FOR_ESTIMATE = 10_000
 
+# normals drawn and projected at a time within a batch: a chunk is
+# max(1, _CHUNK_NORMALS // n) rows, at most 512 KB for n <= 65,536
+_CHUNK_NORMALS = 1 << 16
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class SimulationSpec:
@@ -57,13 +71,15 @@ class SimulationSpec:
     workers: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.paths, int) or self.paths < 1:
+        if not _is_int(self.paths) or self.paths < 1:
             raise DomainError(f"paths must be a positive integer, got {self.paths!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**128:
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**128:
             raise DomainError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
-        if not isinstance(self.batch_size, int) or self.batch_size < 2:
+        if not _is_int(self.batch_size) or self.batch_size < 2:
             raise DomainError(f"batch_size must be an integer >= 2, got {self.batch_size!r}")
-        if not isinstance(self.workers, int) or self.workers < 1:
+        if not isinstance(self.antithetic, bool):
+            raise DomainError(f"antithetic must be a bool, got {self.antithetic!r}")
+        if not _is_int(self.workers) or self.workers < 1:
             raise DomainError(f"workers must be a positive integer, got {self.workers!r}")
 
 
@@ -92,32 +108,44 @@ def _component_plan(model: EllipticModel, delta: np.ndarray, mean: float) -> _Co
 def _draw_pnl(rng: np.random.Generator, count: int, weights, plans, antithetic: bool) -> np.ndarray:
     """One pnl draw per path: z @ projection scaled by the mixing variable.
 
+    The stream is consumed in a fixed order: the component of every row,
+    then the normals row by row, then one chi-square block per Student
+    component.  The normals are drawn in chunks of consecutive rows,
+    which yields the same variates as one draw of the whole block, and
+    each chunk is projected onto every component at once.
+
     Antithetic draws come in pairs (m + t, m - t): mirrored normals with
     a shared mixing variable and component, so half as many rows are
     drawn.
     """
     rows = (count + 1) // 2 if antithetic else count
-    dim = plans[0].projection.shape[0]
-    if len(plans) == 1:
-        component = None
-    else:
-        component = rng.choice(len(plans), size=rows, p=weights)
-    z = rng.standard_normal((rows, dim))
-    out = np.empty(2 * rows if antithetic else rows)
+    projection = np.column_stack([plan.projection for plan in plans])
+    dim = projection.shape[0]
+    component = None if len(plans) == 1 else rng.choice(len(plans), size=rows, p=weights)
+    core = np.empty(rows)
+    step = max(1, _CHUNK_NORMALS // dim)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        projected = rng.standard_normal((stop - start, dim)) @ projection
+        if component is None:
+            core[start:stop] = projected[:, 0]
+        else:
+            picked = component[start:stop, None]
+            core[start:stop] = np.take_along_axis(projected, picked, axis=1)[:, 0]
     for j, plan in enumerate(plans):
+        if plan.family != "student":
+            continue
         idx = slice(None) if component is None else np.flatnonzero(component == j)
         n_j = rows if component is None else idx.shape[0]
-        if n_j == 0:
-            continue
-        core = z[idx] @ plan.projection
-        if plan.family == "student":
-            chi = rng.chisquare(plan.nu, size=n_j)
-            core = core * np.sqrt(plan.nu / chi)
-        if antithetic:
-            out[0::2][idx] = plan.mean + core
-            out[1::2][idx] = plan.mean - core
-        else:
-            out[idx] = plan.mean + core
+        if n_j:
+            core[idx] *= np.sqrt(plan.nu / rng.chisquare(plan.nu, size=n_j))
+    means = np.array([plan.mean for plan in plans])
+    mean = means[0] if component is None else means[component]
+    if not antithetic:
+        return mean + core
+    out = np.empty(2 * rows)
+    np.add(mean, core, out=out[0::2])
+    np.subtract(mean, core, out=out[1::2])
     return out[:count]
 
 
@@ -160,15 +188,23 @@ class EmpiricalEstimate:
     tail_count: int
 
 
-def empirical_var_es(pnl: np.ndarray, alpha: float) -> EmpiricalEstimate:
-    """Estimate VaR and ES from simulated pnl.
+def _linear_quantile(head: np.ndarray, n: int, q: float) -> float:
+    """``np.quantile(x, q)`` by its linear method, read from the sorted head of x (len n)."""
+    virtual = (n - 1) * q
+    below = math.floor(virtual)
+    gamma = virtual - below
+    a, b = float(head[below]), float(head[below + 1])
+    diff = b - a
+    return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
 
-    VaR is minus the ceil(alpha N)-th order statistic, ES minus the mean
-    of the draws at or below it.  The VaR standard error uses the
-    asymptotic quantile variance alpha (1 - alpha) / (N f^2) with the
-    density estimated by a central difference of the empirical quantile
-    function; the ES standard error is the tail standard deviation over
-    sqrt(tail size).
+
+def _estimates(pnl, alphas: Sequence[float]) -> list[EmpiricalEstimate]:
+    """Order-statistic estimates at every alpha from one selection of the sample.
+
+    The sample is partitioned once, at the highest order statistic any
+    alpha reads, and only the part below it is sorted; each alpha then
+    reads its VaR, its tail and the two quantiles behind its VaR standard
+    error from that sorted head.
     """
     x = np.asarray(pnl, dtype=np.float64)
     if x.ndim != 1:
@@ -178,32 +214,61 @@ def empirical_var_es(pnl: np.ndarray, alpha: float) -> EmpiricalEstimate:
         raise DomainError(
             f"need at least {_MIN_PATHS_FOR_ESTIMATE} paths for a tail estimate, got {n}"
         )
-    alpha = _check_alpha(alpha)
+    levels = [(alpha, math.ceil(alpha * n)) for alpha in map(_check_alpha, alphas)]
+    if not np.all(np.isfinite(x)):
+        raise DomainError("pnl entries must be finite")
 
-    k = math.ceil(alpha * n)
-    if k < 50:
-        warnings.warn(
-            f"only {k} paths in the {alpha:g} tail; estimates will be noisy",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    part = np.partition(x, k - 1)
-    tail = part[:k]
-    var_hat = -float(part[k - 1])
-    es_hat = -float(np.mean(tail))
-
-    h = alpha / 2.0
-    lower, upper = np.quantile(x, [alpha - h, alpha + h])
-    width = float(upper - lower)
-    if width <= 0.0:
-        var_se = float("nan")
-    else:
-        density = 2.0 * h / width
-        var_se = math.sqrt(alpha * (1.0 - alpha) / n) / density
-    es_se = float(np.std(tail, ddof=1)) / math.sqrt(k) if k > 1 else float("nan")
-    return EmpiricalEstimate(
-        var=var_hat, es=es_hat, var_se=var_se, es_se=es_se, paths=n, tail_count=k
+    # an alpha reads order statistics up to the upper neighbour of its
+    # 3 alpha / 2 quantile, which lies past its VaR at k - 1
+    top = max(
+        (max(k - 1, math.floor((n - 1) * (alpha + alpha / 2.0)) + 1) for alpha, k in levels),
+        default=0,
     )
+    head = np.partition(x, top)[: top + 1]
+    head.sort()
+
+    out = []
+    for alpha, k in levels:
+        if k < 50:
+            warnings.warn(
+                f"only {k} paths in the {alpha:g} tail; estimates will be noisy",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        tail = head[:k]
+        h = alpha / 2.0
+        width = _linear_quantile(head, n, alpha + h) - _linear_quantile(head, n, alpha - h)
+        if width <= 0.0:
+            var_se = float("nan")
+        else:
+            density = 2.0 * h / width
+            var_se = math.sqrt(alpha * (1.0 - alpha) / n) / density
+        es_se = float(np.std(tail, ddof=1)) / math.sqrt(k) if k > 1 else float("nan")
+        out.append(
+            EmpiricalEstimate(
+                var=-float(head[k - 1]),
+                es=-float(np.mean(tail)),
+                var_se=var_se,
+                es_se=es_se,
+                paths=n,
+                tail_count=k,
+            )
+        )
+    return out
+
+
+def empirical_var_es(pnl: np.ndarray, alpha: float) -> EmpiricalEstimate:
+    """Estimate VaR and ES from simulated pnl.
+
+    VaR is minus the ceil(alpha N)-th order statistic, ES minus the mean
+    of the draws at or below it.  The VaR standard error uses the
+    asymptotic quantile variance alpha (1 - alpha) / (N f^2) with the
+    density estimated by a central difference of the empirical quantile
+    function (``np.quantile``'s linear method at alpha / 2 and
+    3 alpha / 2); the ES standard error is the tail standard deviation
+    over sqrt(tail size).  A pnl with a non-finite entry is rejected.
+    """
+    return _estimates(pnl, (alpha,))[0]
 
 
 @dataclass(frozen=True)
@@ -234,16 +299,17 @@ def validate_model(
 ) -> list[ValidationRow]:
     """Compare analytic VaR and ES against one simulation at each level.
 
-    A single pnl sample is drawn once and reused for every alpha.  A row
-    passes when both analytic numbers fall within three standard errors
-    of their empirical estimates.
+    A single pnl sample is drawn once, and its order statistics are
+    selected once, for every alpha.  A row passes when both analytic
+    numbers fall within three standard errors of their empirical
+    estimates.
     """
     d = np.asarray(delta, dtype=np.float64)
-    pnl = simulate_pnl(model, d, spec)
+    alphas = tuple(alphas)
+    estimates = _estimates(simulate_pnl(model, d, spec), alphas)
     rows = []
-    for alpha in alphas:
+    for alpha, est in zip(alphas, estimates):
         a_var, a_es = _analytic_var_es(model, d, alpha)
-        est = empirical_var_es(pnl, alpha)
         rows.append(
             ValidationRow(
                 alpha=float(alpha),

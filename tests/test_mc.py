@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ellvar import (
     validate_model,
     var,
 )
+from ellvar import mc
 from ellvar.errors import DomainError, UnsupportedGeneratorError
 
 
@@ -48,6 +50,23 @@ def test_spec_validation():
         SimulationSpec(batch_size=1)
     with pytest.raises(DomainError):
         SimulationSpec(workers=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("paths", True),
+        ("seed", False),
+        ("batch_size", True),
+        ("workers", True),
+        ("antithetic", "no"),
+        ("antithetic", 1),
+        ("antithetic", None),
+    ],
+)
+def test_spec_rejects_bools_as_counts_and_non_bool_antithetic(field, value):
+    with pytest.raises(DomainError):
+        SimulationSpec(**{field: value})
 
 
 def test_same_spec_same_paths():
@@ -140,6 +159,160 @@ def test_empirical_var_es_rejects_small_samples():
     rng = np.random.default_rng(23)
     with pytest.raises(DomainError):
         empirical_var_es(rng.standard_normal(20_000), 0.6)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+def test_empirical_var_es_rejects_non_finite_pnl(bad):
+    pnl = np.random.default_rng(43).standard_normal(20_000)
+    pnl[123] = bad
+    with pytest.raises(DomainError, match="finite"):
+        empirical_var_es(pnl, 0.05)
+
+
+def test_validate_model_rejects_non_finite_pnl(monkeypatch):
+    def simulate(model, delta, spec):
+        pnl = np.random.default_rng(47).standard_normal(spec.paths)
+        pnl[-1] = math.nan
+        return pnl
+
+    monkeypatch.setattr(mc, "simulate_pnl", simulate)
+    with pytest.raises(DomainError, match="finite"):
+        validate_model(
+            _gaussian_model(), np.array([1.0, 0.0]), spec=SimulationSpec(paths=20_000)
+        )
+
+
+def _reference_estimate(pnl, alpha):
+    """One full np.partition and one full np.quantile per alpha."""
+    n = pnl.shape[0]
+    k = math.ceil(alpha * n)
+    part = np.partition(pnl, k - 1)
+    tail = part[:k]
+    h = alpha / 2.0
+    lower, upper = np.quantile(pnl, [alpha - h, alpha + h])
+    width = float(upper - lower)
+    var_se = math.sqrt(alpha * (1.0 - alpha) / n) / (2.0 * h / width) if width > 0.0 else math.nan
+    es_se = float(np.std(tail, ddof=1)) / math.sqrt(k)
+    return -float(part[k - 1]), -float(np.mean(tail)), var_se, es_se
+
+
+# 0.3 and 0.45 read quantiles far past the tail of every smaller alpha
+ESTIMATOR_ALPHAS = (0.001, 0.01, 0.025, 0.05, 0.3, 0.45)
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [
+        lambda rng: rng.standard_normal(200_001),
+        lambda rng: rng.standard_t(3.0, 150_000),
+        lambda rng: np.round(rng.standard_normal(100_000), 1),
+        lambda rng: np.full(100_000, -3.5),
+    ],
+    ids=["normal", "student", "ties", "constant"],
+)
+def test_empirical_var_es_matches_full_partition_and_quantile(sample):
+    pnl = sample(np.random.default_rng(53))
+    for alpha in ESTIMATOR_ALPHAS:
+        est = empirical_var_es(pnl, alpha)
+        var_ref, es_ref, var_se_ref, es_se_ref = _reference_estimate(pnl, alpha)
+        assert est.var == var_ref
+        assert est.var_se == var_se_ref or math.isnan(est.var_se) and math.isnan(var_se_ref)
+        assert est.es == pytest.approx(es_ref, rel=1e-14, abs=0.0)
+        assert est.es_se == pytest.approx(es_se_ref, rel=1e-14, abs=1e-300)
+        assert est.tail_count == math.ceil(alpha * pnl.shape[0])
+
+
+def test_validate_model_rows_equal_per_alpha_estimates():
+    model = _student_model(nu=4.0)
+    d = np.array([1.0, -0.5])
+    spec = SimulationSpec(paths=60_000, seed=59, batch_size=16_384)
+    rows = validate_model(model, d, ESTIMATOR_ALPHAS, spec)
+    pnl = simulate_pnl(model, d, spec)
+    for row, alpha in zip(rows, ESTIMATOR_ALPHAS):
+        est = empirical_var_es(pnl, alpha)
+        assert (row.mc_var, row.var_se, row.mc_es, row.es_se) == (
+            est.var,
+            est.var_se,
+            est.es,
+            est.es_se,
+        )
+
+
+def _factor_mixture(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    sigma = a @ a.T / n + np.eye(n)
+    mu = rng.normal(scale=0.1, size=n)
+    mix = MixtureModel(
+        components=[
+            (0.6, EllipticModel(generator=gaussian_generator(n), mu=mu, sigma=sigma)),
+            (0.4, EllipticModel(generator=student_generator(n, 5.0), mu=-mu, sigma=2.0 * sigma)),
+        ]
+    )
+    return mix, rng.normal(size=n)
+
+
+def test_batches_draw_components_then_normals_then_chi_square():
+    """Batch b reads Philox(seed).jumped(b): components, normals row by row, chi-squares."""
+    n, nu, seed, batch = 3, 4.0, 79, 5_000
+    weights = (0.3, 0.7)
+    mix = MixtureModel(
+        components=[
+            (w, EllipticModel(generator=gen, mu=np.zeros(n), sigma=np.eye(n)))
+            for w, gen in zip(weights, (gaussian_generator(n), student_generator(n, nu)))
+        ]
+    )
+    spec = SimulationSpec(paths=12_000, seed=seed, batch_size=batch)
+    # with identity dispersion and a unit delta the pnl is one column of the normals
+    columns = [simulate_pnl(mix, np.eye(n)[j], spec) for j in range(n)]
+    for b, start in enumerate(range(0, spec.paths, batch)):
+        rows = min(batch, spec.paths - start)
+        rng = np.random.Generator(np.random.Philox(key=seed).jumped(b))
+        component = rng.choice(2, size=rows, p=weights)
+        z = rng.standard_normal((rows, n))
+        student = np.flatnonzero(component == 1)
+        z[student] *= np.sqrt(nu / rng.chisquare(nu, size=student.shape[0]))[:, None]
+        for j in range(n):
+            assert np.array_equal(columns[j][start : start + rows], z[:, j])
+
+
+def test_sampler_memory_does_not_scale_with_factor_count():
+    # the whole (paths, n) block of normals would be 80 MB
+    mix, d = _factor_mixture(100, 61)
+    spec = SimulationSpec(paths=100_000, seed=67, batch_size=100_000)
+    tracemalloc.start()
+    try:
+        simulate_pnl(mix, d, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_chunk_size_does_not_change_the_draws(monkeypatch, antithetic):
+    spec = SimulationSpec(paths=20_001, seed=71, batch_size=8_192, antithetic=antithetic)
+    # as above, each unit-delta pnl is one column of the normals
+    n = 5
+    unit = MixtureModel(
+        components=[
+            (0.5, EllipticModel(generator=gen, mu=np.zeros(n), sigma=np.eye(n)))
+            for gen in (gaussian_generator(n), student_generator(n, 4.0))
+        ]
+    )
+    mix, d = _factor_mixture(7, 73)
+
+    def draws():
+        columns = [simulate_pnl(unit, np.eye(n)[j], spec) for j in range(n)]
+        return columns, simulate_pnl(mix, d, spec)
+
+    columns, pnl = draws()
+    # an odd chunk of 7 rows at n = 5 and 5 rows at n = 7
+    monkeypatch.setattr(mc, "_CHUNK_NORMALS", 37)
+    chunked_columns, chunked = draws()
+    for a, b in zip(columns, chunked_columns):
+        assert np.array_equal(a, b)
+    assert np.max(np.abs(chunked - pnl)) <= 1e-12 * np.max(np.abs(pnl))
 
 
 def test_validate_model_gaussian():

@@ -3,7 +3,8 @@
 Each property is checked through ``risk_report`` on a plain
 ``EllipticModel``, a ``StudentParams`` and a two-component
 ``MixtureModel``, with nonzero locations; the Euler decomposition
-``incremental_var`` is checked on the same cases.  The examples are
+``incremental_var`` and the sampler ``simulate_pnl`` are checked on the
+same cases.  The examples are
 derandomized so that the suite is reproducible, and bounded so that it
 stays a few seconds long.
 """
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from ellvar import (
     EllipticModel,
     MixtureModel,
+    SimulationSpec,
     StudentParams,
     expected_shortfall,
     gaussian_generator,
@@ -25,6 +27,7 @@ from ellvar import (
     mixture_expected_shortfall,
     mixture_var,
     risk_report,
+    simulate_pnl,
     student_generator,
     var,
 )
@@ -192,3 +195,48 @@ def test_incremental_var_gamma_is_scale_invariant(case, alpha, factor):
     base = incremental_var(model, delta, alpha).gamma
     scaled = incremental_var(model, factor * delta, alpha).gamma
     assert scaled == pytest.approx(base, rel=1e-12, abs=1e-12 * float(np.max(np.abs(base))))
+
+
+def _small_spec(seed, antithetic, workers=1):
+    # several batches, the last one short
+    return SimulationSpec(
+        paths=3_001, seed=seed, batch_size=1_024, antithetic=antithetic, workers=workers
+    )
+
+
+@PROPERTY
+@given(case=cases(), seed=st.integers(0, 2**32 - 1), antithetic=st.booleans())
+def test_simulated_pnl_translates_with_mu(case, seed, antithetic):
+    build, mu, delta = case
+    shift = np.random.default_rng(seed).normal(size=mu.shape[0])
+    spec = _small_spec(seed, antithetic)
+    base = simulate_pnl(build(mu), delta, spec)
+    moved = simulate_pnl(build(mu + shift), delta, spec)
+    step = float(delta @ shift)
+    tol = 1e-12 * (float(np.max(np.abs(base))) + abs(step))
+    assert np.max(np.abs(moved - (base + step))) <= tol
+
+
+@PROPERTY
+@given(
+    case=cases(),
+    seed=st.integers(0, 2**32 - 1),
+    antithetic=st.booleans(),
+    power=st.integers(-20, 20),
+)
+def test_simulated_pnl_scales_exactly_with_delta_by_powers_of_two(case, seed, antithetic, power):
+    build, mu, delta = case
+    model = build(mu)
+    factor = 2.0**power
+    spec = _small_spec(seed, antithetic)
+    base = simulate_pnl(model, delta, spec)
+    assert np.array_equal(simulate_pnl(model, factor * delta, spec), factor * base)
+
+
+@PROPERTY
+@given(case=cases(), seed=st.integers(0, 2**32 - 1), antithetic=st.booleans())
+def test_simulated_pnl_is_bit_identical_for_any_worker_count(case, seed, antithetic):
+    build, mu, delta = case
+    model = build(mu)
+    draws = [simulate_pnl(model, delta, _small_spec(seed, antithetic, w)) for w in (1, 2, 3)]
+    assert draws[0].tobytes() == draws[1].tobytes() == draws[2].tobytes()
