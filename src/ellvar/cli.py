@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .elliptic import EllipticModel
+from .elliptic import EllipticModel, _check_alpha
 from .errors import (
     DimensionError,
     DomainError,
@@ -268,11 +268,7 @@ def build_model(args, ids: list[str], dimension: int):
 
 
 def _resolve_alphas(args) -> list[float]:
-    alphas = args.alpha if args.alpha else list(DEFAULT_ALPHAS)
-    for a in alphas:
-        if not 0.0 < a < 0.5:
-            raise DomainError(f"alpha must lie in (0, 0.5), got {a!r}")
-    return alphas
+    return [_check_alpha(a) for a in (args.alpha or DEFAULT_ALPHAS)]
 
 
 def _resolve_seed(value: int | None) -> int:

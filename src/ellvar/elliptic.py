@@ -23,11 +23,15 @@ against.  Powers of the radius and the sphere-area constants are formed
 in log space, so large dimensions give a number or a typed error, never
 an OverflowError.
 
-Every VaR and ES, here and in the mixture, portfolio, Student and Monte
-Carlo modules, takes one private path: ``_component_rows`` reads a model
-as (weight, generator, mean, vol) rows, ``_rows_var`` takes the closed
-form for one row and the mixture root for several, and ``_rows_es``
-builds ES at the same thresholds.
+Every model is its ``components``, (weight, EllipticModel) pairs: an
+EllipticModel (a StudentParams among them) is one pair of weight one,
+a MixtureModel its own pairs.  Every VaR and ES, here and in the
+mixture, portfolio, Student and Monte Carlo modules, takes one private
+path: ``_component_rows`` reads a model as (weight, generator, mean,
+vol) rows and rejects anything that is not a model, ``_rows_var`` takes
+the closed form for one row and the mixture root for several, and
+``_rows_es`` builds ES at the same thresholds.  ``var`` and
+``expected_shortfall`` therefore serve every model type.
 """
 
 from __future__ import annotations
@@ -212,6 +216,11 @@ class EllipticModel:
     def dimension(self) -> int:
         return self.generator.dimension
 
+    @property
+    def components(self) -> tuple[tuple[float, "EllipticModel"], ...]:
+        """The model as (weight, model) pairs: itself, with weight one."""
+        return ((1.0, self),)
+
 
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
@@ -220,16 +229,21 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _component_rows(components, delta) -> tuple[np.ndarray, list[tuple]]:
+def _component_rows(model, delta) -> tuple[np.ndarray, list[tuple]]:
     """delta as a checked vector, and one (weight, generator, mean, vol) row per component.
 
-    ``components`` are (weight, EllipticModel) pairs on a common space.
+    ``model`` is read through its ``components``, (weight, EllipticModel)
+    pairs on a common space; anything without them is not a model.
     delta's shape and finiteness are checked here, once per call; the
     models were checked when they were built.  A delta with zero vol has
     no risk to measure and raises here, for every entry point.
     """
+    try:
+        components = model.components
+    except AttributeError:
+        raise DomainError(f"unsupported model type {type(model).__name__}") from None
     d = np.asarray(delta, dtype=np.float64)
-    n = components[0][1].dimension
+    n = model.dimension
     if d.ndim != 1 or d.shape[0] != n:
         raise DimensionError(f"delta must be a vector of length {n}, got shape {d.shape}")
     if not np.all(np.isfinite(d)):
@@ -485,25 +499,27 @@ def _rows_es(rows: list[tuple], alpha: float, thresholds: list[float]) -> float:
     return acc / alpha
 
 
-def var(model: EllipticModel, delta, alpha: float) -> float:
-    """Value-at-Risk of pnl = delta . X at level alpha.
+def var(model, delta, alpha: float) -> float:
+    """Value-at-Risk of pnl = delta . X at level alpha, for every model type.
 
-    VaR = -delta.mu + q * sqrt(delta Sigma delta^t) with q the alpha-tail
-    quantile of the spherical marginal; the loss convention is
-    P(pnl < -VaR) = alpha.
+    One component gives -delta.mu + q * sqrt(delta Sigma delta^t), q the
+    alpha-tail quantile of the spherical marginal; a mixture gives the
+    root of its tail equation, held to a relative tail residual of 1e-10.
+    The loss convention is P(pnl < -VaR) = alpha.
     """
     alpha = _check_alpha(alpha)
-    _, rows = _component_rows([(1.0, model)], delta)
+    _, rows = _component_rows(model, delta)
     return _rows_var(rows, alpha)[0]
 
 
-def expected_shortfall(model: EllipticModel, delta, alpha: float) -> float:
-    """Expected shortfall -E[pnl | pnl <= -VaR] under the elliptic model.
+def expected_shortfall(model, delta, alpha: float) -> float:
+    """Expected shortfall -E[pnl | pnl <= -VaR], for every model type.
 
-    Computed as -delta.mu + vol * E[Z1 1{Z1 >= q}] / alpha; the partial
-    expectation comes from the generator's closed form when available and
-    from quadrature otherwise.
+    One component gives -delta.mu + vol * E[Z1 1{Z1 >= q}] / alpha; a
+    mixture sums its components' partial expectations at the common VaR
+    threshold.  Partial expectations come from the generator's closed
+    form when available and from quadrature otherwise.
     """
     alpha = _check_alpha(alpha)
-    _, rows = _component_rows([(1.0, model)], delta)
+    _, rows = _component_rows(model, delta)
     return _rows_es(rows, alpha, _rows_var(rows, alpha)[1])

@@ -1,12 +1,15 @@
 """Monte Carlo validation of the analytic VaR and ES numbers.
 
 Every model is sampled as its weighted elliptic components, a plain
-model being one component.  Sampling is exact per family (Gaussian,
-Student t via the normal over chi-square representation), driven by a
-counter-based Philox stream so that every batch owns an independent
-substream addressed by its index.  Results are therefore reproducible
-for a fixed seed no matter how many worker threads run the batches or
-in which order they finish.  The analytic side is ``risk_report``.
+model being one component: one pass over the component rows gives the
+arrays the sampler consumes, the (n, K) projection of the portfolio on
+each component's factor, the K means and the Student nu per component.
+Sampling is exact per family (Gaussian, Student t via the normal over
+chi-square representation), driven by a counter-based Philox stream so
+that every batch owns an independent substream addressed by its index.
+Results are therefore reproducible for a fixed seed no matter how many
+worker threads run the batches or in which order they finish.  The
+analytic side is ``risk_report``.
 
 Memory is O(batch_size) and independent of the number of risk factors:
 a batch draws its normals in chunks of a fixed number of variates and
@@ -25,13 +28,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .elliptic import EllipticModel, _check_alpha, _component_rows
+from .elliptic import _check_alpha, _component_rows
 from .errors import DimensionError, DomainError, UnsupportedGeneratorError
 from .linalg import _cholesky_lower
 from .linalg import cholesky  # noqa: F401  wrapped by bench/tracing.py
 from .mixture import mixture_expected_shortfall  # noqa: F401  wrapped by bench/tracing.py
 from .mixture import mixture_var  # noqa: F401  wrapped by bench/tracing.py
-from .mixture import weighted_components
 from .portfolio import risk_report
 
 __all__ = [
@@ -83,45 +85,27 @@ class SimulationSpec:
             raise DomainError(f"workers must be a positive integer, got {self.workers!r}")
 
 
-@dataclass(frozen=True)
-class _ComponentPlan:
-    """Precomputed per-component sampling data for one pnl simulation."""
-
-    mean: float
-    projection: np.ndarray
-    family: str
-    nu: float
-
-
-def _component_plan(model: EllipticModel, delta: np.ndarray, mean: float) -> _ComponentPlan:
-    family = model.generator.family
-    if family not in ("gaussian", "student"):
-        raise UnsupportedGeneratorError(
-            f"cannot sample generator {model.generator.name!r}: only the gaussian "
-            "and student families have exact sampling routines"
-        )
-    nu = model.generator.family_params[0] if family == "student" else 0.0
-    lower = _cholesky_lower(model.sigma)
-    return _ComponentPlan(mean=mean, projection=lower.T @ delta, family=family, nu=float(nu))
-
-
-def _draw_pnl(rng: np.random.Generator, count: int, weights, plans, antithetic: bool) -> np.ndarray:
+def _draw_pnl(
+    rng: np.random.Generator, count: int, weights, projection, means, nus, antithetic: bool
+) -> np.ndarray:
     """One pnl draw per path: z @ projection scaled by the mixing variable.
 
-    The stream is consumed in a fixed order: the component of every row,
-    then the normals row by row, then one chi-square block per Student
-    component.  The normals are drawn in chunks of consecutive rows,
-    which yields the same variates as one draw of the whole block, and
-    each chunk is projected onto every component at once.
+    ``projection`` is (n, K), one column per component, ``means`` the K
+    pnl means and ``nus`` the Student nu per component (None for a
+    Gaussian one).  The stream is consumed in a fixed order: the
+    component of every row, then the normals row by row, then one
+    chi-square block per Student component.  The normals are drawn in
+    chunks of consecutive rows, which yields the same variates as one
+    draw of the whole block, and each chunk is projected onto every
+    component at once.
 
     Antithetic draws come in pairs (m + t, m - t): mirrored normals with
     a shared mixing variable and component, so half as many rows are
     drawn.
     """
     rows = (count + 1) // 2 if antithetic else count
-    projection = np.column_stack([plan.projection for plan in plans])
-    dim = projection.shape[0]
-    component = None if len(plans) == 1 else rng.choice(len(plans), size=rows, p=weights)
+    dim, k = projection.shape
+    component = None if k == 1 else rng.choice(k, size=rows, p=weights)
     core = np.empty(rows)
     step = max(1, _CHUNK_NORMALS // dim)
     for start in range(0, rows, step):
@@ -132,14 +116,13 @@ def _draw_pnl(rng: np.random.Generator, count: int, weights, plans, antithetic: 
         else:
             picked = component[start:stop, None]
             core[start:stop] = np.take_along_axis(projected, picked, axis=1)[:, 0]
-    for j, plan in enumerate(plans):
-        if plan.family != "student":
+    for j, nu in enumerate(nus):
+        if nu is None:
             continue
         idx = slice(None) if component is None else np.flatnonzero(component == j)
         n_j = rows if component is None else idx.shape[0]
         if n_j:
-            core[idx] *= np.sqrt(plan.nu / rng.chisquare(plan.nu, size=n_j))
-    means = np.array([plan.mean for plan in plans])
+            core[idx] *= np.sqrt(nu / rng.chisquare(nu, size=n_j))
     mean = means[0] if component is None else means[component]
     if not antithetic:
         return mean + core
@@ -156,10 +139,18 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
     batches land in the output at their own offsets, so the result is a
     pure function of (model, delta, spec).
     """
-    components = weighted_components(model)
-    d, rows = _component_rows(components, delta)
-    weights = np.array([w for w, _ in components])
-    plans = [_component_plan(m, d, mean) for (_, m), (_, _, mean, _) in zip(components, rows)]
+    d, rows = _component_rows(model, delta)
+    nus = []
+    for _, gen, _, _ in rows:
+        if gen.family not in ("gaussian", "student"):
+            raise UnsupportedGeneratorError(
+                f"cannot sample generator {gen.name!r}: only the gaussian "
+                "and student families have exact sampling routines"
+            )
+        nus.append(float(gen.family_params[0]) if gen.family == "student" else None)
+    weights = np.array([w for w, _, _, _ in rows])
+    means = np.array([mean for _, _, mean, _ in rows])
+    projection = np.column_stack([_cholesky_lower(m.sigma).T @ d for _, m in model.components])
 
     n_batches = -(-spec.paths // spec.batch_size)
 
@@ -167,7 +158,7 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
         start = b * spec.batch_size
         count = min(spec.batch_size, spec.paths - start)
         rng = np.random.Generator(np.random.Philox(key=spec.seed).jumped(b))
-        return start, _draw_pnl(rng, count, weights, plans, spec.antithetic)
+        return start, _draw_pnl(rng, count, weights, projection, means, nus, spec.antithetic)
 
     out = np.empty(spec.paths)
     with ThreadPoolExecutor(max_workers=min(spec.workers, n_batches)) as pool:
@@ -299,20 +290,20 @@ def validate_model(
 ) -> list[ValidationRow]:
     """Compare analytic VaR and ES against one simulation at each level.
 
-    A single pnl sample is drawn once, and its order statistics are
-    selected once, for every alpha.  A row passes when both analytic
-    numbers fall within three standard errors of their empirical
-    estimates.
+    The alphas are checked before anything is drawn; a single pnl sample
+    is then drawn once, and its order statistics are selected once, for
+    every alpha.  A row passes when both analytic numbers fall within
+    three standard errors of their empirical estimates.
     """
     d = np.asarray(delta, dtype=np.float64)
-    alphas = tuple(alphas)
+    alphas = tuple(map(_check_alpha, alphas))
     estimates = _estimates(simulate_pnl(model, d, spec), alphas)
     rows = []
     for alpha, est in zip(alphas, estimates):
         a_var, a_es = _analytic_var_es(model, d, alpha)
         rows.append(
             ValidationRow(
-                alpha=float(alpha),
+                alpha=alpha,
                 analytic_var=a_var,
                 mc_var=est.var,
                 var_se=est.var_se,

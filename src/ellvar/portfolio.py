@@ -5,10 +5,11 @@ portfolio to each risk factor.  The helpers here build that vector for
 the common cases (option books via spot times sensitivity, cash equity
 books, aggregation across businesses).  ``risk_report`` and
 ``incremental_var`` accept every model type and location: each model is
-read once as rows of its weighted elliptic components and handed to the
-engine's one VaR/ES path, where one row takes the closed forms and
-several take the mixture root.  The Euler allocation takes its gradient
-from that one solve's thresholds, by the implicit-function theorem.
+read once as rows of its ``components``, its weighted elliptic models,
+and handed to the engine's one VaR/ES path, where one row takes the
+closed forms and several take the mixture root.  The Euler allocation
+takes its gradient from that one solve's thresholds, by the
+implicit-function theorem.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import elliptic, mixture as mixture_mod, student
+from . import elliptic, student
 from .errors import DimensionError, DomainError
 from .linalg import quadratic_form  # noqa: F401  wrapped by bench/tracing.py
 
@@ -99,16 +100,14 @@ def incremental_var(model, delta, alpha: float) -> IncrementalVar:
     component needs no density: gamma = q Sigma delta / vol - mu.
     """
     alpha = elliptic._check_alpha(alpha)
-    components = mixture_mod.weighted_components(model)
-    d, rows = elliptic._component_rows(components, delta)
+    d, rows = elliptic._component_rows(model, delta)
     total, thresholds = elliptic._rows_var(rows, alpha)
     shares = np.ones(1)
     if len(rows) > 1:
         c = [w * student._marginal_pdf(g, z) / vol for (w, g, _, vol), z in zip(rows, thresholds)]
         shares = np.array(c) / math.fsum(c)
-    gamma = shares @ np.array(
-        [z * (m.sigma @ d) / row[3] - m.mu for (_, m), row, z in zip(components, rows, thresholds)]
-    )
+    pairs = zip(model.components, rows, thresholds)
+    gamma = shares @ np.array([z * (m.sigma @ d) / row[3] - m.mu for (_, m), row, z in pairs])
     return IncrementalVar(gamma=gamma, contributions=d * gamma, total=total)
 
 
@@ -150,8 +149,7 @@ class RiskReport:
 def risk_report(model, delta, alpha: float) -> RiskReport:
     """Compute VaR and ES for any supported model and wrap them in a report."""
     alpha = elliptic._check_alpha(alpha)
-    components = mixture_mod.weighted_components(model)
-    _, rows = elliptic._component_rows(components, delta)
+    _, rows = elliptic._component_rows(model, delta)
     v, thresholds = elliptic._rows_var(rows, alpha)
     es = elliptic._rows_es(rows, alpha, thresholds)
 

@@ -12,7 +12,8 @@ composed in log space; the ES constant in particular overflows double
 precision near nu ~ 150 if assembled naively.
 
 The Gaussian generator lives here as the nu -> infinity limit, with
-``ndtri`` for its quantile.
+``ndtri`` for its quantile.  ``student_var`` is the engine's ``var``,
+which takes these closed forms through the generator's hooks.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .elliptic import (
     _component_rows,
     _marginal_density,
 )
-from .elliptic import var as _elliptic_var
+from .elliptic import var as student_var
 from .errors import DomainError
 from .linalg import quadratic_form  # noqa: F401  wrapped by bench/tracing.py
 from .linalg import validate_symmetric
@@ -253,13 +254,19 @@ def dispersion_from_covariance(covariance, nu: float) -> np.ndarray:
     return (nu - 2.0) / nu * cov
 
 
-def student_var(params: StudentParams, delta, alpha: float) -> float:
-    """Closed-form Student VaR: -delta.mu + q_(alpha,nu) * vol."""
-    return _elliptic_var(params, delta, alpha)
+def student_expected_shortfall(model, delta, alpha: float) -> float:
+    """Closed-form Student ES: -delta.mu + m(alpha, nu) * vol.
 
-
-def student_expected_shortfall(params: StudentParams, delta, alpha: float) -> float:
-    """Closed-form Student ES: -delta.mu + m(alpha, nu) * vol."""
+    ``model`` is any model of one component with a Student generator (a
+    StudentParams, an EllipticModel built on ``student_generator`` or a
+    one-component mixture of either); nu is read from the generator.
+    Any other model raises DomainError: ``expected_shortfall`` serves them.
+    """
     alpha = _check_alpha(alpha)
-    _, [(_, _, mean, vol)] = _component_rows([(1.0, params)], delta)
-    return -mean + student_es_multiplier(alpha, params.nu) * vol
+    _, [(_, gen, mean, vol), *rest] = _component_rows(model, delta)
+    if rest or gen.family != "student":
+        raise DomainError(
+            f"closed-form Student ES needs one Student component, got {1 + len(rest)} "
+            f"component(s), the first with generator {gen.name!r}"
+        )
+    return -mean + student_es_multiplier(alpha, gen.family_params[0]) * vol

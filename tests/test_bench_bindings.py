@@ -8,6 +8,7 @@ its file as it stands.
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -16,7 +17,10 @@ import pytest
 import ellvar.elliptic
 import ellvar.specfun
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
+PACKAGE = ROOT / "src" / "ellvar"
+TRACED_MARK = "# noqa: F401  wrapped by bench/tracing.py"
 
 
 def _load_tracing():
@@ -42,3 +46,23 @@ def test_tracer_module_hooks_exist():
     # installed by Tracer.install next to the span bindings
     assert callable(ellvar.specfun.integrate.quad)
     assert isinstance(ellvar.elliptic._quantile_cache, dict)
+
+
+def _traced_imports():
+    """'ellvar.<module>:<name>' for every import the package keeps only for the tracer."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        for node in ast.parse(source).body:
+            marked = lines[node.end_lineno - 1].endswith(TRACED_MARK)
+            if marked and isinstance(node, ast.ImportFrom):
+                names = (alias.asname or alias.name for alias in node.names)
+                found += [f"ellvar.{path.stem}:{name}" for name in names]
+    return found
+
+
+def test_traced_imports_are_listed_by_the_tracer():
+    imports = _traced_imports()
+    assert len(imports) >= 10  # the marker is found at all
+    assert sorted(set(imports) - set(BINDINGS)) == []

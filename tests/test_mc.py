@@ -182,6 +182,17 @@ def test_validate_model_rejects_non_finite_pnl(monkeypatch):
         )
 
 
+@pytest.mark.parametrize("alpha", [0.7, 0.0, math.nan])
+def test_validate_model_checks_alphas_before_drawing(monkeypatch, alpha):
+    calls = []
+    monkeypatch.setattr(mc, "simulate_pnl", lambda *args: calls.append(args))
+    with pytest.raises(DomainError, match="alpha must lie in"):
+        validate_model(
+            _gaussian_model(), np.array([1.0, 0.0]), (0.05, alpha), SimulationSpec(paths=2_000_000)
+        )
+    assert calls == []
+
+
 def _reference_estimate(pnl, alpha):
     """One full np.partition and one full np.quantile per alpha."""
     n = pnl.shape[0]

@@ -157,6 +157,13 @@ def test_es_accepts_precomputed_var():
     )
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_es_rejects_non_finite_precomputed_var(bad):
+    mix = _two_normal_mixture()
+    with pytest.raises(DomainError, match="^var must be finite"):
+        mixture_expected_shortfall(mix, np.array([2.0, -1.0]), 0.025, var=bad)
+
+
 def test_weight_validation():
     comp = _component(gaussian_generator(1), [0.0], [[1.0]])
     with pytest.raises(DomainError):

@@ -372,3 +372,54 @@ def test_zero_exposure_raises_one_error_everywhere(entry):
     student, mix = _zero_exposure_models()
     with pytest.raises(DomainError, match="^delta has zero volatility; there is no risk to measure$"):
         entry(student, mix, np.zeros(2))
+
+
+def _cross_type_models():
+    sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
+    mu = np.array([0.01, -0.02])
+    gauss = EllipticModel(mu=mu, sigma=sigma, generator=gaussian_generator(2))
+    student = StudentParams(nu=5.0, mu=mu, sigma=sigma)
+    return {
+        "elliptic": gauss,
+        "student_params": student,
+        "mixture_k1": MixtureModel(components=[(1.0, student)]),
+        "mixture_k2": MixtureModel(
+            components=[(0.7, gauss), (0.3, StudentParams(nu=4.0, mu=-mu, sigma=3.0 * sigma))]
+        ),
+    }
+
+
+# entry -> (function, the RiskReport field it must reproduce)
+CROSS_TYPE_ENTRIES = {
+    "var": (var, "var"),
+    "expected_shortfall": (expected_shortfall, "es"),
+    "mixture_var": (mixture_var, "var"),
+    "mixture_expected_shortfall": (mixture_expected_shortfall, "es"),
+    "student_var": (student_var, "var"),
+    "risk_report": (lambda m, d, a: risk_report(m, d, a).var, "var"),
+}
+
+
+@pytest.mark.parametrize("model_name", sorted(_cross_type_models()))
+@pytest.mark.parametrize("entry", sorted(CROSS_TYPE_ENTRIES))
+def test_every_entry_takes_every_model_type(entry, model_name):
+    model = _cross_type_models()[model_name]
+    fn, field = CROSS_TYPE_ENTRIES[entry]
+    d = np.array([1.5, -0.5])
+    for alpha in (0.001, 0.05):
+        assert fn(model, d, alpha) == getattr(risk_report(model, d, alpha), field)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    sorted(CROSS_TYPE_ENTRIES) + ["student_expected_shortfall", "incremental_var", "simulate_pnl"],
+)
+def test_every_entry_rejects_a_non_model(entry):
+    fn = {
+        **{name: fn for name, (fn, _) in CROSS_TYPE_ENTRIES.items()},
+        "student_expected_shortfall": student_expected_shortfall,
+        "incremental_var": incremental_var,
+        "simulate_pnl": lambda m, d, a: simulate_pnl(m, d),
+    }[entry]
+    with pytest.raises(DomainError, match="^unsupported model type dict$"):
+        fn({"mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}, np.ones(2), 0.05)

@@ -10,6 +10,7 @@ from scipy import stats
 
 from ellvar import (
     EllipticModel,
+    MixtureModel,
     StudentParams,
     dispersion_from_covariance,
     expected_shortfall,
@@ -256,6 +257,32 @@ def test_student_expected_shortfall_closed_vs_engine():
     engine = expected_shortfall(params.to_model(), d, 0.01)
     assert closed == pytest.approx(engine, rel=1e-12)
     assert closed > student_var(params, d, 0.01)
+
+
+def test_student_expected_shortfall_reads_nu_from_the_generator():
+    sigma = np.array([[1.0, 0.4], [0.4, 2.0]])
+    mu = np.array([0.002, 0.0])
+    d = np.array([1.0, 3.0])
+    params = StudentParams(nu=8.0, mu=mu, sigma=sigma)
+    plain = EllipticModel(mu=mu, sigma=sigma, generator=student_generator(2, 8.0))
+    single = MixtureModel(components=[(1.0, plain)])
+    closed = student_expected_shortfall(params, d, 0.01)
+    assert student_expected_shortfall(plain, d, 0.01) == closed
+    assert student_expected_shortfall(single, d, 0.01) == closed
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "mixture", "not a model"])
+def test_student_expected_shortfall_rejects_other_models(kind):
+    gauss = EllipticModel(mu=np.zeros(2), sigma=np.eye(2), generator=gaussian_generator(2))
+    model = {
+        "gaussian": gauss,
+        "mixture": MixtureModel(
+            components=[(0.5, gauss), (0.5, StudentParams(nu=5.0, mu=np.zeros(2), sigma=np.eye(2)))]
+        ),
+        "not a model": {"nu": 5.0},
+    }[kind]
+    with pytest.raises(DomainError):
+        student_expected_shortfall(model, np.ones(2), 0.05)
 
 
 def test_student_to_model_round_trip():
