@@ -21,7 +21,11 @@ it.  The "double" route integrates the marginal density, itself an
 integral, and is the independent reference the kernel route is checked
 against.  Powers of the radius and the sphere-area constants are formed
 in log space, so large dimensions give a number or a typed error, never
-an OverflowError.
+an OverflowError.  Every integrand evaluates a point in one frame: it
+reads the generator's density with the checks of ``DensityGenerator.g``
+written inline and forms its log-space weight there.  A root solve runs
+on the log tail, log f(x) - log alpha, which is nearly linear in x and
+takes fewer tail evaluations than f(x) - alpha.
 
 Every model is its ``components``, (weight, EllipticModel) pairs: an
 EllipticModel (a StudentParams among them) is one pair of weight one,
@@ -43,8 +47,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
-from scipy.special import betainc
 
 from .errors import (
     BracketError,
@@ -76,11 +78,13 @@ __all__ = [
 # outer ones consuming them
 _OUTER_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13, max_subdivisions=200)
 _INNER_QUAD = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=200)
+_SMALLEST_DOUBLE = math.ulp(0.0)  # 5e-324, the smallest positive double
 # The one-integral tail forms (the kernel route and the tail expectation)
-# are held to their relative tolerance alone: the absolute floor is
-# negligible, so at a solved quantile the absolute tolerance is
-# 1e-11 * alpha (1e-13 at alpha = 0.01) and deep tails keep their digits.
-_TAIL_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-300, max_subdivisions=200)
+# are held to their relative tolerance alone: the absolute floor is the
+# smallest positive double, no larger than any alpha > 0 can ask for, so
+# at a solved quantile the absolute tolerance is 1e-11 * alpha (1e-13 at
+# alpha = 0.01, 1e-311 at alpha = 1e-300) and deep tails keep their digits.
+_TAIL_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=_SMALLEST_DOUBLE, max_subdivisions=200)
 
 _NORMALIZATION_TOL = 1e-8
 # on |G(q) / alpha - 1|
@@ -94,20 +98,6 @@ _QUANTILE_CACHE_SIZE = 4096
 def _log_sphere_area(n: int) -> float:
     """ln of the surface area of the unit sphere in R^n."""
     return math.log(2.0) + n / 2.0 * math.log(math.pi) - log_gamma(n / 2.0)
-
-
-def _log_pow(x: float, p: float) -> float:
-    """p * ln x for x >= 0, with 0 ** 0 = 1 and 0 ** p = 0 for p > 0."""
-    if p == 0.0:
-        return 0.0
-    return p * math.log(x) if x > 0.0 else -math.inf
-
-
-def _times_exp(gu: float, log_factor: float) -> float:
-    """gu * exp(log_factor) for a density value gu >= 0, formed in log space."""
-    if gu == 0.0:
-        return 0.0
-    return math.exp(math.log(gu) + log_factor)
 
 
 @dataclass(eq=False)
@@ -151,11 +141,23 @@ class DensityGenerator:
             return
         n = self.dimension
         log_area = _log_sphere_area(n)
-        mass = integrate_semi_infinite(
-            lambda r: _times_exp(self._checked_density(r * r), log_area + _log_pow(r, n - 1)),
-            0.0,
-            _INNER_QUAD,
-        )
+        # the log of the area factor r^(n-1) at r = 0, where 0^0 = 1
+        log_at_zero = log_area if n == 1 else -math.inf
+        density, log, exp = self.density, math.log, math.exp
+
+        def integrand(r: float) -> float:
+            u = r * r
+            try:
+                gu = density(u)
+            except OverflowError as err:
+                raise self._overflow_error(u) from err
+            if gu < 0.0:
+                raise self._negative_error(u)
+            if gu == 0.0:
+                return 0.0
+            return exp(log(gu) + (log_area + (n - 1) * log(r) if r > 0.0 else log_at_zero))
+
+        mass = integrate_semi_infinite(integrand, 0.0, _INNER_QUAD)
         if abs(mass - 1.0) <= _NORMALIZATION_TOL:
             self._scale = 1.0
         elif self.auto_rescale:
@@ -168,20 +170,28 @@ class DensityGenerator:
                 f"normalizer, fix the density, or pass auto_rescale=True"
             )
 
-    def _checked_density(self, u: float) -> float:
+    def g(self, u: float) -> float:
+        """Normalized radial density at u = |z|^2.
+
+        A density that overflows raises NumericalError and a negative one
+        DomainError.  The integrands below read ``density`` with these same
+        checks written inline, so that each point costs one frame.
+        """
         try:
             value = self.density(u)
         except OverflowError as err:
-            raise NumericalError(
-                f"generator '{self.name}' density overflowed", u=u, dimension=self.dimension
-            ) from err
+            raise self._overflow_error(u) from err
         if value < 0.0:
-            raise DomainError(f"generator '{self.name}' density is negative at u={u!r}")
-        return value
+            raise self._negative_error(u)
+        return self._scale * value
 
-    def g(self, u: float) -> float:
-        """Normalized radial density at u = |z|^2."""
-        return self._scale * self._checked_density(u)
+    def _overflow_error(self, u: float) -> NumericalError:
+        return NumericalError(
+            f"generator '{self.name}' density overflowed", u=u, dimension=self.dimension
+        )
+
+    def _negative_error(self, u: float) -> DomainError:
+        return DomainError(f"generator '{self.name}' density is negative at u={u!r}")
 
 
 @dataclass(eq=False)
@@ -267,10 +277,23 @@ def _marginal_density(z: float, gen: DensityGenerator) -> float:
     # r = max(1,|z|) w keeps the integrand's mass near w ~ 1 however far out z lies
     scale = max(1.0, abs(z))
     log_front = _log_sphere_area(n - 1) + (n - 1) * math.log(scale)
+    # the log of the area factor w^(n-2) at w = 0, where 0^0 = 1
+    log_at_zero = log_front if n == 2 else -math.inf
+    density, g_scale, log, exp = gen.density, gen._scale, math.log, math.exp
 
     def inner(w: float) -> float:
         sw = scale * w
-        return _times_exp(gen.g(zz + sw * sw), log_front + _log_pow(w, n - 2))
+        u = zz + sw * sw
+        try:
+            gu = density(u)
+        except OverflowError as err:
+            raise gen._overflow_error(u) from err
+        if gu < 0.0:
+            raise gen._negative_error(u)
+        gu = g_scale * gu
+        if gu == 0.0:
+            return 0.0
+        return exp(log(gu) + (log_front + (n - 2) * log(w) if w > 0.0 else log_at_zero))
 
     return integrate_semi_infinite(inner, 0.0, _INNER_QUAD)
 
@@ -285,18 +308,35 @@ def _big_g_kernel(s: float, gen: DensityGenerator) -> float:
     # where I/2 is the share of the sphere of radius sqrt(u) beyond z1 = s
     # (I = 1 for n = 1, whose sphere is the two points +-sqrt(u));
     # u = s^2 + v^2 removes the endpoint root at n = 2 and brings in 2v.
+    # The scalar betainc of cython_special gives scipy.special.betainc's
+    # values without the ufunc's dispatch, a quarter of its cost.
+    from scipy.special.cython_special import betainc
+
     n = gen.dimension
     a = (n - 1) / 2.0
+    p = (n - 2) / 2.0
     ss = s * s
     log_const = n / 2.0 * math.log(math.pi) - log_gamma(n / 2.0)
+    density, g_scale, log, exp = gen.density, gen._scale, math.log, math.exp
 
     def integrand(v: float) -> float:
         vv = v * v
         u = ss + vv
-        weighted = _times_exp(gen.g(u), log_const + _log_pow(u, (n - 2) / 2.0))
-        if weighted == 0.0 or v == 0.0:
+        try:
+            gu = density(u)
+        except OverflowError as err:
+            raise gen._overflow_error(u) from err
+        if gu < 0.0:
+            raise gen._negative_error(u)
+        gu = g_scale * gu
+        # vv = 0 (v = 0, or so small that its square underflows) leaves u = s^2,
+        # possibly 0, and contributes nothing
+        if gu == 0.0 or vv == 0.0:
             return 0.0
-        share = float(betainc(a, 0.5, vv / u)) if n > 1 else 1.0
+        weighted = exp(log(gu) + (log_const + p * log(u)))
+        if weighted == 0.0:
+            return 0.0
+        share = betainc(a, 0.5, vv / u) if n > 1 else 1.0
         return v * share * weighted
 
     return integrate_semi_infinite(integrand, 0.0, _TAIL_QUAD)
@@ -345,10 +385,23 @@ def marginal_tail_expectation(gen: DensityGenerator, t: float) -> float:
     n = gen.dimension
     log_const = (n - 1) / 2.0 * math.log(math.pi) - log_gamma((n + 1) / 2.0)
     tt = t * t
+    density, g_scale, log, exp = gen.density, gen._scale, math.log, math.exp
+
+    def integrand(v: float) -> float:
+        u = tt + v * v
+        try:
+            gu = density(u)
+        except OverflowError as err:
+            raise gen._overflow_error(u) from err
+        if gu < 0.0:
+            raise gen._negative_error(u)
+        gu = g_scale * gu
+        if gu == 0.0 or v == 0.0:
+            return 0.0
+        return exp(log(gu) + (log_const + n * log(v)))
+
     try:
-        value = integrate_semi_infinite(
-            lambda v: _times_exp(gen.g(tt + v * v), log_const + _log_pow(v, n)), 0.0, _TAIL_QUAD
-        )
+        value = integrate_semi_infinite(integrand, 0.0, _TAIL_QUAD)
     except QuadratureError as err:
         raise DivergentTailError(
             "tail expectation quadrature failed to converge; the generator's tail "
@@ -391,9 +444,10 @@ def _solve_decreasing(f: Callable[[float], float], alpha: float, lo: float = 0.0
     lo = 0 is taken to lie below the root, as it does for a symmetric
     tail at alpha < 1/2; a negative lo is doubled downward until f
     exceeds alpha there.  The upper end doubles from 1 until f falls
-    below alpha, brentq finds the root and its relative residual is
-    checked.  f is evaluated once per point, brentq's ends and the root
-    it returns included.
+    below alpha, brentq finds the root of log f(x) - log alpha, which is
+    nearly linear in x where f itself is not, and the relative residual
+    of f is checked.  f is evaluated once per point, brentq's ends and
+    the root it returns included.
     """
     tail = functools.cache(f)
     hi = 1.0
@@ -414,10 +468,19 @@ def _solve_decreasing(f: Callable[[float], float], alpha: float, lo: float = 0.0
             lower=lo,
             upper=hi,
         )
+    from scipy import optimize
+
+    log_alpha = math.log(alpha)
+
+    def log_excess(x: float) -> float:
+        # log f(x) - log alpha; a tail of 0 (or below) reads as the smallest
+        # positive double, so it stays a finite end below the root
+        return math.log(max(tail(x), _SMALLEST_DOUBLE)) - log_alpha
+
     try:
         # xtol lies below the rounding of any root of unit scale, so brentq
         # stops on rtol and the root is good to a few ulps
-        root = optimize.brentq(lambda x: tail(x) - alpha, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        root = optimize.brentq(log_excess, lo, hi, xtol=1e-15, rtol=8.9e-16)
     except ValueError as err:
         # f(lo) fell below alpha too: at lo = 0 the tail should be 1/2
         raise BracketError(

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 from scipy.special import betainc
 
 from .errors import DomainError, NumericalError, QuadratureError
@@ -274,6 +273,28 @@ class QuadratureSpec:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
+def _import_integrate():
+    """Bind ``scipy.integrate`` as this module's ``integrate`` and return it.
+
+    It is imported on the first integral, not with the package: with the
+    scipy.optimize it loads it adds about 0.3 s to a cold start, which runs
+    that need only closed forms do without.  Once bound it is an ordinary
+    module attribute, so a wrapper set in its place (as bench/tracing.py
+    sets one) sees every integral.
+    """
+    global integrate
+    from scipy import integrate
+
+    return integrate
+
+
+def __getattr__(name: str):
+    # ``specfun.integrate`` resolves before the first integral too
+    if name == "integrate":
+        return _import_integrate()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def integrate_semi_infinite(
     f: Callable[[float], float],
     lower: float,
@@ -291,6 +312,8 @@ def integrate_semi_infinite(
     lower = float(lower)
     if not math.isfinite(lower):
         raise DomainError(f"lower limit must be finite, got {lower!r}")
+    if "integrate" not in globals():
+        _import_integrate()
     out = integrate.quad(
         f,
         lower,

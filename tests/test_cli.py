@@ -398,3 +398,18 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert "2.01505" in proc.stdout
+
+
+def test_closed_form_runs_never_load_the_quadrature_stack():
+    # scipy.integrate, scipy.optimize and cython_special load with the first
+    # integral, root solve and kernel big_g; a closed-form table needs none
+    script = (
+        "import sys, ellvar, ellvar.cli\n"
+        "assert ellvar.cli.main(['table', '--nu', '5', '--alpha', '0.05']) == 0\n"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize',"
+        " 'scipy.special.cython_special') if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "2.01505" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -26,11 +26,13 @@ from ellvar import (
 )
 from ellvar import elliptic
 from ellvar.errors import (
+    BracketError,
     DimensionError,
     DivergentTailError,
     DomainError,
     EllvarError,
     NotPositiveDefiniteError,
+    NumericalError,
     QuadratureError,
 )
 
@@ -55,6 +57,38 @@ def test_generator_rejects_negative_density():
     gen = DensityGenerator(dimension=2, density=lambda u: -math.exp(-u), normalizer=1.0)
     with pytest.raises(DomainError):
         big_g(1.0, gen, route="kernel")
+
+
+def _negative_past_4(u):
+    return math.exp(-0.5 * u) * (-1.0 if u > 4.0 else 1.0)
+
+
+def _overflowing_past_4(u):
+    return math.exp(-0.5 * u) if u <= 4.0 else math.exp(1e3 * u)
+
+
+def _bare_density(density):
+    return DensityGenerator(dimension=2, density=density, normalizer=1.0 / (2.0 * math.pi))
+
+
+# g and every integrand read the density, each with the same two checks
+_DENSITY_PATHS = {
+    "mass check": lambda density: DensityGenerator(dimension=2, density=density),
+    "kernel": lambda density: big_g(1.0, _bare_density(density), route="kernel"),
+    "double": lambda density: big_g(1.0, _bare_density(density), route="double"),
+    "g": lambda density: _bare_density(density).g(5.0),
+    "tail expectation": lambda density: marginal_tail_expectation(_bare_density(density), 1.0),
+    "solve_quantile": lambda density: solve_quantile(0.01, _bare_density(density)),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_DENSITY_PATHS))
+@pytest.mark.parametrize(
+    "density, error", [(_negative_past_4, DomainError), (_overflowing_past_4, NumericalError)]
+)
+def test_density_checks_hold_in_every_integrand(path, density, error):
+    with pytest.raises(error, match="density"):
+        _DENSITY_PATHS[path](density)
 
 
 def test_generator_auto_rescale():
@@ -128,6 +162,33 @@ def test_solve_quantile_deep_tail(n):
         q = solve_quantile(alpha, gen)
         assert q == pytest.approx(-special.ndtri(alpha), rel=1e-12)
         assert marginal_tail_expectation(gen, q) == pytest.approx(stats.norm.pdf(q), rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_solve_quantile_near_the_smallest_double(n):
+    # the tail integral's absolute floor lies below any alpha, so the
+    # quantile is accurate or a typed error; the bracket's upper end, 64,
+    # has a tail of exactly 0, which must still bound the log-tail root
+    gen = _bare(gaussian_generator(n))
+    for alpha in (1e-250, 1e-300, 1e-305):
+        try:
+            q = solve_quantile(alpha, gen)
+        except EllvarError as err:
+            assert not isinstance(err, BracketError)
+            continue
+        assert abs(special.ndtr(-q) / alpha - 1.0) <= 1e-9
+
+
+def test_cython_betainc_matches_the_ufunc_bit_for_bit():
+    # the kernel route's sphere share, I_x((n - 1) / 2, 1/2)
+    from scipy.special import cython_special
+
+    rng = np.random.default_rng(7)
+    xs = np.concatenate(([0.0, 1.0], rng.random(500), rng.random(200) ** 8))
+    for n in [*range(2, 41), 100, 1000]:
+        a = (n - 1) / 2.0
+        fast = np.array([cython_special.betainc(a, 0.5, float(x)) for x in xs])
+        assert np.array_equal(fast, special.betainc(a, 0.5, xs)), n
 
 
 def test_large_dimension_generator_is_built_in_log_space():
@@ -344,7 +405,7 @@ def test_root_solves_evaluate_each_tail_point_once(monkeypatch):
         dimension=3, density=student_generator(3, 5.0).density, normalizer=1.0
     )
     q = solve_quantile(0.01, hookless)
-    assert len(points) == len(set(points)) == 12
+    assert len(points) == len(set(points)) == 8
     assert ("big_g", q) in points
 
     points.clear()
@@ -360,4 +421,4 @@ def test_root_solves_evaluate_each_tail_point_once(monkeypatch):
         ]
     )
     mixture_var(mix, np.array([1.0, 2.0]), 0.01)
-    assert len(points) == len(set(points)) == 24
+    assert len(points) == len(set(points)) == 20
