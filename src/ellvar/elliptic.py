@@ -8,24 +8,19 @@ generator g:
 * ``big_g(s)``   -- survival function of the first spherical coordinate,
 * ``marginal_tail_expectation(t)`` -- E[Z1 * 1{Z1 >= t}] for that coordinate.
 
-Both are computed by adaptive quadrature for arbitrary generators; known
-families attach closed forms on the generator object and the dispatch
-helpers use them when present.  A quantile is either a generator's
-closed form or one bracketed root solve, ``_solve_decreasing``, and
-both end in the same relative residual check.  ``big_g`` carries two
-independent quadrature formulations.  The "kernel" route is one integral
-of the generator against the closed-form share of a sphere beyond s, a
-regularized incomplete beta (the marginal form of a spherical law, Fang,
-Kotz & Ng 1990); quantile solves and generators without a tail hook use
-it.  The "double" route integrates the marginal density, itself an
-integral, and is the independent reference the kernel route is checked
-against.  Powers of the radius and the sphere-area constants are formed
-in log space, so large dimensions give a number or a typed error, never
-an OverflowError.  Every integrand evaluates a point in one frame: it
-reads the generator's density with the checks of ``DensityGenerator.g``
-written inline and forms its log-space weight there.  A root solve runs
-on the log tail, log f(x) - log alpha, which is nearly linear in x and
-takes fewer tail evaluations than f(x) - alpha.
+Known families attach closed forms on the generator; any other gets both
+by adaptive quadrature.  Every quadrature of g (the mass check, both
+routes of ``big_g``, the tail expectation) is one radial integral,
+``_radial_integral``, the one place g is read: one frame per point, the
+checks of ``DensityGenerator.g``, and a weight formed in log space, so
+large dimensions give a number or a typed error, never an OverflowError.
+The "kernel" route of ``big_g`` integrates g against the closed-form
+share of a sphere beyond s, a regularized incomplete beta (the marginal
+form of a spherical law, Fang, Kotz & Ng 1990); quantile solves and
+hook-less tails use it.  The "double" route integrates the marginal
+density, itself a radial integral, and is the independent reference.  A
+quantile is a generator's closed form or a root of the log tail,
+``_solve_decreasing``, and both end in the same relative residual check.
 
 Every model is its ``components``, (weight, EllipticModel) pairs: an
 EllipticModel (a StudentParams among them) is one pair of weight one,
@@ -42,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
@@ -95,6 +91,17 @@ _MAX_BRACKET_DOUBLINGS = 64
 _QUANTILE_CACHE_SIZE = 4096
 
 
+def _check_dimension(dimension) -> int:
+    """dimension as a plain int >= 1: numpy integers pass ``operator.index``, a bool does not."""
+    try:
+        n = -1 if isinstance(dimension, bool) else operator.index(dimension)
+    except TypeError:
+        n = -1
+    if n < 1:
+        raise DomainError(f"dimension must be an integer >= 1, got {dimension!r}")
+    return n
+
+
 def _log_sphere_area(n: int) -> float:
     """ln of the surface area of the unit sphere in R^n."""
     return math.log(2.0) + n / 2.0 * math.log(math.pi) - log_gamma(n / 2.0)
@@ -114,9 +121,10 @@ class DensityGenerator:
     factory, are closed forms for the marginal survival function, the
     partial expectation and the alpha-tail quantile (alpha in (0, 0.5));
     the dispatch helpers prefer them over quadrature.  A ``quantile``
-    hook checks its own residual against ``tail``.  ``family`` tags
-    generators that Monte Carlo knows how to sample ("gaussian",
-    "student").
+    hook checks its own residual against ``tail``.  ``family`` and
+    ``family_params`` name a known law ("gaussian", or "student" with
+    (nu,)): Monte Carlo samples only these, and the Student module reads
+    them for the closed-form marginal density and ES.
     """
 
     dimension: int
@@ -132,32 +140,15 @@ class DensityGenerator:
     _scale: float = field(init=False, default=1.0, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.dimension, int) or self.dimension < 1:
-            raise DomainError(f"dimension must be an integer >= 1, got {self.dimension!r}")
+        self.dimension = _check_dimension(self.dimension)
         if self.normalizer is not None:
             if not (math.isfinite(self.normalizer) and self.normalizer > 0.0):
                 raise DomainError(f"normalizer must be positive, got {self.normalizer!r}")
             self._scale = float(self.normalizer)
             return
+        # the mass over R^n, int_0^inf g(r^2) |S^(n-1)| r^(n-1) dr, read at scale 1
         n = self.dimension
-        log_area = _log_sphere_area(n)
-        # the log of the area factor r^(n-1) at r = 0, where 0^0 = 1
-        log_at_zero = log_area if n == 1 else -math.inf
-        density, log, exp = self.density, math.log, math.exp
-
-        def integrand(r: float) -> float:
-            u = r * r
-            try:
-                gu = density(u)
-            except OverflowError as err:
-                raise self._overflow_error(u) from err
-            if gu < 0.0:
-                raise self._negative_error(u)
-            if gu == 0.0:
-                return 0.0
-            return exp(log(gu) + (log_area + (n - 1) * log(r) if r > 0.0 else log_at_zero))
-
-        mass = integrate_semi_infinite(integrand, 0.0, _INNER_QUAD)
+        mass = _radial_integral(self, 0.0, _log_sphere_area(n), n - 1, quad=_INNER_QUAD)
         if abs(mass - 1.0) <= _NORMALIZATION_TOL:
             self._scale = 1.0
         elif self.auto_rescale:
@@ -174,8 +165,7 @@ class DensityGenerator:
         """Normalized radial density at u = |z|^2.
 
         A density that overflows raises NumericalError and a negative one
-        DomainError.  The integrands below read ``density`` with these same
-        checks written inline, so that each point costs one frame.
+        DomainError; ``_radial_integral`` makes the same checks.
         """
         try:
             value = self.density(u)
@@ -268,22 +258,39 @@ def _component_rows(model, delta) -> tuple[np.ndarray, list[tuple]]:
     return d, rows
 
 
-def _marginal_density(z: float, gen: DensityGenerator) -> float:
-    """Density of one spherical coordinate at z: the generator integrated over the others."""
-    n = gen.dimension
-    zz = z * z
-    if n == 1:
-        return gen.g(zz)
-    # r = max(1,|z|) w keeps the integrand's mass near w ~ 1 however far out z lies
-    scale = max(1.0, abs(z))
-    log_front = _log_sphere_area(n - 1) + (n - 1) * math.log(scale)
-    # the log of the area factor w^(n-2) at w = 0, where 0^0 = 1
-    log_at_zero = log_front if n == 2 else -math.inf
-    density, g_scale, log, exp = gen.density, gen._scale, math.log, math.exp
+def _radial_integral(
+    gen: DensityGenerator,
+    c: float,
+    log_front: float,
+    power: float,
+    *,
+    stretch: float = 1.0,
+    of_u: bool = False,
+    share: bool = False,
+    quad: QuadratureSpec = _TAIL_QUAD,
+) -> float:
+    """int_0^inf g(u) w(v) dv over u = c + (stretch v)^2: the one integrand that reads g.
 
-    def inner(w: float) -> float:
-        sw = scale * w
-        u = zz + sw * sw
+    w(v) = exp(log_front) v^power, formed in log space with g (0^0 = 1).
+    ``of_u`` puts the power on u instead and brings in v, the Jacobian of
+    u = c + v^2; ``share`` also weighs each u by the incomplete-beta share
+    of its sphere beyond sqrt(c), I_{v^2/u}((n-1)/2, 1/2).  The integrand
+    branches only on these constants of the call.
+    """
+    density, g_scale, log, exp = gen.density, gen._scale, math.log, math.exp
+    # the log of the weight v^power at v = 0, where 0^0 = 1
+    log_at_zero = log_front if power == 0 else -math.inf
+    if share:
+        # the scalar betainc of cython_special gives scipy.special.betainc's
+        # values without the ufunc's dispatch, a quarter of its cost
+        from scipy.special.cython_special import betainc
+
+        a = (gen.dimension - 1) / 2.0
+
+    def integrand(v: float) -> float:
+        sv = stretch * v
+        vv = sv * sv
+        u = c + vv
         try:
             gu = density(u)
         except OverflowError as err:
@@ -293,53 +300,31 @@ def _marginal_density(z: float, gen: DensityGenerator) -> float:
         gu = g_scale * gu
         if gu == 0.0:
             return 0.0
-        return exp(log(gu) + (log_front + (n - 2) * log(w) if w > 0.0 else log_at_zero))
-
-    return integrate_semi_infinite(inner, 0.0, _INNER_QUAD)
-
-
-def _big_g_double(s: float, gen: DensityGenerator) -> float:
-    return integrate_semi_infinite(lambda z: _marginal_density(z, gen), s, _OUTER_QUAD)
-
-
-def _big_g_kernel(s: float, gen: DensityGenerator) -> float:
-    # G(s) = pi^(n/2) / (2 Gamma(n/2))
-    #        * int_{s^2}^inf g(u) u^((n-2)/2) I_{1-s^2/u}((n-1)/2, 1/2) du,
-    # where I/2 is the share of the sphere of radius sqrt(u) beyond z1 = s
-    # (I = 1 for n = 1, whose sphere is the two points +-sqrt(u));
-    # u = s^2 + v^2 removes the endpoint root at n = 2 and brings in 2v.
-    # The scalar betainc of cython_special gives scipy.special.betainc's
-    # values without the ufunc's dispatch, a quarter of its cost.
-    from scipy.special.cython_special import betainc
-
-    n = gen.dimension
-    a = (n - 1) / 2.0
-    p = (n - 2) / 2.0
-    ss = s * s
-    log_const = n / 2.0 * math.log(math.pi) - log_gamma(n / 2.0)
-    density, g_scale, log, exp = gen.density, gen._scale, math.log, math.exp
-
-    def integrand(v: float) -> float:
-        vv = v * v
-        u = ss + vv
-        try:
-            gu = density(u)
-        except OverflowError as err:
-            raise gen._overflow_error(u) from err
-        if gu < 0.0:
-            raise gen._negative_error(u)
-        gu = g_scale * gu
-        # vv = 0 (v = 0, or so small that its square underflows) leaves u = s^2,
+        if not of_u:
+            return exp(log(gu) + (log_front + power * log(v) if v > 0.0 else log_at_zero))
+        # vv = 0 (v = 0, or so small that its square underflows) leaves u = c,
         # possibly 0, and contributes nothing
-        if gu == 0.0 or vv == 0.0:
+        if vv == 0.0:
             return 0.0
-        weighted = exp(log(gu) + (log_const + p * log(u)))
-        if weighted == 0.0:
-            return 0.0
-        share = betainc(a, 0.5, vv / u) if n > 1 else 1.0
-        return v * share * weighted
+        weighted = exp(log(gu) + (log_front + power * log(u)))
+        if share and weighted != 0.0:
+            return v * betainc(a, 0.5, vv / u) * weighted
+        return v * weighted
 
-    return integrate_semi_infinite(integrand, 0.0, _TAIL_QUAD)
+    return integrate_semi_infinite(integrand, 0.0, quad)
+
+
+def _marginal_density(z: float, gen: DensityGenerator) -> float:
+    """Density of one spherical coordinate at z: the generator integrated over the others."""
+    n = gen.dimension
+    zz = z * z
+    if n == 1:
+        return gen.g(zz)
+    # int_0^inf g(z^2 + r^2) |S^(n-2)| r^(n-2) dr; r = max(1,|z|) w keeps the
+    # integrand's mass near w ~ 1 however far out z lies
+    scale = max(1.0, abs(z))
+    log_front = _log_sphere_area(n - 1) + (n - 1) * math.log(scale)
+    return _radial_integral(gen, zz, log_front, n - 2, stretch=scale, quad=_INNER_QUAD)
 
 
 def big_g(s: float, gen: DensityGenerator, route: str = "double") -> float:
@@ -360,8 +345,15 @@ def big_g(s: float, gen: DensityGenerator, route: str = "double") -> float:
     if s < 0.0:
         return 1.0 - big_g(-s, gen, route)
     if route == "double":
-        return _big_g_double(s, gen)
-    return _big_g_kernel(s, gen)
+        return integrate_semi_infinite(lambda z: _marginal_density(z, gen), s, _OUTER_QUAD)
+    # G(s) = pi^(n/2) / (2 Gamma(n/2))
+    #        * int_{s^2}^inf g(u) u^((n-2)/2) I_{1-s^2/u}((n-1)/2, 1/2) du,
+    # where I/2 is the share of the sphere of radius sqrt(u) beyond z1 = s
+    # (I = 1 for n = 1, whose sphere is the two points +-sqrt(u));
+    # u = s^2 + v^2 removes the endpoint root at n = 2 and brings in 2v.
+    n = gen.dimension
+    log_const = n / 2.0 * math.log(math.pi) - log_gamma(n / 2.0)
+    return _radial_integral(gen, s * s, log_const, (n - 2) / 2.0, of_u=True, share=n > 1)
 
 
 def marginal_tail(gen: DensityGenerator, s: float) -> float:
@@ -381,36 +373,18 @@ def marginal_tail_expectation(gen: DensityGenerator, t: float) -> float:
     t = float(t)
     if gen.tail_expectation is not None:
         return gen.tail_expectation(t)
-    t = abs(t)
+    # int_0^inf g(t^2 + v^2) pi^((n-1)/2) / Gamma((n+1)/2) v^n dv
     n = gen.dimension
     log_const = (n - 1) / 2.0 * math.log(math.pi) - log_gamma((n + 1) / 2.0)
-    tt = t * t
-    density, g_scale, log, exp = gen.density, gen._scale, math.log, math.exp
-
-    def integrand(v: float) -> float:
-        u = tt + v * v
-        try:
-            gu = density(u)
-        except OverflowError as err:
-            raise gen._overflow_error(u) from err
-        if gu < 0.0:
-            raise gen._negative_error(u)
-        gu = g_scale * gu
-        if gu == 0.0 or v == 0.0:
-            return 0.0
-        return exp(log(gu) + (log_const + n * log(v)))
-
     try:
-        value = integrate_semi_infinite(integrand, 0.0, _TAIL_QUAD)
+        # a value that is not finite raises QuadratureError as well
+        return _radial_integral(gen, t * t, log_const, n)
     except QuadratureError as err:
         raise DivergentTailError(
             "tail expectation quadrature failed to converge; the generator's tail "
             "may be too heavy for a finite expected shortfall",
             **err.diagnostics,
         ) from err
-    if not math.isfinite(value):
-        raise DivergentTailError("tail expectation is not finite", value=value)
-    return value
 
 
 _quantile_cache: dict[tuple, float] = {}

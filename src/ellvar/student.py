@@ -19,6 +19,7 @@ which takes these closed forms through the generator's hooks.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -28,6 +29,7 @@ from .elliptic import (
     DensityGenerator,
     EllipticModel,
     _check_alpha,
+    _check_dimension,
     _checked_quantile,
     _component_rows,
     _marginal_density,
@@ -119,10 +121,22 @@ def student_quantile(alpha: float, nu: float) -> float:
 
 
 def student_tail_expectation(t: float, nu: float) -> float:
-    """E[Z1 * 1{Z1 >= t}] for the Student marginal; valid for any real t."""
+    """E[Z1 * 1{Z1 >= t}] = f(t) (nu + t^2) / (nu - 1) for the Student marginal, any real t.
+
+    Where f(t) underflows past the normal doubles (|t| beyond about 1e100
+    at nu = 2) the product is formed in log space, so that 0 * inf never
+    makes a nan; elsewhere it is the plain product.
+    """
     nu = _check_nu(nu)
     t = float(t)
-    return math.exp(_student_log_pdf(t, nu)) * (nu + t * t) / (nu - 1.0)
+    pdf = math.exp(_student_log_pdf(t, nu))
+    if pdf >= sys.float_info.min:
+        return pdf * (nu + t * t) / (nu - 1.0)
+    # f(t) left the normal doubles, and nu + t^2 may overflow: the same product
+    # in log space, with log(nu + t^2) = 2 log|t| + log1p(nu / t^2)
+    log_spread = 2.0 * math.log(abs(t)) + math.log1p(nu / t / t)
+    log_pdf = _student_log_pdf(0.0, nu) - (nu + 1.0) / 2.0 * (log_spread - math.log(nu))
+    return math.exp(log_pdf + log_spread - math.log(nu - 1.0))
 
 
 def student_es_multiplier(alpha: float, nu: float, quantile: float | None = None) -> float:
@@ -148,19 +162,21 @@ def student_es_multiplier(alpha: float, nu: float, quantile: float | None = None
     return math.exp(log_m)
 
 
-@lru_cache(maxsize=128)
 def student_generator(dimension: int, nu: float) -> DensityGenerator:
     """Student-t density generator in the given dimension.
 
     The closed-form normalizer stays in log space, folded into
     ``density``, so it cannot overflow or underflow on its own at large
-    dimension, and construction does not re-derive it by quadrature.  Factory results
-    are memoized, which lets quantile caching work across models sharing
-    (dimension, nu).
+    dimension, and construction does not re-derive it by quadrature.
+    Results are memoized per checked (dimension, nu), which lets quantile
+    caching work across models sharing them.
     """
     nu = _check_nu(nu)
-    if not isinstance(dimension, int) or dimension < 1:
-        raise DomainError(f"dimension must be an integer >= 1, got {dimension!r}")
+    return _student_generator(_check_dimension(dimension), nu)
+
+
+@lru_cache(maxsize=128)
+def _student_generator(dimension: int, nu: float) -> DensityGenerator:
     log_norm = (
         log_gamma((nu + dimension) / 2.0)
         - log_gamma(nu / 2.0)
@@ -201,11 +217,13 @@ def _marginal_pdf(gen: DensityGenerator, z: float) -> float:
     return _marginal_density(z, gen)
 
 
-@lru_cache(maxsize=32)
 def gaussian_generator(dimension: int) -> DensityGenerator:
-    """Gaussian density generator: the nu -> infinity Student limit."""
-    if not isinstance(dimension, int) or dimension < 1:
-        raise DomainError(f"dimension must be an integer >= 1, got {dimension!r}")
+    """Gaussian density generator: the nu -> infinity Student limit, memoized per dimension."""
+    return _gaussian_generator(_check_dimension(dimension))
+
+
+@lru_cache(maxsize=32)
+def _gaussian_generator(dimension: int) -> DensityGenerator:
     log_norm = -dimension / 2.0 * math.log(2.0 * math.pi)
     return DensityGenerator(
         dimension=dimension,

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +104,38 @@ def test_generator_auto_rescale():
 def test_generator_rejects_bad_dimension():
     with pytest.raises(DomainError):
         DensityGenerator(dimension=0, density=lambda u: math.exp(-u))
+
+
+# every constructor of a generator takes its dimension through one check
+_DIMENSION_MAKERS = {
+    "DensityGenerator": lambda n: DensityGenerator(
+        dimension=n, density=gaussian_generator(1).density, normalizer=1.0
+    ),
+    "student_generator": lambda n: student_generator(n, 5.0),
+    "gaussian_generator": gaussian_generator,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DIMENSION_MAKERS))
+def test_dimension_rejects_bools_and_non_integers(kind):
+    make = _DIMENSION_MAKERS[kind]
+    make(1)  # a memoized 1-D generator must not answer for True
+    for bad in (True, False, np.True_, 2.0, "2", 0, np.int64(-1)):
+        with pytest.raises(DomainError, match="dimension"):
+            make(bad)
+
+
+@pytest.mark.parametrize("kind", sorted(_DIMENSION_MAKERS))
+def test_dimension_accepts_numpy_integers_as_a_plain_int(kind):
+    for n in (np.int64(2), np.uint8(2), np.int32(2)):
+        gen = _DIMENSION_MAKERS[kind](n)
+        assert gen.dimension == 2
+        assert type(gen.dimension) is int
+
+
+def test_factories_memoize_a_numpy_dimension_with_the_plain_one():
+    assert student_generator(np.int64(3), 5) is student_generator(3, 5.0)
+    assert gaussian_generator(np.int64(3)) is gaussian_generator(3)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -422,3 +456,33 @@ def test_root_solves_evaluate_each_tail_point_once(monkeypatch):
     )
     mixture_var(mix, np.array([1.0, 2.0]), 0.01)
     assert len(points) == len(set(points)) == 20
+
+
+class _DensityReads(ast.NodeVisitor):
+    """'module:Scope.name' for every read of a ``.density`` or ``._scale`` attribute."""
+
+    def __init__(self, module: str):
+        self.module, self.scope, self.found = module, [], set()
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
+
+    def visit_Attribute(self, node):
+        if node.attr in ("density", "_scale") and isinstance(node.ctx, ast.Load):
+            self.found.add(f"{self.module}:{'.'.join(self.scope)}")
+        self.generic_visit(node)
+
+
+def test_only_the_radial_integrand_and_g_read_the_density():
+    # g is read in two places: every quadrature through elliptic._radial_integral,
+    # and point values through DensityGenerator.g
+    found = set()
+    for path in sorted(Path(elliptic.__file__).parent.glob("*.py")):
+        reads = _DensityReads(path.stem)
+        reads.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found |= reads.found
+    assert found == {"elliptic:_radial_integral", "elliptic:DensityGenerator.g"}

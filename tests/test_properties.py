@@ -3,13 +3,18 @@
 Each property is checked through ``risk_report`` on a plain
 ``EllipticModel``, a ``StudentParams`` and a two-component
 ``MixtureModel``, with nonzero locations; the Euler decomposition
-``incremental_var`` and the sampler ``simulate_pnl`` are checked on the
-same cases.  The examples are
-derandomized so that the suite is reproducible, and bounded so that it
-stays a few seconds long.
+``incremental_var`` is checked on the same cases.  A hook-less
+power-exponential generator, alone and as a mixture component, takes the
+risk properties through the generic engine's quadratures.  The sampler
+``simulate_pnl`` knows only the Gaussian and Student families and is
+checked on those.  The examples are derandomized so that the suite is
+reproducible, and bounded so that it stays a few seconds long.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellvar import (
+    DensityGenerator,
     EllipticModel,
     MixtureModel,
     SimulationSpec,
@@ -32,7 +38,10 @@ from ellvar import (
     var,
 )
 
-KINDS = ("elliptic", "student", "mixture")
+SAMPLED_KINDS = ("elliptic", "student", "mixture")
+KINDS = SAMPLED_KINDS + ("generic", "generic mixture")
+# power-exponential shapes: heavier and lighter tails than the Gaussian's beta = 1
+BETAS = st.sampled_from((0.7, 1.0, 1.5))
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -45,6 +54,17 @@ def _spd(rng: np.random.Generator, n: int) -> np.ndarray:
     return a @ a.T / n + np.diag(rng.uniform(0.2, 1.0, n))
 
 
+@functools.lru_cache(maxsize=None)
+def _power_exponential(n: int, beta: float) -> DensityGenerator:
+    """Hook-less g(u) proportional to exp(-u^beta / 2), scaled to unit mass by quadrature."""
+    return DensityGenerator(
+        dimension=n,
+        density=lambda u: math.exp(-(u**beta) / 2.0),
+        name=f"power-exponential(beta={beta})",
+        auto_rescale=True,
+    )
+
+
 @st.composite
 def cases(draw, kinds=KINDS):
     """(build, mu, delta): build(mu) makes the model with location mu."""
@@ -55,8 +75,13 @@ def cases(draw, kinds=KINDS):
     sigma = _spd(rng, n)
     mu = rng.normal(scale=0.1, size=n)
     delta = rng.normal(size=n)
-    if kind == "elliptic":
-        gen = gaussian_generator(n) if draw(st.booleans()) else student_generator(n, nu)
+    if kind in ("elliptic", "generic"):
+        if kind == "generic":
+            gen = _power_exponential(n, draw(BETAS))
+        elif draw(st.booleans()):
+            gen = gaussian_generator(n)
+        else:
+            gen = student_generator(n, nu)
 
         def build(m):
             return EllipticModel(mu=m, sigma=sigma, generator=gen)
@@ -70,17 +95,16 @@ def cases(draw, kinds=KINDS):
         w = draw(st.floats(0.05, 0.95))
         wide = 2.0 * _spd(rng, n)
         offset = rng.normal(scale=0.1, size=n)
+        if kind == "generic mixture":
+            other = _power_exponential(n, draw(BETAS))
+        else:
+            other = student_generator(n, nu)
 
         def build(m):
             return MixtureModel(
                 components=[
                     (w, EllipticModel(mu=m, sigma=sigma, generator=gaussian_generator(n))),
-                    (
-                        1.0 - w,
-                        EllipticModel(
-                            mu=m + offset, sigma=wide, generator=student_generator(n, nu)
-                        ),
-                    ),
+                    (1.0 - w, EllipticModel(mu=m + offset, sigma=wide, generator=other)),
                 ]
             )
 
@@ -176,13 +200,13 @@ def _assert_incremental_var_sums_to_var(case, alpha):
 
 
 @PROPERTY
-@given(case=cases(kinds=("elliptic", "student")), alpha=alphas)
+@given(case=cases(kinds=("elliptic", "student", "generic")), alpha=alphas)
 def test_incremental_var_single_component_sums_to_var(case, alpha):
     _assert_incremental_var_sums_to_var(case, alpha)
 
 
 @PROPERTY
-@given(case=cases(kinds=("mixture",)), alpha=alphas)
+@given(case=cases(kinds=("mixture", "generic mixture")), alpha=alphas)
 def test_incremental_var_mixture_sums_to_var(case, alpha):
     _assert_incremental_var_sums_to_var(case, alpha)
 
@@ -205,7 +229,7 @@ def _small_spec(seed, antithetic, workers=1):
 
 
 @PROPERTY
-@given(case=cases(), seed=st.integers(0, 2**32 - 1), antithetic=st.booleans())
+@given(case=cases(SAMPLED_KINDS), seed=st.integers(0, 2**32 - 1), antithetic=st.booleans())
 def test_simulated_pnl_translates_with_mu(case, seed, antithetic):
     build, mu, delta = case
     shift = np.random.default_rng(seed).normal(size=mu.shape[0])
@@ -219,7 +243,7 @@ def test_simulated_pnl_translates_with_mu(case, seed, antithetic):
 
 @PROPERTY
 @given(
-    case=cases(),
+    case=cases(SAMPLED_KINDS),
     seed=st.integers(0, 2**32 - 1),
     antithetic=st.booleans(),
     power=st.integers(-20, 20),
@@ -234,7 +258,7 @@ def test_simulated_pnl_scales_exactly_with_delta_by_powers_of_two(case, seed, an
 
 
 @PROPERTY
-@given(case=cases(), seed=st.integers(0, 2**32 - 1), antithetic=st.booleans())
+@given(case=cases(SAMPLED_KINDS), seed=st.integers(0, 2**32 - 1), antithetic=st.booleans())
 def test_simulated_pnl_is_bit_identical_for_any_worker_count(case, seed, antithetic):
     build, mu, delta = case
     model = build(mu)

@@ -15,6 +15,7 @@ from ellvar import (
     dispersion_from_covariance,
     expected_shortfall,
     gaussian_generator,
+    mixture_expected_shortfall,
     quantile_multiplier,
     student_big_g,
     student_es_multiplier,
@@ -152,6 +153,47 @@ def test_student_tail_expectation_formula():
             assert student_tail_expectation(t, nu) == pytest.approx(ref, rel=1e-12)
     num, _ = integrate.quad(lambda z: z * stats.t.pdf(z, 5.0), 1.3, np.inf)
     assert student_tail_expectation(1.3, 5.0) == pytest.approx(num, rel=1e-9)
+
+
+# mpmath (50 digits) oracle of f(t) (nu + t^2) / (nu - 1), frozen: t so far
+# out that f(t) falls below the normal doubles, and past 1.3e154 nu + t^2
+# overflows; nu = 5 and 50 give 1.2e-799 and 1.7e-9759, which round to 0
+HUGE_T_TAIL_EXPECTATION_CASES = [
+    (1e200, 2.01, 1.0015888293556568e-202),
+    (-1e200, 2.01, 1.0015888293556568e-202),
+    (1e300, 2.01, 1.0015888293557058e-303),
+    (1e120, 2.01, 6.319598280312458e-122),
+    (1e200, 2.5, 1.198899531805287e-300),
+    (1e200, 5.0, 0.0),
+    (1e200, 50.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("t, nu, expected", HUGE_T_TAIL_EXPECTATION_CASES)
+def test_student_tail_expectation_at_huge_t(t, nu, expected):
+    assert student_tail_expectation(t, nu) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_student_tail_expectation_is_the_plain_product_at_ordinary_t():
+    from ellvar.student import _student_log_pdf
+
+    for nu in (2.01, 5.0, 50.0):
+        for t in (-30.0, -1.5, 0.0, 0.7, 4.0, 1e3):
+            plain = math.exp(_student_log_pdf(t, nu)) * (nu + t * t) / (nu - 1.0)
+            assert plain > 0.0
+            assert student_tail_expectation(t, nu) == plain
+
+
+def test_mixture_expected_shortfall_at_a_huge_var_is_finite():
+    gauss = EllipticModel(mu=np.full(2, 0.01), sigma=np.eye(2), generator=gaussian_generator(2))
+    student = StudentParams(nu=4.0, mu=np.zeros(2), sigma=2.0 * np.eye(2))
+    mix = MixtureModel(components=[(0.6, gauss), (0.4, student)])
+    d = np.array([1.0, 1.0])
+    # far out every partial expectation and tail vanishes; far in, every tail
+    # is 1 and ES is -(1/alpha) sum_k w_k delta.mu_k
+    assert mixture_expected_shortfall(mix, d, 0.05, var=1e300) == 0.0
+    far_in = mixture_expected_shortfall(mix, d, 0.05, var=-1e300)
+    assert far_in == pytest.approx(-0.6 * 0.02 / 0.05, rel=1e-15)
 
 
 # univariate oracle es = f(q) (nu + q^2) / (alpha (nu - 1)), frozen
