@@ -1,5 +1,7 @@
 """Analytic VaR and expected shortfall for linear portfolios under elliptic laws."""
 
+from . import elliptic, errors, linalg, mc, mixture, portfolio, specfun, student
+
 from .elliptic import (
     DensityGenerator,
     EllipticModel,
@@ -68,63 +70,9 @@ from .student import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BracketError",
-    "DEFAULT_QUADRATURE",
-    "DensityGenerator",
-    "DimensionError",
-    "DivergentTailError",
-    "DomainError",
-    "EllipticModel",
-    "EllvarError",
-    "EmpiricalEstimate",
-    "IncrementalVar",
-    "MixtureModel",
-    "NotPositiveDefiniteError",
-    "NumericalError",
-    "Position",
-    "QuadratureError",
-    "QuadratureSpec",
-    "RiskReport",
-    "SimulationSpec",
-    "StudentParams",
-    "UnsupportedGeneratorError",
-    "ValidationRow",
-    "beta",
-    "big_g",
-    "business_unit_deltas",
-    "cholesky",
-    "clear_quantile_cache",
-    "delta_equivalents",
-    "dispersion_from_covariance",
-    "empirical_var_es",
-    "equity_deltas",
-    "estimate_moments",
-    "expected_shortfall",
-    "gaussian_generator",
-    "hyp2f1",
-    "hyp2f1_log",
-    "incremental_var",
-    "integrate_semi_infinite",
-    "log_gamma",
-    "marginal_tail",
-    "marginal_tail_expectation",
-    "mixture_expected_shortfall",
-    "mixture_var",
-    "quadratic_form",
-    "quantile_multiplier",
-    "reg_inc_beta",
-    "risk_report",
-    "simulate_pnl",
-    "solve_quantile",
-    "student_big_g",
-    "student_es_multiplier",
-    "student_expected_shortfall",
-    "student_generator",
-    "student_quantile",
-    "student_tail_expectation",
-    "student_var",
-    "validate_model",
-    "validate_symmetric",
-    "var",
-]
+# every public name is declared once, in its module's __all__
+__all__ = sorted(
+    name
+    for module in (elliptic, errors, linalg, mc, mixture, portfolio, specfun, student)
+    for name in module.__all__
+)

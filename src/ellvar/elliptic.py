@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import threading
 from dataclasses import dataclass, field
@@ -114,17 +115,18 @@ class DensityGenerator:
     ``density`` is g in f(x) = |Sigma|^(-1/2) g((x-mu) Sigma^(-1) (x-mu)^t).
     Unless an explicit ``normalizer`` is supplied (then it is trusted and
     multiplies ``density``), the constructor verifies by quadrature that g
-    integrates to unit mass over R^n; ``auto_rescale`` instead folds the
-    measured mass into the scale.
+    integrates to unit mass over R^n; ``auto_rescale=True`` instead folds
+    the measured mass into the scale.  Such a generator gets every number
+    by quadrature and cannot be sampled.
 
-    ``tail``, ``tail_expectation`` and ``quantile``, when set by a
-    factory, are closed forms for the marginal survival function, the
-    partial expectation and the alpha-tail quantile (alpha in (0, 0.5));
-    the dispatch helpers prefer them over quadrature.  A ``quantile``
-    hook checks its own residual against ``tail``.  ``family`` and
-    ``family_params`` name a known law ("gaussian", or "student" with
-    (nu,)): Monte Carlo samples only these, and the Student module reads
-    them for the closed-form marginal density and ES.
+    ``tail``, ``tail_expectation`` and ``quantile`` are closed forms for the
+    marginal survival function, the partial expectation and the alpha-tail
+    quantile (alpha in (0, 0.5)), preferred over quadrature; the quantile
+    checks its own residual against ``tail``.  ``family`` and
+    ``family_params`` name the law ("gaussian", or "student" with (nu,))
+    for Monte Carlo and the Student closed forms.  Only
+    ``student_generator`` and ``gaussian_generator`` set these five, so a
+    law's closed forms and its name cannot disagree.
     """
 
     dimension: int
@@ -132,19 +134,24 @@ class DensityGenerator:
     name: str = "custom"
     normalizer: float | None = None
     auto_rescale: bool = False
-    tail: Callable[[float], float] | None = None
-    tail_expectation: Callable[[float], float] | None = None
-    quantile: Callable[[float], float] | None = None
-    family: str | None = None
-    family_params: tuple = ()
+    tail: Callable[[float], float] | None = field(init=False, default=None)
+    tail_expectation: Callable[[float], float] | None = field(init=False, default=None)
+    quantile: Callable[[float], float] | None = field(init=False, default=None)
+    family: str | None = field(init=False, default=None)
+    family_params: tuple = field(init=False, default=())
     _scale: float = field(init=False, default=1.0, repr=False)
 
     def __post_init__(self):
         self.dimension = _check_dimension(self.dimension)
-        if self.normalizer is not None:
-            if not (math.isfinite(self.normalizer) and self.normalizer > 0.0):
-                raise DomainError(f"normalizer must be positive, got {self.normalizer!r}")
-            self._scale = float(self.normalizer)
+        if not isinstance(self.auto_rescale, bool):
+            raise DomainError(f"auto_rescale must be a bool, got {self.auto_rescale!r}")
+        norm = self.normalizer
+        if norm is not None:
+            # numpy floats and integers are numbers.Real and numpy bools are not; bool is
+            real = isinstance(norm, numbers.Real) and not isinstance(norm, bool)
+            if not (real and math.isfinite(norm) and norm > 0.0):
+                raise DomainError(f"normalizer must be a positive real number, got {norm!r}")
+            self._scale = float(norm)
             return
         # the mass over R^n, int_0^inf g(r^2) |S^(n-1)| r^(n-1) dr, read at scale 1
         n = self.dimension
@@ -198,6 +205,9 @@ class EllipticModel:
     generator: DensityGenerator
 
     def __post_init__(self):
+        if not isinstance(self.generator, DensityGenerator):
+            kind = type(self.generator).__name__
+            raise DomainError(f"generator must be a DensityGenerator, got {kind}")
         self.mu = np.asarray(self.mu, dtype=np.float64)
         if self.mu.ndim != 1:
             raise DimensionError(f"mu must be a vector, got shape {self.mu.shape}")
@@ -220,6 +230,14 @@ class EllipticModel:
     def components(self) -> tuple[tuple[float, "EllipticModel"], ...]:
         """The model as (weight, model) pairs: itself, with weight one."""
         return ((1.0, self),)
+
+
+def _check_finite(x: float, name: str) -> float:
+    """x as a float, or DomainError naming it when it is not finite."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be finite, got {x!r}")
+    return x
 
 
 def _check_alpha(alpha: float) -> float:
@@ -337,9 +355,7 @@ def big_g(s: float, gen: DensityGenerator, route: str = "double") -> float:
     relative accuracy however small G(s) is; quantile solves and hook-less
     tails use it.  Negative s is folded back by symmetry.
     """
-    s = float(s)
-    if not math.isfinite(s):
-        raise DomainError(f"s must be finite, got {s!r}")
+    s = _check_finite(s, "s")
     if route not in ("double", "kernel"):
         raise DomainError(f"unknown route {route!r}; expected 'double' or 'kernel'")
     if s < 0.0:
@@ -357,20 +373,21 @@ def big_g(s: float, gen: DensityGenerator, route: str = "double") -> float:
 
 
 def marginal_tail(gen: DensityGenerator, s: float) -> float:
-    """P(Z1 >= s), using the generator's closed form when it has one."""
+    """P(Z1 >= s), using the generator's closed form when it has one; s must be finite."""
+    s = _check_finite(s, "s")
     if gen.tail is not None:
-        return gen.tail(float(s))
-    return big_g(float(s), gen, route="kernel")
+        return gen.tail(s)
+    return big_g(s, gen, route="kernel")
 
 
 def marginal_tail_expectation(gen: DensityGenerator, t: float) -> float:
     """E[Z1 * 1{Z1 >= t}] for one spherical coordinate.
 
     By symmetry the value at t equals the value at |t|, which is where
-    the quadrature form is valid.  Divergence (an overly heavy tail)
-    surfaces as DivergentTailError.
+    the quadrature form is valid.  t must be finite, for every generator.
+    Divergence (an overly heavy tail) surfaces as DivergentTailError.
     """
-    t = float(t)
+    t = _check_finite(t, "t")
     if gen.tail_expectation is not None:
         return gen.tail_expectation(t)
     # int_0^inf g(t^2 + v^2) pi^((n-1)/2) / Gamma((n+1)/2) v^n dv

@@ -6,6 +6,11 @@ class; the CLI maps these onto process exit codes.
 
 from __future__ import annotations
 
+__all__ = [
+    "EllvarError", "DomainError", "DimensionError", "NotPositiveDefiniteError", "NumericalError",
+    "QuadratureError", "BracketError", "DivergentTailError", "UnsupportedGeneratorError",
+]
+
 
 class EllvarError(Exception):
     """Base class for all library errors."""

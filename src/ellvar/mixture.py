@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .elliptic import EllipticModel, _check_alpha, _component_rows, _rows_es, expected_shortfall
+from .elliptic import EllipticModel, _check_alpha, _check_finite, _component_rows, _rows_es
+from .elliptic import expected_shortfall
 from .elliptic import marginal_tail  # noqa: F401  wrapped by bench/tracing.py
 from .elliptic import marginal_tail_expectation  # noqa: F401  wrapped by bench/tracing.py
 from .elliptic import var as mixture_var
@@ -82,8 +83,6 @@ def mixture_expected_shortfall(mixture, delta, alpha: float, var: float | None =
     if var is None:
         return expected_shortfall(mixture, delta, alpha)
     alpha = _check_alpha(alpha)
-    var = float(var)
-    if not math.isfinite(var):
-        raise DomainError(f"var must be finite, got {var!r}")
+    var = _check_finite(var, "var")
     _, rows = _component_rows(mixture, delta)
     return _rows_es(rows, alpha, [(mean + var) / vol for _, _, mean, vol in rows])

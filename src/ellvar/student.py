@@ -30,6 +30,7 @@ from .elliptic import (
     EllipticModel,
     _check_alpha,
     _check_dimension,
+    _check_finite,
     _checked_quantile,
     _component_rows,
     _marginal_density,
@@ -62,14 +63,30 @@ def _check_nu(nu: float, minimum: float = 1.0) -> float:
     return nu
 
 
+# From x = 1e3 on, lgamma(x + 1/2) - lgamma(x) comes from its asymptotic
+# series: a difference of two log_gamma values of size x log x keeps only
+# about 1e-16 x log x of it, 5.5e-10 of a t density's constant at nu = 1e6.
+_LARGE_X = 1e3
+
+
+def _log_gamma_ratio(x: float) -> float:
+    """lgamma(x + 1/2) - lgamma(x); past _LARGE_X the series (1/2) log x - 1/(8x) + 1/(192 x^3)."""
+    if x < _LARGE_X:
+        return log_gamma(x + 0.5) - log_gamma(x)
+    # the next term, -1/(640 x^5), is below 2e-18
+    return 0.5 * math.log(x) + (1.0 / (192.0 * x * x) - 0.125) / x
+
+
+def _t_log_norm(nu: float, n: int) -> float:
+    """log Gamma((nu + n)/2) / (Gamma(nu/2) (nu pi)^(n/2)), the n-variate t density at 0."""
+    if n == 1:
+        return _log_gamma_ratio(nu / 2.0) - 0.5 * math.log(nu * math.pi)
+    return log_gamma((nu + n) / 2.0) - log_gamma(nu / 2.0) - n / 2.0 * math.log(nu * math.pi)
+
+
 def _student_log_pdf(s: float, nu: float) -> float:
     """log density of the univariate standard Student-t."""
-    return (
-        log_gamma((nu + 1.0) / 2.0)
-        - log_gamma(nu / 2.0)
-        - 0.5 * math.log(nu * math.pi)
-        - (nu + 1.0) / 2.0 * math.log1p(s * s / nu)
-    )
+    return _t_log_norm(nu, 1) - (nu + 1.0) / 2.0 * math.log1p(s * s / nu)
 
 
 def student_big_g(s: float, nu: float, method: str = "beta") -> float:
@@ -84,9 +101,7 @@ def student_big_g(s: float, nu: float, method: str = "beta") -> float:
     must agree to ~1e-11 relative.
     """
     nu = _check_nu(nu)
-    s = float(s)
-    if not math.isfinite(s):
-        raise DomainError(f"s must be finite, got {s!r}")
+    s = _check_finite(s, "s")
     if s < 0.0:
         return 1.0 - student_big_g(-s, nu, method)
     if s == 0.0:
@@ -150,14 +165,19 @@ def student_es_multiplier(alpha: float, nu: float, quantile: float | None = None
     alpha = _check_alpha(alpha)
     nu = _check_nu(nu)
     q = student_quantile(alpha, nu) if quantile is None else float(quantile)
+    x = (nu - 1.0) / 2.0
+    if x < _LARGE_X:
+        log_nu, log_q = (nu / 2.0) * math.log(nu), x * math.log(q * q + nu)
+    else:
+        # the same difference less x log nu on each side, which keeps its digits
+        log_nu, log_q = 0.5 * math.log(nu), x * math.log1p(q * q / nu)
     log_m = (
-        log_gamma((nu - 1.0) / 2.0)
-        - log_gamma(nu / 2.0)
+        -_log_gamma_ratio(x)
         - math.log(2.0)
         - math.log(alpha)
         - 0.5 * math.log(math.pi)
-        + (nu / 2.0) * math.log(nu)
-        - (nu - 1.0) / 2.0 * math.log(q * q + nu)
+        + log_nu
+        - log_q
     )
     return math.exp(log_m)
 
@@ -177,23 +197,21 @@ def student_generator(dimension: int, nu: float) -> DensityGenerator:
 
 @lru_cache(maxsize=128)
 def _student_generator(dimension: int, nu: float) -> DensityGenerator:
-    log_norm = (
-        log_gamma((nu + dimension) / 2.0)
-        - log_gamma(nu / 2.0)
-        - dimension / 2.0 * math.log(nu * math.pi)
-    )
+    log_norm = _t_log_norm(nu, dimension)
     power = -(dimension + nu) / 2.0
-    return DensityGenerator(
+    gen = DensityGenerator(
         dimension=dimension,
         density=lambda u: math.exp(log_norm + power * math.log1p(u / nu)),
         name=f"student(nu={nu:g})",
         normalizer=1.0,
-        tail=lambda s: student_big_g(s, nu),
-        tail_expectation=lambda t: student_tail_expectation(t, nu),
-        quantile=lambda alpha: student_quantile(alpha, nu),
-        family="student",
-        family_params=(nu,),
     )
+    # each call looks up the module function, so a wrapper installed later sees it
+    gen.tail = lambda s: student_big_g(s, nu)
+    gen.tail_expectation = lambda t: student_tail_expectation(t, nu)
+    gen.quantile = lambda alpha: student_quantile(alpha, nu)
+    gen.family = "student"
+    gen.family_params = (nu,)
+    return gen
 
 
 def _normal_tail(s: float) -> float:
@@ -225,17 +243,18 @@ def gaussian_generator(dimension: int) -> DensityGenerator:
 @lru_cache(maxsize=32)
 def _gaussian_generator(dimension: int) -> DensityGenerator:
     log_norm = -dimension / 2.0 * math.log(2.0 * math.pi)
-    return DensityGenerator(
+    gen = DensityGenerator(
         dimension=dimension,
         density=lambda u: math.exp(log_norm - 0.5 * u),
         name="gaussian",
         normalizer=1.0,
-        tail=_normal_tail,
-        # E[Z 1{Z >= t}] = phi(t) for the standard normal, any real t
-        tail_expectation=_normal_density,
-        quantile=_normal_quantile,
-        family="gaussian",
     )
+    gen.tail = _normal_tail
+    # E[Z 1{Z >= t}] = phi(t) for the standard normal, any real t
+    gen.tail_expectation = _normal_density
+    gen.quantile = _normal_quantile
+    gen.family = "gaussian"
+    return gen
 
 
 class StudentParams(EllipticModel):

@@ -106,6 +106,35 @@ def test_generator_rejects_bad_dimension():
         DensityGenerator(dimension=0, density=lambda u: math.exp(-u))
 
 
+def _sub_unit_mass_generator(**options):
+    # exp(-u^0.7 / 2) in dimension 2 has mass 1 / 0.0934: only auto_rescale=True builds it
+    return DensityGenerator(dimension=2, density=lambda u: math.exp(-(u**0.7) / 2.0), **options)
+
+
+@pytest.mark.parametrize("flag", ["no", 1, 0, None, np.True_])
+def test_auto_rescale_must_be_a_bool(flag):
+    with pytest.raises(DomainError, match="auto_rescale"):
+        _sub_unit_mass_generator(auto_rescale=flag)
+
+
+@pytest.mark.parametrize("bad", ["1", True, np.True_, 1j, math.nan, math.inf, 0.0, -1.0])
+def test_normalizer_must_be_a_positive_real(bad):
+    with pytest.raises(DomainError, match="normalizer"):
+        DensityGenerator(dimension=1, density=gaussian_generator(1).density, normalizer=bad)
+
+
+@pytest.mark.parametrize("good", [np.float64(0.5), np.float32(0.5), np.int64(2), 2])
+def test_normalizer_accepts_numpy_reals(good):
+    gen = DensityGenerator(dimension=1, density=lambda u: 1.0, normalizer=good)
+    assert gen.g(3.0) == float(good)
+
+
+@pytest.mark.parametrize("bad", ["x", None, gaussian_generator(2).density])
+def test_model_generator_must_be_a_density_generator(bad):
+    with pytest.raises(DomainError, match="generator must be a DensityGenerator"):
+        EllipticModel(mu=np.zeros(2), sigma=np.eye(2), generator=bad)
+
+
 # every constructor of a generator takes its dimension through one check
 _DIMENSION_MAKERS = {
     "DensityGenerator": lambda n: DensityGenerator(
@@ -335,6 +364,22 @@ def test_marginal_tail_and_expectation_hooks():
         )
 
 
+_TAIL_GENERATORS = {
+    "gaussian": lambda: gaussian_generator(2),
+    "student": lambda: student_generator(2, 5.0),
+    "hook-less": _pearson_vii_generator,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TAIL_GENERATORS))
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", [marginal_tail, marginal_tail_expectation])
+def test_tail_entries_reject_non_finite_arguments(entry, x, kind):
+    # checked before any closed form or quadrature, so every generator agrees
+    with pytest.raises(DomainError, match="must be finite"):
+        entry(_TAIL_GENERATORS[kind](), x)
+
+
 def test_marginal_tail_expectation_custom_generator():
     # the (1 + u)^-3 shape in dimension 2 is the Student nu=4 spherical
     # law shrunk by 1/2, so E[Z 1{Z >= t}] = f(2t) (4 + 4t^2) / (nu - 1) / 2
@@ -458,11 +503,11 @@ def test_root_solves_evaluate_each_tail_point_once(monkeypatch):
     assert len(points) == len(set(points)) == 20
 
 
-class _DensityReads(ast.NodeVisitor):
-    """'module:Scope.name' for every read of a ``.density`` or ``._scale`` attribute."""
+class _AttributeUses(ast.NodeVisitor):
+    """'module:Scope.name' for every use of the named attributes in context ``ctx``."""
 
-    def __init__(self, module: str):
-        self.module, self.scope, self.found = module, [], set()
+    def __init__(self, module: str, attrs: tuple[str, ...], ctx: type):
+        self.module, self.attrs, self.ctx, self.scope, self.found = module, attrs, ctx, [], set()
 
     def _enter(self, node):
         self.scope.append(node.name)
@@ -472,17 +517,41 @@ class _DensityReads(ast.NodeVisitor):
     visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
 
     def visit_Attribute(self, node):
-        if node.attr in ("density", "_scale") and isinstance(node.ctx, ast.Load):
+        if node.attr in self.attrs and isinstance(node.ctx, self.ctx):
             self.found.add(f"{self.module}:{'.'.join(self.scope)}")
         self.generic_visit(node)
+
+
+def _attribute_uses(attrs: tuple[str, ...], ctx: type) -> set[str]:
+    found = set()
+    for path in sorted(Path(elliptic.__file__).parent.glob("*.py")):
+        uses = _AttributeUses(path.stem, attrs, ctx)
+        uses.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found |= uses.found
+    return found
 
 
 def test_only_the_radial_integrand_and_g_read_the_density():
     # g is read in two places: every quadrature through elliptic._radial_integral,
     # and point values through DensityGenerator.g
-    found = set()
-    for path in sorted(Path(elliptic.__file__).parent.glob("*.py")):
-        reads = _DensityReads(path.stem)
-        reads.visit(ast.parse(path.read_text(encoding="utf-8")))
-        found |= reads.found
+    found = _attribute_uses(("density", "_scale"), ast.Load)
     assert found == {"elliptic:_radial_integral", "elliptic:DensityGenerator.g"}
+
+
+# a known law's closed forms and its tag, set by its factory alone
+_FACTORY_ONLY = ("tail", "tail_expectation", "quantile", "family", "family_params")
+
+
+def test_only_the_two_factories_set_closed_forms_and_family():
+    found = _attribute_uses(_FACTORY_ONLY, ast.Store)
+    assert found == {"student:_student_generator", "student:_gaussian_generator"}
+
+
+@pytest.mark.parametrize("name", _FACTORY_ONLY)
+def test_closed_forms_and_family_are_not_constructor_options(name):
+    with pytest.raises(TypeError, match=name):
+        DensityGenerator(
+            dimension=1, density=gaussian_generator(1).density, normalizer=1.0, **{name: None}
+        )
+    # a generator built here has no closed forms and no family
+    assert getattr(_pearson_vii_generator(), name) in (None, ())

@@ -174,6 +174,51 @@ def test_student_tail_expectation_at_huge_t(t, nu, expected):
     assert student_tail_expectation(t, nu) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+# mpmath (50 digits) oracles, frozen, at large nu: where the gamma ratios of
+# log_gamma differences kept 5.5e-10 of the tail expectation at nu = 1e6 and
+# 2.3e-7 of the ES multiplier at nu = 1e8, and their asymptotic series keep
+# 1e-12.  The multiplier is exact at the given q, a frozen student_quantile.
+LARGE_NU_TAIL_EXPECTATION_CASES = [
+    (0.0, 1000.0, 0.39924179911297114),
+    (3.0, 1000.0, 0.004545675907538693),
+    (30.0, 1000.0, 2.3110658920177584e-140),
+    (0.0, 2001.0, 0.39909188687370795),
+    (3.0, 2001.0, 0.004488529820303642),
+    (30.0, 2001.0, 1.9972513926743687e-162),
+    (0.0, 10000.0, 0.3989722041895266),
+    (3.0, 10000.0, 0.004443157774908786),
+    (30.0, 10000.0, 3.070196596618229e-188),
+    (0.0, 1000000.0, 0.39894257960845464),
+    (3.0, 1000000.0, 0.0044319614248874185),
+    (30.0, 1000000.0, 1.8050148577721752e-196),
+    (0.0, 100000000.0, 0.3989422833934998),
+    (3.0, 100000000.0, 0.004431849542059434),
+    (30.0, 100000000.0, 1.4766399297458766e-196),
+]
+LARGE_NU_ES_MULTIPLIER_CASES = [
+    (0.01, 1000.0, 2.330082674755513, 2.6708306715321095),
+    (1e-06, 1000.0, 4.781608620458351, 4.980174029106841),
+    (0.01, 2001.0, 2.328212908706989, 2.668018146118905),
+    (1e-06, 2001.0, 4.767473102880805, 4.964200794475353),
+    (0.01, 10000.0, 2.3267208386694755, 2.665774823449367),
+    (1e-06, 10000.0, 4.75622968505678, 4.951500810698309),
+    (0.01, 1000000.0, 2.3263516031208056, 2.665219825232525),
+    (1e-06, 1000000.0, 4.75345234827968, 4.94836437993616),
+    (0.01, 100000000.0, 2.3263479113315837, 2.6652142763945603),
+    (1e-06, 100000000.0, 4.753424589216037, 4.94833303319401),
+]
+
+
+@pytest.mark.parametrize("t, nu, expected", LARGE_NU_TAIL_EXPECTATION_CASES)
+def test_student_tail_expectation_at_large_nu(t, nu, expected):
+    assert student_tail_expectation(t, nu) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha, nu, q, expected", LARGE_NU_ES_MULTIPLIER_CASES)
+def test_student_es_multiplier_at_large_nu(alpha, nu, q, expected):
+    assert student_es_multiplier(alpha, nu, quantile=q) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_student_tail_expectation_is_the_plain_product_at_ordinary_t():
     from ellvar.student import _student_log_pdf
 
@@ -242,7 +287,7 @@ def test_student_generator_mass_and_hooks():
             lambda r: area * r ** (n - 1) * gen.g(r * r), 0.0, np.inf
         )
         assert mass == pytest.approx(1.0, rel=1e-9)
-        assert gen.tail is not None and gen.tail_expectation is not None
+        assert None not in (gen.tail, gen.tail_expectation, gen.quantile)
         assert gen.family == "student"
         assert gen.family_params == (nu,)
 
@@ -254,7 +299,8 @@ def test_student_generator_is_cached():
 
 def test_gaussian_generator_hooks():
     gen = gaussian_generator(2)
-    assert gen.family == "gaussian"
+    assert None not in (gen.tail, gen.tail_expectation, gen.quantile)
+    assert (gen.family, gen.family_params) == ("gaussian", ())
     assert gen.tail(1.1) == pytest.approx(stats.norm.sf(1.1), rel=1e-13)
     assert quantile_multiplier(gen, 0.025) == pytest.approx(
         stats.norm.ppf(0.975), abs=1e-10
