@@ -37,8 +37,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-import operator
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
@@ -52,6 +50,9 @@ from .errors import (
     DomainError,
     NumericalError,
     QuadratureError,
+    _check_array,
+    _check_int,
+    _check_real,
 )
 from .linalg import cholesky
 from .linalg import quadratic_form, validate_symmetric  # noqa: F401  wrapped by bench/tracing.py
@@ -90,17 +91,6 @@ _MAX_BRACKET_DOUBLINGS = 64
 # hook-less quantiles are cached per (generator, alpha) and each entry
 # keeps its generator alive, so the oldest entries give way past this size
 _QUANTILE_CACHE_SIZE = 4096
-
-
-def _check_dimension(dimension) -> int:
-    """dimension as a plain int >= 1: numpy integers pass ``operator.index``, a bool does not."""
-    try:
-        n = -1 if isinstance(dimension, bool) else operator.index(dimension)
-    except TypeError:
-        n = -1
-    if n < 1:
-        raise DomainError(f"dimension must be an integer >= 1, got {dimension!r}")
-    return n
 
 
 def _log_sphere_area(n: int) -> float:
@@ -142,16 +132,11 @@ class DensityGenerator:
     _scale: float = field(init=False, default=1.0, repr=False)
 
     def __post_init__(self):
-        self.dimension = _check_dimension(self.dimension)
+        self.dimension = _check_int(self.dimension, "dimension", 1)
         if not isinstance(self.auto_rescale, bool):
             raise DomainError(f"auto_rescale must be a bool, got {self.auto_rescale!r}")
-        norm = self.normalizer
-        if norm is not None:
-            # numpy floats and integers are numbers.Real and numpy bools are not; bool is
-            real = isinstance(norm, numbers.Real) and not isinstance(norm, bool)
-            if not (real and math.isfinite(norm) and norm > 0.0):
-                raise DomainError(f"normalizer must be a positive real number, got {norm!r}")
-            self._scale = float(norm)
+        if self.normalizer is not None:
+            self._scale = _check_real(self.normalizer, "normalizer", 0.0)
             return
         # the mass over R^n, int_0^inf g(r^2) |S^(n-1)| r^(n-1) dr, read at scale 1
         n = self.dimension
@@ -208,13 +193,9 @@ class EllipticModel:
         if not isinstance(self.generator, DensityGenerator):
             kind = type(self.generator).__name__
             raise DomainError(f"generator must be a DensityGenerator, got {kind}")
-        self.mu = np.asarray(self.mu, dtype=np.float64)
-        if self.mu.ndim != 1:
-            raise DimensionError(f"mu must be a vector, got shape {self.mu.shape}")
-        if not np.all(np.isfinite(self.mu)):
-            raise DomainError("mu entries must be finite")
+        self.mu = _check_array(self.mu, "mu")
+        cholesky(self.sigma)  # checks shape, entries and symmetry, rejects non-PD dispersions
         self.sigma = np.asarray(self.sigma, dtype=np.float64)
-        cholesky(self.sigma)  # checks shape and symmetry, rejects non-PD dispersions
         n = self.generator.dimension
         if self.mu.shape[0] != n or self.sigma.shape[0] != n:
             raise DimensionError(
@@ -232,19 +213,8 @@ class EllipticModel:
         return ((1.0, self),)
 
 
-def _check_finite(x: float, name: str) -> float:
-    """x as a float, or DomainError naming it when it is not finite."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return x
-
-
 def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and 0.0 < alpha < 0.5):
-        raise DomainError(f"alpha must lie in (0, 0.5), got {alpha!r}")
-    return alpha
+    return _check_real(alpha, "alpha", 0.0, 0.5)
 
 
 def _component_rows(model, delta) -> tuple[np.ndarray, list[tuple]]:
@@ -260,12 +230,7 @@ def _component_rows(model, delta) -> tuple[np.ndarray, list[tuple]]:
         components = model.components
     except AttributeError:
         raise DomainError(f"unsupported model type {type(model).__name__}") from None
-    d = np.asarray(delta, dtype=np.float64)
-    n = model.dimension
-    if d.ndim != 1 or d.shape[0] != n:
-        raise DimensionError(f"delta must be a vector of length {n}, got shape {d.shape}")
-    if not np.all(np.isfinite(d)):
-        raise DomainError("delta entries must be finite")
+    d = _check_array(delta, "delta", length=model.dimension)
     rows = []
     for w, m in components:
         # an SPD sigma can only give a negative form through rounding
@@ -355,7 +320,7 @@ def big_g(s: float, gen: DensityGenerator, route: str = "double") -> float:
     relative accuracy however small G(s) is; quantile solves and hook-less
     tails use it.  Negative s is folded back by symmetry.
     """
-    s = _check_finite(s, "s")
+    s = _check_real(s, "s")
     if route not in ("double", "kernel"):
         raise DomainError(f"unknown route {route!r}; expected 'double' or 'kernel'")
     if s < 0.0:
@@ -374,7 +339,7 @@ def big_g(s: float, gen: DensityGenerator, route: str = "double") -> float:
 
 def marginal_tail(gen: DensityGenerator, s: float) -> float:
     """P(Z1 >= s), using the generator's closed form when it has one; s must be finite."""
-    s = _check_finite(s, "s")
+    s = _check_real(s, "s")
     if gen.tail is not None:
         return gen.tail(s)
     return big_g(s, gen, route="kernel")
@@ -387,7 +352,7 @@ def marginal_tail_expectation(gen: DensityGenerator, t: float) -> float:
     the quadrature form is valid.  t must be finite, for every generator.
     Divergence (an overly heavy tail) surfaces as DivergentTailError.
     """
-    t = _check_finite(t, "t")
+    t = _check_real(t, "t")
     if gen.tail_expectation is not None:
         return gen.tail_expectation(t)
     # int_0^inf g(t^2 + v^2) pi^((n-1)/2) / Gamma((n+1)/2) v^n dv

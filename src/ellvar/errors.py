@@ -1,10 +1,18 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the input checks that raise them.
 
 Every failure mode that callers are expected to branch on gets its own
-class; the CLI maps these onto process exit codes.
+class; the CLI maps these onto process exit codes.  Every integer, real
+number and array argument the library takes goes through one of three
+checks, one per kind of input: ``_check_int``, ``_check_real`` and
+``_check_array``.
 """
 
 from __future__ import annotations
+
+import math
+import operator
+
+import numpy as np
 
 __all__ = [
     "EllvarError", "DomainError", "DimensionError", "NotPositiveDefiniteError", "NumericalError",
@@ -62,3 +70,66 @@ class DivergentTailError(NumericalError):
 
 class UnsupportedGeneratorError(EllvarError, TypeError):
     """Monte Carlo sampling is only available for known generator families."""
+
+
+# float() takes "0.01", b"1" and True; a number is none of these
+_NOT_REAL = (bool, np.bool_, str, bytes)
+
+
+def _check_int(value, name: str, minimum: int) -> int:
+    """value as a plain int >= minimum, else DomainError naming it.
+
+    Anything ``operator.index`` takes passes, numpy integers included; a
+    bool does not, and neither does a float, even 50.0.
+    """
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return n
+
+
+def _check_real(value, name: str, above: float = -math.inf, below: float = math.inf) -> float:
+    """value as a float strictly between above and below, else DomainError naming it.
+
+    The default bounds ask for a finite number, and nan lies in no range.
+    A bool, a string or bytes is refused by its type (``float()`` takes
+    "0.01" and True), None and anything else ``float()`` refuses by
+    ``float()``.  A plain float goes straight to the range test: this
+    check runs on every tail evaluation of a mixture root.
+    """
+    if type(value) is not float:
+        try:
+            if isinstance(value, _NOT_REAL):
+                raise TypeError
+            value = float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(f"{name} must be a real number, got {value!r}") from None
+    if not above < value < below:
+        bounded = above > -math.inf or below < math.inf
+        rule = f"lie in ({above:g}, {below:g})" if bounded else "be finite"
+        raise DomainError(f"{name} must {rule}, got {value!r}")
+    return value
+
+
+def _check_array(value, name: str, ndim: int = 1, length: int | None = None) -> np.ndarray:
+    """value as a float64 array with ndim axes, each entry finite.
+
+    A wrong number of axes, or a vector whose length is not ``length``,
+    raises DimensionError.  Entries that numpy cannot convert (a word, an
+    object, a ragged row) or that are not finite (None converts to nan)
+    raise DomainError.
+    """
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise DomainError(f"{name} entries must be numbers: {err}") from None
+    if arr.ndim != ndim or (length is not None and arr.shape[0] != length):
+        kind = "a vector" if ndim == 1 else "a matrix"
+        size = "" if length is None else f" of length {length}"
+        raise DimensionError(f"{name} must be {kind}{size}, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} entries must be finite")
+    return arr

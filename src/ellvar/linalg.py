@@ -9,12 +9,11 @@ factors it through ``_cholesky_lower`` without checking it again.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.linalg.lapack import dpotrf
 
 from .errors import DimensionError, DomainError, NotPositiveDefiniteError
+from .errors import _check_array, _check_real
 
 __all__ = [
     "validate_symmetric",
@@ -24,18 +23,21 @@ __all__ = [
 ]
 
 
-def validate_symmetric(matrix, rel_tol: float = 1e-12) -> np.ndarray:
+# on the largest |asymmetry| relative to the largest |entry| (or 1)
+_SYMMETRY_TOL = 1e-12
+
+
+def validate_symmetric(matrix) -> np.ndarray:
     """Return matrix as a float array after checking shape and symmetry."""
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    m = _check_array(matrix, "matrix", ndim=2)
+    if m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise DomainError("matrix entries must be finite")
     scale = max(float(np.max(np.abs(m))), 1.0)
     asym = float(np.max(np.abs(m - m.T)))
-    if asym > rel_tol * scale:
+    if asym > _SYMMETRY_TOL * scale:
         raise DomainError(
-            f"matrix is not symmetric: max asymmetry {asym:.3e} exceeds {rel_tol:.1e} * scale"
+            f"matrix is not symmetric: max asymmetry {asym:.3e} exceeds "
+            f"{_SYMMETRY_TOL:.1e} * scale"
         )
     return m
 
@@ -62,16 +64,8 @@ def _cholesky_lower(a: np.ndarray) -> np.ndarray:
 
 def quadratic_form(delta, sigma) -> float:
     """delta @ sigma @ delta for a sensitivity vector and SPD matrix."""
-    d = np.asarray(delta, dtype=np.float64)
     s = validate_symmetric(sigma)
-    if d.ndim != 1:
-        raise DimensionError(f"delta must be a vector, got shape {d.shape}")
-    if d.shape[0] != s.shape[0]:
-        raise DimensionError(
-            f"delta has length {d.shape[0]} but sigma is {s.shape[0]}x{s.shape[1]}"
-        )
-    if not np.all(np.isfinite(d)):
-        raise DomainError("delta entries must be finite")
+    d = _check_array(delta, "delta", length=s.shape[0])
     value = float(d @ s @ d)
     # an SPD sigma can only produce a negative value through rounding
     return max(value, 0.0)
@@ -84,15 +78,12 @@ def estimate_moments(returns, ridge: float = 0.0) -> tuple[np.ndarray, np.ndarra
     check; it is the only supported repair for degenerate panels and is
     off by default.
     """
-    x = np.asarray(returns, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimensionError(f"returns must be a T x n matrix, got shape {x.shape}")
+    x = _check_array(returns, "returns", ndim=2)
     t, n = x.shape
     if t < 2:
         raise DomainError(f"need at least 2 observations to estimate moments, got {t}")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("returns entries must be finite")
-    if not (math.isfinite(ridge) and ridge >= 0.0):
+    ridge = _check_real(ridge, "ridge")
+    if ridge < 0.0:
         raise DomainError(f"ridge must be non-negative, got {ridge!r}")
     mu = x.mean(axis=0)
     centered = x - mu

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .elliptic import _check_alpha, _component_rows
-from .errors import DimensionError, DomainError, UnsupportedGeneratorError
+from .errors import DomainError, UnsupportedGeneratorError, _check_array, _check_int
 from .linalg import _cholesky_lower
 from .linalg import cholesky  # noqa: F401  wrapped by bench/tracing.py
 from .mixture import mixture_expected_shortfall  # noqa: F401  wrapped by bench/tracing.py
@@ -52,10 +52,6 @@ _MIN_PATHS_FOR_ESTIMATE = 10_000
 _CHUNK_NORMALS = 1 << 16
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SimulationSpec:
     """How to run a simulation: size, seeding, batching, variance reduction.
@@ -73,16 +69,13 @@ class SimulationSpec:
     workers: int = 1
 
     def __post_init__(self):
-        if not _is_int(self.paths) or self.paths < 1:
-            raise DomainError(f"paths must be a positive integer, got {self.paths!r}")
-        if not _is_int(self.seed) or not 0 <= self.seed < 2**128:
+        for name, minimum in (("paths", 1), ("seed", 0), ("batch_size", 2), ("workers", 1)):
+            # stored as the plain int the check returns, a numpy integer included
+            object.__setattr__(self, name, _check_int(getattr(self, name), name, minimum))
+        if self.seed >= 2**128:
             raise DomainError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
-        if not _is_int(self.batch_size) or self.batch_size < 2:
-            raise DomainError(f"batch_size must be an integer >= 2, got {self.batch_size!r}")
         if not isinstance(self.antithetic, bool):
             raise DomainError(f"antithetic must be a bool, got {self.antithetic!r}")
-        if not _is_int(self.workers) or self.workers < 1:
-            raise DomainError(f"workers must be a positive integer, got {self.workers!r}")
 
 
 def _draw_pnl(
@@ -139,6 +132,8 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
     batches land in the output at their own offsets, so the result is a
     pure function of (model, delta, spec).
     """
+    if not isinstance(spec, SimulationSpec):
+        raise DomainError(f"spec must be a SimulationSpec, got {type(spec).__name__}")
     d, rows = _component_rows(model, delta)
     nus = []
     for _, gen, _, _ in rows:
@@ -197,17 +192,13 @@ def _estimates(pnl, alphas: Sequence[float]) -> list[EmpiricalEstimate]:
     reads its VaR, its tail and the two quantiles behind its VaR standard
     error from that sorted head.
     """
-    x = np.asarray(pnl, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionError(f"pnl must be a vector, got shape {x.shape}")
+    x = _check_array(pnl, "pnl")
     n = x.shape[0]
     if n < _MIN_PATHS_FOR_ESTIMATE:
         raise DomainError(
             f"need at least {_MIN_PATHS_FOR_ESTIMATE} paths for a tail estimate, got {n}"
         )
     levels = [(alpha, math.ceil(alpha * n)) for alpha in map(_check_alpha, alphas)]
-    if not np.all(np.isfinite(x)):
-        raise DomainError("pnl entries must be finite")
 
     # an alpha reads order statistics up to the upper neighbour of its
     # 3 alpha / 2 quantile, which lies past its VaR at k - 1
@@ -290,17 +281,17 @@ def validate_model(
 ) -> list[ValidationRow]:
     """Compare analytic VaR and ES against one simulation at each level.
 
-    The alphas are checked before anything is drawn; a single pnl sample
-    is then drawn once, and its order statistics are selected once, for
-    every alpha.  A row passes when both analytic numbers fall within
-    three standard errors of their empirical estimates.
+    The alphas and the spec are checked before anything is drawn; a
+    single pnl sample is then drawn once, and its order statistics are
+    selected once, for every alpha.  A row passes when both analytic
+    numbers fall within three standard errors of their empirical
+    estimates.
     """
-    d = np.asarray(delta, dtype=np.float64)
     alphas = tuple(map(_check_alpha, alphas))
-    estimates = _estimates(simulate_pnl(model, d, spec), alphas)
+    estimates = _estimates(simulate_pnl(model, delta, spec), alphas)
     rows = []
     for alpha, est in zip(alphas, estimates):
-        a_var, a_es = _analytic_var_es(model, d, alpha)
+        a_var, a_es = _analytic_var_es(model, delta, alpha)
         rows.append(
             ValidationRow(
                 alpha=alpha,

@@ -19,12 +19,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .elliptic import EllipticModel, _check_alpha, _check_finite, _component_rows, _rows_es
+from .elliptic import EllipticModel, _check_alpha, _component_rows, _rows_es
 from .elliptic import expected_shortfall
 from .elliptic import marginal_tail  # noqa: F401  wrapped by bench/tracing.py
 from .elliptic import marginal_tail_expectation  # noqa: F401  wrapped by bench/tracing.py
 from .elliptic import var as mixture_var
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, _check_real
 from .linalg import quadratic_form  # noqa: F401  wrapped by bench/tracing.py
 
 __all__ = ["MixtureModel", "mixture_var", "mixture_expected_shortfall"]
@@ -43,12 +43,14 @@ class MixtureModel:
     components: Sequence[tuple[float, EllipticModel]]
 
     def __post_init__(self):
-        comps = [(float(w), m) for w, m in self.components]
-        if not comps:
+        try:
+            pairs = [(w, m) for w, m in self.components]
+        except (TypeError, ValueError):
+            raise DomainError("mixture components must be (weight, model) pairs") from None
+        if not pairs:
             raise DomainError("mixture needs at least one component")
-        for w, m in comps:
-            if not (math.isfinite(w) and w > 0.0):
-                raise DomainError(f"mixture weights must be positive, got {w!r}")
+        comps = [(_check_real(w, "mixture weight", 0.0), m) for w, m in pairs]
+        for _, m in comps:
             if not isinstance(m, EllipticModel):
                 # a nested MixtureModel included: components are elliptic laws
                 raise DomainError(
@@ -83,6 +85,6 @@ def mixture_expected_shortfall(mixture, delta, alpha: float, var: float | None =
     if var is None:
         return expected_shortfall(mixture, delta, alpha)
     alpha = _check_alpha(alpha)
-    var = _check_finite(var, "var")
+    var = _check_real(var, "var")
     _, rows = _component_rows(mixture, delta)
     return _rows_es(rows, alpha, [(mean + var) / vol for _, _, mean, vol in rows])

@@ -15,13 +15,13 @@ implicit-function theorem.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from . import elliptic, student
-from .errors import DimensionError, DomainError
+from .errors import DomainError, _check_array, _check_int, _check_real
 from .linalg import quadratic_form  # noqa: F401  wrapped by bench/tracing.py
 
 __all__ = [
@@ -45,29 +45,23 @@ class Position:
     label: str = ""
 
     def __post_init__(self):
-        if not (math.isfinite(self.spot) and self.spot > 0.0):
-            raise DomainError(f"spot must be positive, got {self.spot!r}")
-        if not math.isfinite(self.sensitivity):
-            raise DomainError(f"sensitivity must be finite, got {self.sensitivity!r}")
+        _check_real(self.spot, "spot", 0.0)
+        _check_real(self.sensitivity, "sensitivity")
 
 
 def delta_equivalents(positions: Sequence[Position]) -> np.ndarray:
     """delta_i = spot_i * dV/dX_i, the exposure to each factor's return."""
     if not positions:
         raise DomainError("need at least one position")
+    if not all(isinstance(p, Position) for p in positions):
+        raise DomainError("positions must be Position objects")
     return np.array([p.spot * p.sensitivity for p in positions], dtype=np.float64)
 
 
 def equity_deltas(shares, prices) -> np.ndarray:
     """Cash equity book: delta_i = shares_i * price_i."""
-    w = np.asarray(shares, dtype=np.float64)
-    s = np.asarray(prices, dtype=np.float64)
-    if w.ndim != 1 or s.ndim != 1 or w.shape != s.shape:
-        raise DimensionError(
-            f"shares and prices must be equal-length vectors, got {w.shape} and {s.shape}"
-        )
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(s))):
-        raise DomainError("shares and prices must be finite")
+    w = _check_array(shares, "shares")
+    s = _check_array(prices, "prices", length=w.shape[0])
     if np.any(s <= 0.0):
         raise DomainError("prices must be positive")
     return w * s
@@ -75,9 +69,7 @@ def equity_deltas(shares, prices) -> np.ndarray:
 
 def business_unit_deltas(count: int) -> np.ndarray:
     """Aggregation vector over business-unit pnls: all ones."""
-    if not isinstance(count, int) or count < 1:
-        raise DomainError(f"count must be an integer >= 1, got {count!r}")
-    return np.ones(count, dtype=np.float64)
+    return np.ones(_check_int(count, "count", 1), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -130,8 +122,7 @@ class RiskReport:
     es: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.volatility) and self.volatility > 0.0):
-            raise DomainError(f"volatility must be positive, got {self.volatility!r}")
+        _check_real(self.volatility, "volatility", 0.0)
         slack = 1e-9 * max(1.0, abs(self.var))
         if not self.es >= self.var - slack:
             raise DomainError(
@@ -143,6 +134,15 @@ class RiskReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RiskReport":
+        """The report whose ``to_dict`` is data; a missing or unknown key raises DomainError."""
+        if not isinstance(data, dict):
+            raise DomainError(f"a risk report is read from a dict, got {type(data).__name__}")
+        names = {f.name for f in fields(cls)}
+        missing, unknown = names - data.keys(), data.keys() - names
+        if missing or unknown:
+            raise DomainError(
+                f"risk report keys: missing {sorted(missing)}, unknown {sorted(unknown, key=repr)}"
+            )
         return cls(**data)
 
 

@@ -1,12 +1,16 @@
 """Scalar special functions and semi-infinite quadrature.
 
-The quantile and tail machinery upstream needs four things: log-gamma,
-the beta function, the regularized incomplete beta, and the Gauss
-hypergeometric function on the negative real axis.  Everything here is
-scalar float-in/float-out; vectorization happens at the call sites that
-need it.  The incomplete beta is ``scipy.special.betainc`` behind this
-module's argument checks; the hypergeometric function is summed here,
-because it is the independent route the Student tail is checked by.
+The quantile and tail machinery upstream calls three things from here:
+log-gamma, the Gauss hypergeometric function on the negative real axis
+(in log form) and the semi-infinite quadrature.  The beta function and
+the regularized incomplete beta are exported for callers and called
+nowhere inside the package: the kernel route of the generic engine
+takes its incomplete beta from ``scipy.special`` directly.  Everything
+here is scalar float-in/float-out; vectorization happens at the call
+sites that need it.  The incomplete beta is ``scipy.special.betainc``
+behind this module's argument checks; the hypergeometric function is
+summed here, because it is the independent route the Student tail is
+checked by.
 
 ``hyp2f1`` only supports z <= 0.  That is the branch the tail formulas
 actually evaluate, and it is reachable from a single Pfaff transformation
@@ -28,7 +32,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import betainc
 
-from .errors import DomainError, NumericalError, QuadratureError
+from .errors import DomainError, NumericalError, QuadratureError, _check_int, _check_real
 
 __all__ = [
     "log_gamma",
@@ -58,10 +62,7 @@ _FAST_RATIO = 0.25
 
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"log_gamma requires finite x > 0, got {x!r}")
-    return math.lgamma(x)
+    return math.lgamma(_check_real(x, "log_gamma x", 0.0))
 
 
 def beta(a: float, b: float) -> float:
@@ -74,10 +75,9 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 
     The arguments are checked here and the value is ``scipy.special.betainc``.
     """
-    x, a, b = float(x), float(a), float(b)
-    if not (math.isfinite(a) and a > 0.0 and math.isfinite(b) and b > 0.0):
-        raise DomainError(f"reg_inc_beta requires a, b > 0, got a={a!r}, b={b!r}")
-    if not (math.isfinite(x) and 0.0 <= x <= 1.0):
+    a, b = _check_real(a, "reg_inc_beta a", 0.0), _check_real(b, "reg_inc_beta b", 0.0)
+    x = _check_real(x, "reg_inc_beta x")
+    if not 0.0 <= x <= 1.0:
         raise DomainError(f"reg_inc_beta requires x in [0, 1], got {x!r}")
     return float(betainc(a, b, x))
 
@@ -207,9 +207,6 @@ def _hyp2f1_parts(a: float, b: float, c: float, z: float) -> tuple[float, float,
     takes over where it is well conditioned, and log_scale carries its
     gamma ratios.  Elsewhere log_scale is 0.
     """
-    for val, name in ((a, "a"), (b, "b"), (c, "c"), (z, "z")):
-        if not math.isfinite(val):
-            raise DomainError(f"hyp2f1 parameter {name} must be finite, got {val!r}")
     if z > 0.0:
         raise DomainError(f"hyp2f1 is only implemented for z <= 0, got z={z!r}")
     if c <= 0.0 and c == math.floor(c):
@@ -227,9 +224,12 @@ def _hyp2f1_parts(a: float, b: float, c: float, z: float) -> tuple[float, float,
     return exponent, 0.0, _series_2f1(a, b, c, z / (z - 1.0))
 
 
+_HYP2F1_PARAMETERS = tuple(f"hyp2f1 parameter {k}" for k in "abcz")
+
+
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric 2F1(a, b; c; z) for real z <= 0."""
-    a, b, c, z = float(a), float(b), float(c), float(z)
+    a, b, c, z = map(_check_real, (a, b, c, z), _HYP2F1_PARAMETERS)
     exponent, log_scale, series = _hyp2f1_parts(a, b, c, z)
     if log_scale == 0.0:
         return (1.0 - z) ** exponent * series
@@ -242,7 +242,7 @@ def hyp2f1_log(a: float, b: float, c: float, z: float) -> float:
     Needed where the hypergeometric factor pairs with a prefactor that
     overflows on its own; composing in log space keeps the product finite.
     """
-    a, b, c, z = float(a), float(b), float(c), float(z)
+    a, b, c, z = map(_check_real, (a, b, c, z), _HYP2F1_PARAMETERS)
     exponent, log_scale, series = _hyp2f1_parts(a, b, c, z)
     if series <= 0.0:
         raise DomainError(
@@ -260,14 +260,11 @@ class QuadratureSpec:
     max_subdivisions: int = 200
 
     def __post_init__(self):
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol!r}")
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol!r}")
-        if self.max_subdivisions < 10:
-            raise DomainError(
-                f"max_subdivisions must be at least 10, got {self.max_subdivisions!r}"
-            )
+        _check_real(self.rel_tol, "rel_tol", 0.0)
+        _check_real(self.abs_tol, "abs_tol", 0.0)
+        # QUADPACK takes a plain int, which a numpy integer becomes here
+        subdivisions = _check_int(self.max_subdivisions, "max_subdivisions", 10)
+        object.__setattr__(self, "max_subdivisions", subdivisions)
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -309,9 +306,7 @@ def integrate_semi_infinite(
     """
     if spec is None:
         spec = DEFAULT_QUADRATURE
-    lower = float(lower)
-    if not math.isfinite(lower):
-        raise DomainError(f"lower limit must be finite, got {lower!r}")
+    lower = _check_real(lower, "lower limit")
     if "integrate" not in globals():
         _import_integrate()
     out = integrate.quad(
