@@ -9,8 +9,12 @@ generator g:
 * ``marginal_tail_expectation(t)`` -- E[Z1 * 1{Z1 >= t}] for that coordinate.
 
 Known families attach closed forms on the generator; any other gets both
-by adaptive quadrature.  Every quadrature of g (the mass check, both
-routes of ``big_g``, the tail expectation) is one radial integral,
+by adaptive quadrature.  Each reader takes the generator's hook when it
+has one and the generic engine otherwise: ``marginal_tail``,
+``marginal_tail_expectation``, ``quantile_multiplier`` and
+``_marginal_pdf``, the marginal density of the Euler allocation.  Every
+quadrature of g (the mass check, both routes of ``big_g``, the tail
+expectation, the marginal density) is one radial integral,
 ``_radial_integral``, the one place g is read: one frame per point, the
 checks of ``DensityGenerator.g``, and a weight formed in log space, so
 large dimensions give a number or a typed error, never an OverflowError.
@@ -77,11 +81,12 @@ __all__ = [
 _OUTER_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13, max_subdivisions=200)
 _INNER_QUAD = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=200)
 _SMALLEST_DOUBLE = math.ulp(0.0)  # 5e-324, the smallest positive double
-# The one-integral tail forms (the kernel route and the tail expectation)
-# are held to their relative tolerance alone: the absolute floor is the
-# smallest positive double, no larger than any alpha > 0 can ask for, so
-# at a solved quantile the absolute tolerance is 1e-11 * alpha (1e-13 at
-# alpha = 0.01, 1e-311 at alpha = 1e-300) and deep tails keep their digits.
+# The one-integral tail forms (the kernel route and the tail expectation),
+# and the marginal density of the Euler allocation, are held to their
+# relative tolerance alone: the absolute floor is the smallest positive
+# double, no larger than any alpha > 0 can ask for, so at a solved
+# quantile the absolute tolerance is 1e-11 * alpha (1e-13 at alpha = 0.01,
+# 1e-311 at alpha = 1e-300) and deep tails keep their digits.
 _TAIL_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=_SMALLEST_DOUBLE, max_subdivisions=200)
 
 _NORMALIZATION_TOL = 1e-8
@@ -109,14 +114,20 @@ class DensityGenerator:
     the measured mass into the scale.  Such a generator gets every number
     by quadrature and cannot be sampled.
 
-    ``tail``, ``tail_expectation`` and ``quantile`` are closed forms for the
-    marginal survival function, the partial expectation and the alpha-tail
-    quantile (alpha in (0, 0.5)), preferred over quadrature; the quantile
-    checks its own residual against ``tail``.  ``family`` and
-    ``family_params`` name the law ("gaussian", or "student" with (nu,))
-    for Monte Carlo and the Student closed forms.  Only
-    ``student_generator`` and ``gaussian_generator`` set these five, so a
-    law's closed forms and its name cannot disagree.
+    ``tail``, ``tail_expectation``, ``quantile`` and ``marginal_density``
+    are closed forms for the marginal survival function, the partial
+    expectation, the alpha-tail quantile (alpha in (0, 0.5)) and the
+    density of one spherical coordinate, preferred over quadrature; the
+    quantile checks its own residual against ``tail``.  ``mixing(rng,
+    size)`` is the law's Monte Carlo draw, X = mu + R A^t U written as a
+    Gaussian draw times a per-path factor (Cambanis, Huang & Simons
+    1981): it returns ``size`` factors drawn from ``rng``, or None for the
+    Gaussian, which draws nothing; a generator without it cannot be
+    sampled.  ``family`` and ``family_params`` name the law ("gaussian",
+    or "student" with (nu,)) for the closed-form Student ES and for
+    readers outside the package.  Only ``student_generator`` and
+    ``gaussian_generator`` set these seven fields, so a law's closed
+    forms, its draw and its name cannot disagree.
     """
 
     dimension: int
@@ -127,6 +138,10 @@ class DensityGenerator:
     tail: Callable[[float], float] | None = field(init=False, default=None)
     tail_expectation: Callable[[float], float] | None = field(init=False, default=None)
     quantile: Callable[[float], float] | None = field(init=False, default=None)
+    marginal_density: Callable[[float], float] | None = field(init=False, default=None)
+    mixing: Callable[[np.random.Generator, int], np.ndarray | None] | None = field(
+        init=False, default=None
+    )
     family: str | None = field(init=False, default=None)
     family_params: tuple = field(init=False, default=())
     _scale: float = field(init=False, default=1.0, repr=False)
@@ -190,9 +205,7 @@ class EllipticModel:
     generator: DensityGenerator
 
     def __post_init__(self):
-        if not isinstance(self.generator, DensityGenerator):
-            kind = type(self.generator).__name__
-            raise DomainError(f"generator must be a DensityGenerator, got {kind}")
+        _check_generator(self.generator)
         self.mu = _check_array(self.mu, "mu")
         cholesky(self.sigma)  # checks shape, entries and symmetry, rejects non-PD dispersions
         self.sigma = np.asarray(self.sigma, dtype=np.float64)
@@ -215,6 +228,12 @@ class EllipticModel:
 
 def _check_alpha(alpha: float) -> float:
     return _check_real(alpha, "alpha", 0.0, 0.5)
+
+
+def _check_generator(gen) -> DensityGenerator:
+    if not isinstance(gen, DensityGenerator):
+        raise DomainError(f"generator must be a DensityGenerator, got {type(gen).__name__}")
+    return gen
 
 
 def _component_rows(model, delta) -> tuple[np.ndarray, list[tuple]]:
@@ -297,8 +316,16 @@ def _radial_integral(
     return integrate_semi_infinite(integrand, 0.0, quad)
 
 
-def _marginal_density(z: float, gen: DensityGenerator) -> float:
-    """Density of one spherical coordinate at z: the generator integrated over the others."""
+def _marginal_density(
+    z: float, gen: DensityGenerator, quad: QuadratureSpec = _INNER_QUAD
+) -> float:
+    """Density of one spherical coordinate at z: the generator integrated over the others.
+
+    The default ``quad`` is the inner tolerance of the double route, whose
+    absolute floor is below anything its outer integral can see; a caller
+    that needs the density itself to relative accuracy, however small,
+    passes ``_TAIL_QUAD``.
+    """
     n = gen.dimension
     zz = z * z
     if n == 1:
@@ -307,7 +334,7 @@ def _marginal_density(z: float, gen: DensityGenerator) -> float:
     # integrand's mass near w ~ 1 however far out z lies
     scale = max(1.0, abs(z))
     log_front = _log_sphere_area(n - 1) + (n - 1) * math.log(scale)
-    return _radial_integral(gen, zz, log_front, n - 2, stretch=scale, quad=_INNER_QUAD)
+    return _radial_integral(gen, zz, log_front, n - 2, stretch=scale, quad=quad)
 
 
 def big_g(s: float, gen: DensityGenerator, route: str = "double") -> float:
@@ -321,6 +348,7 @@ def big_g(s: float, gen: DensityGenerator, route: str = "double") -> float:
     tails use it.  Negative s is folded back by symmetry.
     """
     s = _check_real(s, "s")
+    _check_generator(gen)
     if route not in ("double", "kernel"):
         raise DomainError(f"unknown route {route!r}; expected 'double' or 'kernel'")
     if s < 0.0:
@@ -340,9 +368,20 @@ def big_g(s: float, gen: DensityGenerator, route: str = "double") -> float:
 def marginal_tail(gen: DensityGenerator, s: float) -> float:
     """P(Z1 >= s), using the generator's closed form when it has one; s must be finite."""
     s = _check_real(s, "s")
-    if gen.tail is not None:
+    if _check_generator(gen).tail is not None:
         return gen.tail(s)
     return big_g(s, gen, route="kernel")
+
+
+def _marginal_pdf(gen: DensityGenerator, z: float) -> float:
+    """Density of one spherical coordinate at z: the generator's closed form, else quadrature.
+
+    The quadrature is held to relative accuracy, so that the Euler shares
+    it weighs stay exact where every density is small, deep in the tail.
+    """
+    if gen.marginal_density is not None:
+        return gen.marginal_density(z)
+    return _marginal_density(z, gen, _TAIL_QUAD)
 
 
 def marginal_tail_expectation(gen: DensityGenerator, t: float) -> float:
@@ -353,7 +392,7 @@ def marginal_tail_expectation(gen: DensityGenerator, t: float) -> float:
     Divergence (an overly heavy tail) surfaces as DivergentTailError.
     """
     t = _check_real(t, "t")
-    if gen.tail_expectation is not None:
+    if _check_generator(gen).tail_expectation is not None:
         return gen.tail_expectation(t)
     # int_0^inf g(t^2 + v^2) pi^((n-1)/2) / Gamma((n+1)/2) v^n dv
     n = gen.dimension
@@ -458,7 +497,7 @@ def solve_quantile(alpha: float, gen: DensityGenerator) -> float:
     ``_QUANTILE_CACHE_SIZE`` entries the oldest is evicted first.
     """
     alpha = _check_alpha(alpha)
-    key = (gen, alpha)
+    key = (_check_generator(gen), alpha)
     with _quantile_lock:
         if key in _quantile_cache:
             return _quantile_cache[key]
@@ -476,7 +515,7 @@ def quantile_multiplier(gen: DensityGenerator, alpha: float) -> float:
     The generator's ``quantile`` hook when it has one, else ``solve_quantile``.
     """
     alpha = _check_alpha(alpha)
-    if gen.quantile is not None:
+    if _check_generator(gen).quantile is not None:
         return gen.quantile(alpha)
     return solve_quantile(alpha, gen)
 

@@ -69,11 +69,14 @@ class DivergentTailError(NumericalError):
 
 
 class UnsupportedGeneratorError(EllvarError, TypeError):
-    """Monte Carlo sampling is only available for known generator families."""
+    """Monte Carlo sampling is only available for generators with a ``mixing`` draw."""
 
 
 # float() takes "0.01", b"1" and True; a number is none of these
 _NOT_REAL = (bool, np.bool_, str, bytes)
+# the array dtype kinds of the same inputs (bool, bytes, str), and complex,
+# which a float64 conversion would silently truncate to its real part
+_NOT_REAL_KINDS = "bSUc"
 
 
 def _check_int(value, name: str, minimum: int) -> int:
@@ -118,12 +121,18 @@ def _check_array(value, name: str, ndim: int = 1, length: int | None = None) -> 
     """value as a float64 array with ndim axes, each entry finite.
 
     A wrong number of axes, or a vector whose length is not ``length``,
-    raises DimensionError.  Entries that numpy cannot convert (a word, an
-    object, a ragged row) or that are not finite (None converts to nan)
-    raise DomainError.
+    raises DimensionError.  Entries that are not real numbers raise
+    DomainError: an array of bools, strings, bytes or complex numbers is
+    refused by its dtype (numpy converts "1.0" and True to floats), and
+    entries numpy cannot convert (an object, a ragged row) or that are
+    not finite (None converts to nan) fail the conversion or the finite
+    test.  A float64 ndarray is used as it is, without a copy.
     """
     try:
-        arr = np.asarray(value, dtype=np.float64)
+        arr = np.asarray(value)
+        if arr.dtype.kind in _NOT_REAL_KINDS:
+            raise TypeError(f"got {arr.dtype} entries")
+        arr = np.asarray(arr, dtype=np.float64)
     except (TypeError, ValueError) as err:
         raise DomainError(f"{name} entries must be numbers: {err}") from None
     if arr.ndim != ndim or (length is not None and arr.shape[0] != length):

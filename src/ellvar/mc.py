@@ -3,13 +3,14 @@
 Every model is sampled as its weighted elliptic components, a plain
 model being one component: one pass over the component rows gives the
 arrays the sampler consumes, the (n, K) projection of the portfolio on
-each component's factor, the K means and the Student nu per component.
-Sampling is exact per family (Gaussian, Student t via the normal over
-chi-square representation), driven by a counter-based Philox stream so
-that every batch owns an independent substream addressed by its index.
-Results are therefore reproducible for a fixed seed no matter how many
-worker threads run the batches or in which order they finish.  The
-analytic side is ``risk_report``.
+each component's factor, the K means and each component generator's
+``mixing`` draw.  Sampling is exact for every generator that has a
+mixing draw: a path is a correlated normal draw times the per-path
+factor its generator draws, if it draws one, driven by a counter-based
+Philox stream so that every batch owns an independent substream
+addressed by its index.  Results are therefore reproducible for a fixed
+seed no matter how many worker threads run the batches or in which
+order they finish.  The analytic side is ``risk_report``.
 
 Memory is O(batch_size) and independent of the number of risk factors:
 a batch draws its normals in chunks of a fixed number of variates and
@@ -57,9 +58,9 @@ class SimulationSpec:
     """How to run a simulation: size, seeding, batching, variance reduction.
 
     ``antithetic`` mirrors the underlying normals within consecutive
-    pairs of paths; the chi-square mixing variable (and the mixture
-    component) is shared inside each pair, so the pair stays exchangeable
-    under the model law.
+    pairs of paths; the mixing factor (and the mixture component) is
+    shared inside each pair, so the pair stays exchangeable under the
+    model law.
     """
 
     paths: int = 1_000_000
@@ -79,15 +80,16 @@ class SimulationSpec:
 
 
 def _draw_pnl(
-    rng: np.random.Generator, count: int, weights, projection, means, nus, antithetic: bool
+    rng: np.random.Generator, count: int, weights, projection, means, draws, antithetic: bool
 ) -> np.ndarray:
-    """One pnl draw per path: z @ projection scaled by the mixing variable.
+    """One pnl draw per path: z @ projection scaled by the mixing factor.
 
     ``projection`` is (n, K), one column per component, ``means`` the K
-    pnl means and ``nus`` the Student nu per component (None for a
-    Gaussian one).  The stream is consumed in a fixed order: the
-    component of every row, then the normals row by row, then one
-    chi-square block per Student component.  The normals are drawn in
+    pnl means and ``draws`` the K generators' ``mixing`` draws, each
+    giving its rows' factors or None for none.  The stream is consumed
+    in a fixed order: the component of every row, then the normals row
+    by row, then one mixing block per component, in component order,
+    for the components that draw one.  The normals are drawn in
     chunks of consecutive rows, which yields the same variates as one
     draw of the whole block, and each chunk is projected onto every
     component at once.
@@ -109,13 +111,12 @@ def _draw_pnl(
         else:
             picked = component[start:stop, None]
             core[start:stop] = np.take_along_axis(projected, picked, axis=1)[:, 0]
-    for j, nu in enumerate(nus):
-        if nu is None:
-            continue
-        idx = slice(None) if component is None else np.flatnonzero(component == j)
-        n_j = rows if component is None else idx.shape[0]
-        if n_j:
-            core[idx] *= np.sqrt(nu / rng.chisquare(nu, size=n_j))
+    # rows per component first, so a component that draws nothing costs no index
+    counts = [rows] if component is None else np.bincount(component, minlength=k).tolist()
+    for j, (draw, n_j) in enumerate(zip(draws, counts)):
+        factor = draw(rng, n_j) if n_j else None
+        if factor is not None:
+            core[slice(None) if component is None else component == j] *= factor
     mean = means[0] if component is None else means[component]
     if not antithetic:
         return mean + core
@@ -135,14 +136,14 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
     if not isinstance(spec, SimulationSpec):
         raise DomainError(f"spec must be a SimulationSpec, got {type(spec).__name__}")
     d, rows = _component_rows(model, delta)
-    nus = []
+    draws = []
     for _, gen, _, _ in rows:
-        if gen.family not in ("gaussian", "student"):
+        if gen.mixing is None:
             raise UnsupportedGeneratorError(
                 f"cannot sample generator {gen.name!r}: only the gaussian "
-                "and student families have exact sampling routines"
+                "and student generators have exact sampling routines"
             )
-        nus.append(float(gen.family_params[0]) if gen.family == "student" else None)
+        draws.append(gen.mixing)
     weights = np.array([w for w, _, _, _ in rows])
     means = np.array([mean for _, _, mean, _ in rows])
     projection = np.column_stack([_cholesky_lower(m.sigma).T @ d for _, m in model.components])
@@ -153,7 +154,7 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
         start = b * spec.batch_size
         count = min(spec.batch_size, spec.paths - start)
         rng = np.random.Generator(np.random.Philox(key=spec.seed).jumped(b))
-        return start, _draw_pnl(rng, count, weights, projection, means, nus, spec.antithetic)
+        return start, _draw_pnl(rng, count, weights, projection, means, draws, spec.antithetic)
 
     out = np.empty(spec.paths)
     with ThreadPoolExecutor(max_workers=min(spec.workers, n_batches)) as pool:

@@ -306,6 +306,8 @@ def integrate_semi_infinite(
     """
     if spec is None:
         spec = DEFAULT_QUADRATURE
+    elif not isinstance(spec, QuadratureSpec):
+        raise DomainError(f"spec must be a QuadratureSpec, got {type(spec).__name__}")
     lower = _check_real(lower, "lower limit")
     if "integrate" not in globals():
         _import_integrate()

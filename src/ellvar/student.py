@@ -11,9 +11,12 @@ passes the same check as a root solve.  All gamma-ratio constants are
 composed in log space; the ES constant in particular overflows double
 precision near nu ~ 150 if assembled naively.
 
-The Gaussian generator lives here as the nu -> infinity limit, with
-``ndtri`` for its quantile.  ``student_var`` is the engine's ``var``,
-which takes these closed forms through the generator's hooks.
+Each factory also sets the marginal density of one coordinate and the
+law's Monte Carlo draw: the Student t is a Gaussian draw times
+sqrt(nu / chi2_nu).  The Gaussian generator lives here as the
+nu -> infinity limit, with ``ndtri`` for its quantile and no mixing
+draw.  ``student_var`` is the engine's ``var``, which takes these
+closed forms through the generator's hooks.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .elliptic import (
     _check_alpha,
     _checked_quantile,
     _component_rows,
-    _marginal_density,
 )
 from .elliptic import var as student_var
 from .errors import DomainError, _check_int, _check_real
@@ -213,6 +215,8 @@ def student_generator(dimension: int, nu: float) -> DensityGenerator:
     gen.tail = lambda s: student_big_g(s, nu)
     gen.tail_expectation = lambda t: student_tail_expectation(t, nu)
     gen.quantile = lambda alpha: student_quantile(alpha, nu)
+    gen.marginal_density = lambda z: math.exp(_student_log_pdf(z, nu))
+    gen.mixing = lambda rng, size: np.sqrt(nu / rng.chisquare(nu, size=size))
     gen.family = "student"
     gen.family_params = (nu,)
     return gen
@@ -230,13 +234,9 @@ def _normal_quantile(alpha: float) -> float:
     return _checked_quantile(_normal_tail, alpha, -float(ndtri(alpha)))
 
 
-def _marginal_pdf(gen: DensityGenerator, z: float) -> float:
-    """Density of one spherical coordinate at z, closed form for the tagged families."""
-    if gen.family == "gaussian":
-        return _normal_density(z)
-    if gen.family == "student":
-        return math.exp(_student_log_pdf(z, gen.family_params[0]))
-    return _marginal_density(z, gen)
+def _no_mixing(rng, size: int) -> None:
+    """The Gaussian's mixing draw: none, its Gaussian draw is the law itself."""
+    return None
 
 
 def gaussian_generator(dimension: int) -> DensityGenerator:
@@ -253,6 +253,8 @@ def gaussian_generator(dimension: int) -> DensityGenerator:
     # E[Z 1{Z >= t}] = phi(t) for the standard normal, any real t
     gen.tail_expectation = _normal_density
     gen.quantile = _normal_quantile
+    gen.marginal_density = _normal_density
+    gen.mixing = _no_mixing
     gen.family = "gaussian"
     return gen
 

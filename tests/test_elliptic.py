@@ -533,8 +533,16 @@ def test_only_the_radial_integrand_and_g_read_the_density():
     assert found == {"elliptic:_radial_integral", "elliptic:DensityGenerator.g"}
 
 
-# a known law's closed forms and its tag, set by its factory alone
-_FACTORY_ONLY = ("tail", "tail_expectation", "quantile", "family", "family_params")
+# a known law's closed forms, its draw and its tag, set by its factory alone
+_FACTORY_ONLY = (
+    "tail",
+    "tail_expectation",
+    "quantile",
+    "marginal_density",
+    "mixing",
+    "family",
+    "family_params",
+)
 
 
 def test_only_the_two_factories_set_closed_forms_and_family():
@@ -548,5 +556,12 @@ def test_closed_forms_and_family_are_not_constructor_options(name):
         DensityGenerator(
             dimension=1, density=gaussian_generator(1).density, normalizer=1.0, **{name: None}
         )
-    # a generator built here has no closed forms and no family
+    # a generator built here has no closed forms, no draw and no family
     assert getattr(_pearson_vii_generator(), name) in (None, ())
+
+
+def test_only_the_closed_form_student_es_reads_the_family_tag():
+    # every other reader dispatches on the generator's hooks; the Student ES
+    # oracle reads nu from the tag, which stays for readers outside the package
+    found = _attribute_uses(("family", "family_params"), ast.Load)
+    assert found == {"student:student_expected_shortfall"}

@@ -1,10 +1,11 @@
 """Malformed input: every public entry raises a typed error for it.
 
 One table holds (entry, malformed argument) calls, with a bool, a
-string, None, a ragged list or an arbitrary object where a number, an
-integer, a vector or a library object is expected.  Each call must raise
-DomainError or DimensionError, never a bare TypeError, ValueError or
-AttributeError, and never a numerical failure further in.  A guard test
+string, None, a ragged list, an array of bools or numeric strings, or an
+arbitrary object where a number, an integer, a vector or a library
+object is expected.  Each call must raise DomainError or DimensionError,
+never a bare TypeError, ValueError or AttributeError, and never a
+numerical failure further in.  A guard test
 keeps the table complete: every function and class that ``ellvar``
 exports has a row here or a one-line reason to be exempt.
 """
@@ -86,19 +87,31 @@ MALFORMED = [
     ("DensityGenerator", "normalizer str", lambda: DensityGenerator(2, _GEN.density, normalizer="1")),
     ("EllipticModel", "mu of str", lambda: EllipticModel(mu=["a", "b"], sigma=np.eye(2), generator=_GEN)),
     ("EllipticModel", "mu None", lambda: EllipticModel(mu=None, sigma=np.eye(2), generator=_GEN)),
+    ("EllipticModel", "mu of bool", lambda: EllipticModel(mu=[True, False], sigma=np.eye(2), generator=_GEN)),
+    ("EllipticModel", "sigma of numeric str", lambda: EllipticModel(mu=np.zeros(2), sigma=[["1", "0"], ["0", "1"]], generator=_GEN)),
     ("EllipticModel", "sigma ragged", lambda: EllipticModel(mu=np.zeros(2), sigma=_RAGGED, generator=_GEN)),
     ("big_g", "s str", lambda: big_g("1.5", _GEN)),
     ("big_g", "s None", lambda: big_g(None, _GEN)),
+    ("big_g", "generator None", lambda: big_g(1.0, None)),
     ("solve_quantile", "alpha str", lambda: solve_quantile("0.01", _GEN)),
+    ("solve_quantile", "generator None", lambda: solve_quantile(0.01, None)),
     ("quantile_multiplier", "alpha object", lambda: quantile_multiplier(_GEN, object())),
+    ("quantile_multiplier", "generator None", lambda: quantile_multiplier(None, 0.01)),
     ("marginal_tail", "s bool", lambda: marginal_tail(_GEN, True)),
+    ("marginal_tail", "generator None", lambda: marginal_tail(None, 1.0)),
     ("marginal_tail_expectation", "t str", lambda: marginal_tail_expectation(_GEN, "0.5")),
+    ("marginal_tail_expectation", "generator None", lambda: marginal_tail_expectation(None, 1.0)),
     ("var", "alpha str", lambda: var(_MODEL, _DELTA, "x")),
     ("var", "alpha None", lambda: var(_MODEL, _DELTA, None)),
     ("var", "alpha bool", lambda: var(_MODEL, _DELTA, True)),
     ("var", "delta ragged", lambda: var(_MODEL, _RAGGED, 0.01)),
     ("var", "delta of str", lambda: var(_MODEL, ["a", "b"], 0.01)),
     ("var", "delta object", lambda: var(_MODEL, object(), 0.01)),
+    ("var", "delta of numeric str", lambda: var(_MODEL, ["1.0", "2.0"], 0.01)),
+    ("var", "delta of bool", lambda: var(_MODEL, [True, False], 0.01)),
+    ("var", "delta bool array", lambda: var(_MODEL, np.array([True, False]), 0.01)),
+    ("var", "delta of bytes", lambda: var(_MODEL, [b"1", b"2"], 0.01)),
+    ("var", "delta of complex", lambda: var(_MODEL, [1.0 + 0j, 2.0], 0.01)),
     ("expected_shortfall", "alpha str", lambda: expected_shortfall(_MODEL, _DELTA, "0.01")),
     ("expected_shortfall", "delta with None", lambda: expected_shortfall(_MODEL, [None, 1.0], 0.01)),
     ("validate_symmetric", "entries str", lambda: validate_symmetric([[1.0, "a"], ["a", 1.0]])),
@@ -116,6 +129,7 @@ MALFORMED = [
     ("simulate_pnl", "delta of str", lambda: simulate_pnl(_MODEL, ["a", 1.0], _SMALL_SPEC)),
     ("empirical_var_es", "pnl of str", lambda: empirical_var_es(["a"] * 20_000, 0.01)),
     ("empirical_var_es", "pnl None", lambda: empirical_var_es(None, 0.01)),
+    ("empirical_var_es", "pnl of bool", lambda: empirical_var_es(np.ones(20_000, dtype=bool), 0.01)),
     ("empirical_var_es", "alpha str", lambda: empirical_var_es(np.zeros(20_000), "0.01")),
     ("validate_model", "spec None", lambda: validate_model(_MODEL, _DELTA, spec=None)),
     ("validate_model", "alpha str", lambda: validate_model(_MODEL, _DELTA, alphas=("x",))),
@@ -132,6 +146,7 @@ MALFORMED = [
     ("Position", "sensitivity str", lambda: Position(spot=100.0, sensitivity="0.5")),
     ("delta_equivalents", "position None", lambda: delta_equivalents([None])),
     ("equity_deltas", "shares of str", lambda: equity_deltas(["a"], [1.0])),
+    ("equity_deltas", "prices of numeric str", lambda: equity_deltas([1.0], ["1.0"])),
     ("equity_deltas", "prices ragged", lambda: equity_deltas([1.0, 2.0], _RAGGED)),
     ("business_unit_deltas", "count bool", lambda: business_unit_deltas(True)),
     ("business_unit_deltas", "count str", lambda: business_unit_deltas("3")),
@@ -155,6 +170,7 @@ MALFORMED = [
     ("QuadratureSpec", "max_subdivisions float", lambda: QuadratureSpec(max_subdivisions=50.5)),
     ("integrate_semi_infinite", "lower str", lambda: integrate_semi_infinite(_decay, "0")),
     ("integrate_semi_infinite", "lower None", lambda: integrate_semi_infinite(_decay, None)),
+    ("integrate_semi_infinite", "spec str", lambda: integrate_semi_infinite(abs, 0.0, "x")),
     ("StudentParams", "nu str", lambda: StudentParams("5", np.zeros(2), np.eye(2))),
     ("StudentParams", "mu of str", lambda: StudentParams(5.0, ["a", "b"], np.eye(2))),
     ("student_generator", "nu str", lambda: student_generator(2, "5")),
@@ -210,6 +226,21 @@ def test_integer_checks_take_numpy_integers_as_plain_ints():
     assert np.array_equal(simulate_pnl(_MODEL, _DELTA, spec), simulate_pnl(_MODEL, _DELTA, plain))
     assert type(QuadratureSpec(max_subdivisions=np.int64(50)).max_subdivisions) is int
     assert business_unit_deltas(np.int64(3)).shape == (3,)
+
+
+def test_an_object_of_the_wrong_type_raises_domain_error_naming_the_type():
+    calls = [call for _, what, call in MALFORMED if what in ("generator None", "spec None", "spec str")]
+    assert len(calls) == 8
+    for call in calls:
+        with pytest.raises(DomainError, match=r"must be a \w+(Generator|Spec), got "):
+            call()
+
+
+def test_a_float64_array_is_checked_without_a_copy():
+    mu = np.array([0.1, -0.2])
+    assert EllipticModel(mu=mu, sigma=np.eye(2), generator=_GEN).mu is mu
+    # other numbers are converted
+    assert EllipticModel(mu=[0, 1], sigma=np.eye(2), generator=_GEN).mu.dtype == np.float64
 
 
 def test_risk_report_from_dict_names_missing_and_unknown_keys():

@@ -9,6 +9,7 @@ import pytest
 from scipy import stats
 
 from ellvar import (
+    DensityGenerator,
     EllipticModel,
     MixtureModel,
     StudentParams,
@@ -26,6 +27,7 @@ from ellvar import (
     student_var,
     var,
 )
+from ellvar import elliptic
 from ellvar.errors import DimensionError, DomainError
 
 # scipy.stats.t.sf oracle, frozen
@@ -323,6 +325,42 @@ def test_gaussian_generator_hooks():
     assert quantile_multiplier(gen, 0.025) == pytest.approx(
         stats.norm.ppf(0.975), abs=1e-10
     )
+
+
+# (law, factory of a dimension, scipy's density of one coordinate)
+_MARGINAL_DENSITIES = [
+    ("student nu=3", lambda n: student_generator(n, 3.0), lambda z: stats.t.pdf(z, 3.0)),
+    ("student nu=30", lambda n: student_generator(n, 30.0), lambda z: stats.t.pdf(z, 30.0)),
+    ("gaussian", gaussian_generator, stats.norm.pdf),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize(
+    "factory, reference",
+    [law[1:] for law in _MARGINAL_DENSITIES],
+    ids=[law[0] for law in _MARGINAL_DENSITIES],
+)
+def test_marginal_density_hook_matches_scipy_and_quadrature(factory, reference, n):
+    gen = factory(n)
+    # the same law without its hooks takes the engine's quadrature
+    bare = DensityGenerator(n, gen.density, name="bare", normalizer=1.0)
+    for z in (0.0, 0.5, 3.0, 30.0):
+        closed = gen.marginal_density(z)
+        assert closed == pytest.approx(reference(z), rel=1e-10, abs=0.0)
+        assert elliptic._marginal_pdf(bare, z) == pytest.approx(closed, rel=1e-10, abs=0.0)
+        assert elliptic._marginal_pdf(gen, z) == closed
+
+
+def test_mixing_draws_are_the_normal_variance_mixture_factors():
+    nu = 4.5
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    factors = student_generator(3, nu).mixing(rng, 1_000)
+    assert np.array_equal(factors, np.sqrt(nu / twin.chisquare(nu, size=1_000)))
+    # the Gaussian draws nothing and leaves the stream where it was
+    before = rng.bit_generator.state
+    assert gaussian_generator(3).mixing(rng, 1_000) is None
+    assert rng.bit_generator.state == before
 
 
 def test_student_params_validation_and_covariance():
