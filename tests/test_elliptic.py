@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import itertools
 import math
 from pathlib import Path
 
@@ -73,10 +74,14 @@ def _bare_density(density):
     return DensityGenerator(dimension=2, density=density, normalizer=1.0 / (2.0 * math.pi))
 
 
-# g and every integrand read the density, each with the same two checks
+# g and every integrand read the density, each with the same two checks, on
+# the adaptive route and on the fixed rule, whose nodes reach past u = 4
 _DENSITY_PATHS = {
     "mass check": lambda density: DensityGenerator(dimension=2, density=density),
     "kernel": lambda density: big_g(1.0, _bare_density(density), route="kernel"),
+    "fixed rule": lambda density: elliptic._kernel_tail(
+        1.0, _bare_density(density), elliptic._exp_sinh_rule(1.0)
+    ),
     "double": lambda density: big_g(1.0, _bare_density(density), route="double"),
     "g": lambda density: _bare_density(density).g(5.0),
     "tail expectation": lambda density: marginal_tail_expectation(_bare_density(density), 1.0),
@@ -460,7 +465,10 @@ def test_var_rejects_alpha_outside_range():
 
 
 def test_root_solves_evaluate_each_tail_point_once(monkeypatch):
-    # the bracket's ends and the returned root are read back, not re-evaluated
+    # a hook-less solve finds its root on the fixed rule and reads the adaptive
+    # route at most three times: the rule's root and up to two Newton steps,
+    # the returned point among them.  The mixture root's bracket ends and the
+    # returned root are read back, not re-evaluated
     points = []
     big_g_route = elliptic.big_g
     tail = elliptic.marginal_tail
@@ -479,7 +487,7 @@ def test_root_solves_evaluate_each_tail_point_once(monkeypatch):
         dimension=3, density=student_generator(3, 5.0).density, normalizer=1.0
     )
     q = solve_quantile(0.01, hookless)
-    assert len(points) == len(set(points)) == 8
+    assert len(points) == len(set(points)) <= 3
     assert ("big_g", q) in points
 
     points.clear()
@@ -496,6 +504,62 @@ def test_root_solves_evaluate_each_tail_point_once(monkeypatch):
     )
     mixture_var(mix, np.array([1.0, 2.0]), 0.01)
     assert len(points) == len(set(points)) == 20
+
+
+# points of the radial integrand: v = 0, a v whose square underflows, the
+# fixed rule's nodes, and the far tail
+_POINTS = np.concatenate(([0.0, 1e-200], elliptic._EXP_SINH_NODES[::5], [3e3, 1e8]))
+
+
+def _scalar_integrand(monkeypatch, *args, **flags):
+    """The adaptive mode's integrand of _radial_integral(*args, **flags), as a function of v."""
+    captured = []
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            elliptic, "integrate_semi_infinite", lambda f, lower, spec: captured.append(f) or 0.0
+        )
+        elliptic._radial_integral(*args, **flags)
+    return captured[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 100])
+@pytest.mark.parametrize("of_u", [False, True])
+@pytest.mark.parametrize("share", [False, True])
+@pytest.mark.parametrize("stretch", [1.0, 2.5])
+def test_radial_integral_modes_agree_pointwise(monkeypatch, n, of_u, share, stretch):
+    # a fixed rule with one unit weight reads the array mode at one node; the
+    # powers are those of the callers: u^((n-2)/2) on the kernel route, v^(n-2)
+    # in the marginal density and v^n in the tail expectation
+    powers = ((n - 2) / 2.0,) if of_u else (n - 2, n)
+    for gen in (_bare(gaussian_generator(n)), _bare(student_generator(n, 4.0))):
+        for c, power in itertools.product((0.0, 2.25, 9.0), powers):
+            args = (gen, c, -0.5 * n, power)
+            flags = dict(stretch=stretch, of_u=of_u, share=share)
+            scalar = _scalar_integrand(monkeypatch, *args, **flags)
+            for k, v in enumerate(_POINTS):
+                one_hot = np.zeros(len(_POINTS))
+                one_hot[k] = 1.0
+                array = elliptic._radial_integral(*args, **flags, quad=(_POINTS, one_hot))
+                point = scalar(float(v))
+                assert abs(array - point) <= 1e-15 * abs(point), (gen.name, c, power, v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_unresolved_generator_falls_back_to_the_adaptive_solve(n):
+    # the kink of a compact support at u = 1 defeats the fixed rule; the solve
+    # falls back to the bracketed root on the adaptive route and gives its answer
+    gen = DensityGenerator(
+        dimension=n, density=lambda u: max(1.0 - u, 0.0) ** 0.3, auto_rescale=True
+    )
+    for alpha in (0.2, 0.01, 1e-6):
+        with pytest.raises(NumericalError):
+            elliptic._newton_polish(
+                lambda t: big_g(t, gen, route="kernel"), alpha, *elliptic._rule_quantile(gen, alpha)
+            )
+        reference = elliptic._solve_decreasing(lambda t: big_g(t, gen, route="kernel"), alpha)
+        q = solve_quantile(alpha, gen)
+        assert q == reference
+        assert abs(big_g(q, gen, route="kernel") / alpha - 1.0) <= 1e-10
 
 
 class _AttributeUses(ast.NodeVisitor):

@@ -1,8 +1,9 @@
 """Malformed input: every public entry raises a typed error for it.
 
 One table holds (entry, malformed argument) calls, with a bool, a
-string, None, a ragged list, an array of bools or numeric strings, or an
-arbitrary object where a number, an integer, a vector or a library
+string, None, a ragged list, an array of bools or numeric strings, a list
+or object array that mixes one of them with floats, or an arbitrary
+object where a number, an integer, a vector or a library
 object is expected.  Each call must raise DomainError or DimensionError,
 never a bare TypeError, ValueError or AttributeError, and never a
 numerical failure further in.  A guard test
@@ -112,6 +113,12 @@ MALFORMED = [
     ("var", "delta bool array", lambda: var(_MODEL, np.array([True, False]), 0.01)),
     ("var", "delta of bytes", lambda: var(_MODEL, [b"1", b"2"], 0.01)),
     ("var", "delta of complex", lambda: var(_MODEL, [1.0 + 0j, 2.0], 0.01)),
+    ("var", "delta of bool and float", lambda: var(_STUDENT, [True, 2.0], 0.01)),
+    ("var", "delta of numpy bool and float", lambda: var(_STUDENT, [np.True_, 2.0], 0.01)),
+    ("var", "delta object array of numeric str", lambda: var(_STUDENT, np.array(["1.0", 2.0], dtype=object), 0.01)),
+    ("var", "delta object array of bool", lambda: var(_STUDENT, np.array([True, 2.0], dtype=object), 0.01)),
+    ("var", "delta object array of bytes", lambda: var(_STUDENT, np.array([b"1", 2.0], dtype=object), 0.01)),
+    ("EllipticModel", "sigma of bool and float", lambda: EllipticModel(mu=np.zeros(2), sigma=[[True, 0.0], [0.0, 1.0]], generator=_GEN)),
     ("expected_shortfall", "alpha str", lambda: expected_shortfall(_MODEL, _DELTA, "0.01")),
     ("expected_shortfall", "delta with None", lambda: expected_shortfall(_MODEL, [None, 1.0], 0.01)),
     ("validate_symmetric", "entries str", lambda: validate_symmetric([[1.0, "a"], ["a", 1.0]])),
@@ -239,8 +246,10 @@ def test_an_object_of_the_wrong_type_raises_domain_error_naming_the_type():
 def test_a_float64_array_is_checked_without_a_copy():
     mu = np.array([0.1, -0.2])
     assert EllipticModel(mu=mu, sigma=np.eye(2), generator=_GEN).mu is mu
-    # other numbers are converted
+    # other numbers are converted, from lists and object arrays alike
     assert EllipticModel(mu=[0, 1], sigma=np.eye(2), generator=_GEN).mu.dtype == np.float64
+    numbers = np.array([1, np.float32(2.0)], dtype=object)
+    assert var(_STUDENT, numbers, 0.01) == var(_STUDENT, [1, 2.0], 0.01) == var(_STUDENT, np.array([1.0, 2.0]), 0.01)
 
 
 def test_risk_report_from_dict_names_missing_and_unknown_keys():

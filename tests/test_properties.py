@@ -5,7 +5,8 @@ Each property is checked through ``risk_report`` on a plain
 ``MixtureModel``, with nonzero locations; the Euler decomposition
 ``incremental_var`` is checked on the same cases.  A hook-less
 power-exponential generator, alone and as a mixture component, takes the
-risk properties through the generic engine's quadratures.  The sampler
+risk properties through the generic engine's quadratures, and its
+two-stage quantile solve is checked against the adaptive root.  The sampler
 ``simulate_pnl`` knows only the Gaussian and Student families and is
 checked on those.  The examples are derandomized so that the suite is
 reproducible, and bounded so that it stays a few seconds long.
@@ -32,11 +33,14 @@ from ellvar import (
     incremental_var,
     mixture_expected_shortfall,
     mixture_var,
+    big_g,
     risk_report,
     simulate_pnl,
+    solve_quantile,
     student_generator,
     var,
 )
+from ellvar import elliptic
 
 SAMPLED_KINDS = ("elliptic", "student", "mixture")
 KINDS = SAMPLED_KINDS + ("generic", "generic mixture")
@@ -264,3 +268,18 @@ def test_simulated_pnl_is_bit_identical_for_any_worker_count(case, seed, antithe
     model = build(mu)
     draws = [simulate_pnl(model, delta, _small_spec(seed, antithetic, w)) for w in (1, 2, 3)]
     assert draws[0].tobytes() == draws[1].tobytes() == draws[2].tobytes()
+
+
+@PROPERTY
+@given(
+    n=st.sampled_from((1, 2, 3, 5)),
+    beta=st.floats(0.4, 1.0),
+    log_alpha=st.floats(-8.0, math.log10(0.49)),
+)
+def test_two_stage_quantile_matches_the_adaptive_root(n, beta, log_alpha):
+    # the fixed rule's root, polished on the adaptive route, against the
+    # bracketed root found on the adaptive route alone
+    gen = _power_exponential(n, beta)
+    alpha = 10.0**log_alpha
+    reference = elliptic._solve_decreasing(lambda t: big_g(t, gen, route="kernel"), alpha)
+    assert solve_quantile(alpha, gen) == pytest.approx(reference, rel=1e-13, abs=0.0)
