@@ -1,72 +1,15 @@
 """Analytic VaR and expected shortfall for linear portfolios under elliptic laws."""
 
 from . import elliptic, errors, linalg, mc, mixture, portfolio, specfun, student
-
-from .elliptic import (
-    DensityGenerator,
-    EllipticModel,
-    big_g,
-    clear_quantile_cache,
-    expected_shortfall,
-    marginal_tail,
-    marginal_tail_expectation,
-    quantile_multiplier,
-    solve_quantile,
-    var,
-)
-from .errors import (
-    BracketError,
-    DimensionError,
-    DivergentTailError,
-    DomainError,
-    EllvarError,
-    NotPositiveDefiniteError,
-    NumericalError,
-    QuadratureError,
-    UnsupportedGeneratorError,
-)
-from .linalg import cholesky, estimate_moments, quadratic_form, validate_symmetric
-from .mc import (
-    EmpiricalEstimate,
-    SimulationSpec,
-    ValidationRow,
-    empirical_var_es,
-    simulate_pnl,
-    validate_model,
-)
-from .mixture import MixtureModel, mixture_expected_shortfall, mixture_var
-from .portfolio import (
-    IncrementalVar,
-    Position,
-    RiskReport,
-    business_unit_deltas,
-    delta_equivalents,
-    equity_deltas,
-    incremental_var,
-    risk_report,
-)
-from .specfun import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    beta,
-    hyp2f1,
-    hyp2f1_log,
-    integrate_semi_infinite,
-    log_gamma,
-    reg_inc_beta,
-)
-from .student import (
-    StudentParams,
-    dispersion_from_covariance,
-    gaussian_generator,
-    student_big_g,
-    student_es_multiplier,
-    student_expected_shortfall,
-    student_generator,
-    student_quantile,
-    student_tail_expectation,
-    student_var,
-)
+# each module's __all__ decides what it exports
+from .elliptic import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .linalg import *  # noqa: F403
+from .mc import *  # noqa: F403
+from .mixture import *  # noqa: F403
+from .portfolio import *  # noqa: F403
+from .specfun import *  # noqa: F403
+from .student import *  # noqa: F403
 
 __version__ = "0.1.0"
 

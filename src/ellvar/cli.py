@@ -30,13 +30,14 @@ from .errors import (
     EllvarError,
     NotPositiveDefiniteError,
     NumericalError,
+    _check_array,
+    _check_real,
 )
 from .linalg import estimate_moments
 from .mc import SimulationSpec, validate_model
 from .mixture import MixtureModel
 from .portfolio import risk_report
 from .student import (
-    StudentParams,
     dispersion_from_covariance,
     gaussian_generator,
     student_es_multiplier,
@@ -89,13 +90,26 @@ def _render_table(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines)
 
 
-def _parse_float(text: str, path: str, line: int, column: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise DomainError(
-            f"{path}:{line}: column {column!r} is not a number: {text!r}"
-        ) from None
+def _csv_rows(path: str) -> list[tuple[int, list[str]]]:
+    """The nonblank rows of a CSV file, each with its 1-based line number."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
+
+
+def _row_numbers(path: str, line: int, row: list[str], columns, skip: int = 0) -> list[float]:
+    """The cells after the first ``skip`` as floats, one per column name, else DomainError."""
+    width = skip + len(columns)
+    if len(row) != width:
+        raise DomainError(f"{path}:{line}: expected {width} columns, got {len(row)}")
+    numbers = []
+    for cell, column in zip(row[skip:], columns):
+        try:
+            numbers.append(float(cell))
+        except ValueError:
+            raise DomainError(
+                f"{path}:{line}: column {column!r} is not a number: {cell!r}"
+            ) from None
+    return numbers
 
 
 def read_portfolio(path: str) -> tuple[list[str], np.ndarray]:
@@ -104,8 +118,7 @@ def read_portfolio(path: str) -> tuple[list[str], np.ndarray]:
     A leading header row is skipped when its numeric columns do not
     parse.  Returns the instrument ids and the delta vector.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        raw = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
+    raw = _csv_rows(path)
     if not raw:
         raise DomainError(f"{path}: no rows")
     width = len(raw[0][1])
@@ -122,39 +135,28 @@ def read_portfolio(path: str) -> tuple[list[str], np.ndarray]:
         if not raw:
             raise DomainError(f"{path}: header only, no positions") from None
 
+    columns = ("delta",) if width == 2 else ("shares", "price")
     ids: list[str] = []
     deltas: list[float] = []
     for line, row in raw:
-        if len(row) != width:
-            raise DomainError(
-                f"{path}:{line}: expected {width} columns, got {len(row)}"
-            )
+        numbers = _row_numbers(path, line, row, columns, skip=1)
         ids.append(row[0].strip())
-        if width == 2:
-            deltas.append(_parse_float(row[1], path, line, "delta"))
-        else:
-            shares = _parse_float(row[1], path, line, "shares")
-            price = _parse_float(row[2], path, line, "price")
+        if width == 3:
+            shares, price = numbers
             if price <= 0.0:
                 raise DomainError(f"{path}:{line}: price must be positive, got {price!r}")
-            deltas.append(shares * price)
+            numbers = [shares * price]
+        deltas.append(numbers[0])
     return ids, np.array(deltas, dtype=np.float64)
 
 
 def read_returns(path: str) -> tuple[list[str], np.ndarray]:
     """Return history from CSV: header of instrument ids, one observation per row."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        raw = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
+    raw = _csv_rows(path)
     if len(raw) < 3:
         raise DomainError(f"{path}: need a header and at least 2 observation rows")
     ids = [c.strip() for c in raw[0][1]]
-    rows = []
-    for line, row in raw[1:]:
-        if len(row) != len(ids):
-            raise DomainError(
-                f"{path}:{line}: expected {len(ids)} columns, got {len(row)}"
-            )
-        rows.append([_parse_float(c, path, line, ids[j]) for j, c in enumerate(row)])
+    rows = [_row_numbers(path, line, row, ids) for line, row in raw[1:]]
     return ids, np.array(rows, dtype=np.float64)
 
 
@@ -170,15 +172,30 @@ def _read_json(path: str) -> dict:
 
 
 def _numbers(value, ndim: int, where: str, name: str):
-    """A JSON field as float64 with ndim axes (a float for ndim 0), else DomainError naming it."""
+    """A JSON field as a float (ndim 0) or a float64 array with ndim axes, else DomainError naming it.
+
+    The library's checks read it, so JSON true or "1.0" is no number here either.
+    """
+    label = f"{where}: {name!r}"
+    if ndim == 0:
+        return _check_real(value, label)
     try:
-        arr = np.asarray(value, dtype=np.float64) if value is not None else None
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != ndim:
-        shape = ("a number", "a vector of numbers", "a matrix of numbers")[ndim]
-        raise DomainError(f"{where}: {name!r} must be {shape}")
-    return float(arr) if ndim == 0 else arr
+        return _check_array(value, label, ndim=ndim)
+    except DimensionError as exc:
+        raise DomainError(str(exc)) from None
+
+
+def _model(mu: np.ndarray, sigma: np.ndarray, nu: float | None, covariance: bool) -> EllipticModel:
+    """The normal model (nu None) or the Student t model with nu on mu and sigma.
+
+    A Student sigma read as a covariance is first rescaled to the
+    dispersion, which needs nu > 2; the generator itself needs nu > 1.
+    """
+    if nu is None:
+        return EllipticModel(mu=mu, sigma=sigma, generator=gaussian_generator(mu.shape[0]))
+    if covariance:
+        sigma = dispersion_from_covariance(sigma, nu)
+    return EllipticModel(mu=mu, sigma=sigma, generator=student_generator(mu.shape[0], nu))
 
 
 def _as_moments(doc: dict, path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -205,15 +222,8 @@ def read_mixture_spec(path: str, dimension: int, interpretation: str) -> Mixture
         beta = _numbers(entry["beta"], 0, where, "beta")
         mu = _numbers(entry.get("mu", np.zeros(dimension)), 1, where, "mu")
         sigma = _numbers(entry.get("sigma", np.eye(dimension)), 2, where, "sigma")
-        nu = entry.get("nu")
-        if nu is None:
-            generator = gaussian_generator(mu.shape[0])
-        else:
-            nu = _numbers(nu, 0, where, "nu")
-            if interpretation == "covariance":
-                sigma = dispersion_from_covariance(sigma, nu)
-            generator = student_generator(mu.shape[0], nu)
-        components.append((beta, EllipticModel(mu=mu, sigma=sigma, generator=generator)))
+        nu = None if entry.get("nu") is None else _numbers(entry["nu"], 0, where, "nu")
+        components.append((beta, _model(mu, sigma, nu, interpretation == "covariance")))
     return MixtureModel(components=components)
 
 
@@ -245,7 +255,7 @@ def build_model(args, ids: list[str], dimension: int):
     if args.model_file is not None and args.returns is not None:
         raise DomainError("give either --model-file or --returns, not both")
 
-    estimated = False
+    covariance = args.sigma_interpretation == "covariance"
     if args.model_file is not None:
         mu, sigma = _as_moments(_read_json(args.model_file), args.model_file)
     elif args.returns is not None:
@@ -255,16 +265,10 @@ def build_model(args, ids: list[str], dimension: int):
                 f"returns columns {ret_ids} do not match portfolio ids {ids}"
             )
         mu, sigma = estimate_moments(history, ridge=args.ridge)
-        estimated = True
+        covariance = True
     else:
-        mu = np.zeros(dimension)
-        sigma = np.eye(dimension)
-
-    if args.model == "normal":
-        return EllipticModel(mu=mu, sigma=sigma, generator=gaussian_generator(mu.shape[0]))
-    if estimated or args.sigma_interpretation == "covariance":
-        sigma = dispersion_from_covariance(sigma, args.nu)
-    return StudentParams(nu=args.nu, mu=mu, sigma=sigma)
+        mu, sigma = np.zeros(dimension), np.eye(dimension)
+    return _model(mu, sigma, args.nu, covariance)
 
 
 def _resolve_alphas(args) -> list[float]:
@@ -314,9 +318,6 @@ def cmd_report(args, lead: str) -> int:
 def cmd_table(args) -> int:
     alphas = _resolve_alphas(args)
     nus = args.nu if args.nu else list(REFERENCE_NUS)
-    for nu in nus:
-        if nu <= 1.0:
-            raise DomainError(f"table requires nu > 1, got {nu!r}")
 
     header = ["nu"]
     header += [f"q({a:g})" for a in alphas]
@@ -395,7 +396,8 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--nu", type=float, metavar="NU",
-        help="Student degrees of freedom, must be > 2 (with --model student)",
+        help="Student degrees of freedom, must be > 1, and > 2 when sigma is "
+             "a covariance (with --model student)",
     )
     parser.add_argument(
         "--mixture-spec", metavar="JSON",
@@ -423,6 +425,10 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
              "rescaled by (nu-2)/nu; moments estimated from --returns are "
              "covariances and are always rescaled",
     )
+    _add_alpha_argument(parser)
+
+
+def _add_alpha_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--alpha", type=float, action="append", metavar="A",
         help="tail level in (0, 0.5); repeat for several "
@@ -453,13 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "table", help="Student quantile and ES multipliers over a nu grid",
     )
-    p.add_argument(
-        "--alpha", type=float, action="append", metavar="A",
-        help="tail level in (0, 0.5); repeatable (default: 0.01 0.025 0.05)",
-    )
+    _add_alpha_argument(p)
     p.add_argument(
         "--nu", type=float, action="append", metavar="NU",
-        help="degrees of freedom, > 2; repeatable (default: the reference grid)",
+        help="degrees of freedom, > 1; repeatable (default: the reference grid)",
     )
     p.add_argument(
         "--compare-reference", action="store_true",

@@ -124,20 +124,22 @@ def _check_array(value, name: str, ndim: int = 1, length: int | None = None) -> 
     raises DimensionError.  Entries that are not real numbers raise
     DomainError: an array of bools, strings, bytes or complex numbers is
     refused by its dtype (numpy converts "1.0" and True to floats), a
-    list or an object array by a test of each entry, since numpy gives
-    [True, 2.0] a float dtype and keeps ["1.0", 2.0] as objects; entries
-    numpy cannot convert (an object, a ragged row) or that are not
-    finite (None converts to nan) fail the conversion or the finite
-    test.  A float64 ndarray is used as it is, without a copy.
+    list or an object array by the types of its entries, each distinct
+    type tested once, since numpy gives [True, 2.0] a float dtype and
+    keeps ["1.0", 2.0] as objects; entries numpy cannot convert (an
+    object, a ragged row) or that are not finite (None converts to nan)
+    fail the conversion or the finite test.  A float64 ndarray is used
+    as it is, without a copy.
     """
     try:
         arr = np.asarray(value)
         if arr.dtype.kind in _NOT_REAL_KINDS:
             raise TypeError(f"got {arr.dtype} entries")
         if arr.dtype.kind == "O" or not isinstance(value, np.ndarray):
-            for entry in np.asarray(value, dtype=object).flat:
-                if isinstance(entry, _NOT_REAL):
-                    raise TypeError(f"got an entry {entry!r}")
+            entries = np.asarray(value, dtype=object).ravel().tolist()
+            if any(issubclass(kind, _NOT_REAL) for kind in set(map(type, entries))):
+                bad = next(entry for entry in entries if isinstance(entry, _NOT_REAL))
+                raise TypeError(f"got an entry {bad!r}")
         arr = np.asarray(arr, dtype=np.float64)
     except (TypeError, ValueError) as err:
         raise DomainError(f"{name} entries must be numbers: {err}") from None

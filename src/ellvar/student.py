@@ -122,11 +122,9 @@ def student_big_g(s: float, nu: float, method: str = "beta") -> float:
         return float(stdtr(nu, -s))
     if method == "hyp2f1":
         log_tail = (
-            -math.log(nu)
-            - 0.5 * math.log(math.pi)
+            _t_log_norm(nu, 1)
+            - 0.5 * math.log(nu)
             + (nu / 2.0) * (math.log(nu) - 2.0 * math.log(s))
-            + log_gamma((nu + 1.0) / 2.0)
-            - log_gamma(nu / 2.0)
             + hyp2f1_log((1.0 + nu) / 2.0, nu / 2.0, 1.0 + nu / 2.0, -nu / (s * s))
         )
         return math.exp(log_tail)

@@ -209,6 +209,15 @@ MALFORMED_FILES = {
     "nu_text": ("--mixture-spec", {"components": [{"beta": 1.0, "nu": "abc"}]}, "nu"),
     "mu_text": ("--model-file", {"mu": ["a", 0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}, "mu"),
     "sigma_ragged": ("--model-file", {"mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0]]}, "sigma"),
+    # JSON true and "1.0" are no numbers, though numpy would convert both
+    "mu_bool": ("--model-file", {"mu": [True, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}, "mu"),
+    "mu_numeric_text": (
+        "--model-file", {"mu": ["1.0", 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}, "mu",
+    ),
+    "beta_bool": ("--mixture-spec", {"components": [{"beta": True}]}, "beta"),
+    "nu_numeric_text": ("--mixture-spec", {"components": [{"beta": 1.0, "nu": "5"}]}, "nu"),
+    # a field with the wrong number of axes is malformed input, not a dimension mismatch
+    "mu_scalar": ("--model-file", {"mu": 5, "sigma": [[1.0, 0.0], [0.0, 1.0]]}, "mu"),
 }
 
 
@@ -226,6 +235,32 @@ def test_malformed_model_file_field_exit_2(case, two_factor, tmp_path, capsys):
     assert err.count("\n") == 1
     assert err.startswith("error: kind=DomainError")
     assert str(path) in err and repr(field) in err
+
+
+def test_student_nu_floor_is_the_generators_for_model_and_mixture(one_factor, tmp_path, capsys):
+    # --model student and every mixture component are built alike, so both take nu > 1
+    spec = tmp_path / "mix.json"
+    spec.write_text(json.dumps({"components": [{"beta": 1.0, "nu": 1.5}]}))
+    tail = ["--alpha", "0.01", "--format", "json"]
+    student = run_cli(capsys, ["var", "--portfolio", one_factor, "--model", "student",
+                               "--nu", "1.5", *tail])
+    mixed = run_cli(capsys, ["var", "--portfolio", one_factor, "--model", "mixture",
+                             "--mixture-spec", str(spec), *tail])
+    assert student == mixed
+    assert student[0] == 0
+    assert json.loads(student[1])[0]["var"] == pytest.approx(stats.t.isf(0.01, 1.5), rel=1e-12)
+
+
+def test_student_covariance_needs_nu_above_two(one_factor, capsys):
+    # a t with nu <= 2 has no covariance to rescale
+    code, out, err = run_cli(
+        capsys,
+        ["var", "--portfolio", one_factor, "--model", "student", "--nu", "1.5",
+         "--sigma-interpretation", "covariance"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: kind=DomainError") and "nu" in err
 
 
 def test_student_requires_nu(one_factor, capsys):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +110,20 @@ def test_student_big_g_hyp2f1_route_small_s():
         assert student_big_g(s, nu, method="hyp2f1") == pytest.approx(
             stats.t.sf(s, nu), rel=1e-11
         )
+
+
+def test_only_the_t_normalisers_call_log_gamma():
+    # both tail routes and every density read the t constant from _t_log_norm
+    # (or its half step _log_gamma_ratio), so no other function forms it anew
+    tree = ast.parse(Path(elliptic.__file__).with_name("student.py").read_text(encoding="utf-8"))
+    callers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "log_gamma"
+    }
+    assert callers == {"_log_gamma_ratio", "_t_log_norm"}
 
 
 def test_student_big_g_rejects_unknown_method():
