@@ -34,7 +34,7 @@ from .errors import (
     _check_real,
 )
 from .linalg import estimate_moments
-from .mc import SimulationSpec, validate_model
+from .mc import DEFAULT_ALPHAS, SimulationSpec, validate_model
 from .mixture import MixtureModel
 from .portfolio import risk_report
 from .student import (
@@ -44,8 +44,6 @@ from .student import (
     student_generator,
     student_quantile,
 )
-
-DEFAULT_ALPHAS = (0.01, 0.025, 0.05)
 
 # Published reference values for the Student quantile multiplier q_{alpha,nu},
 # used by `table --compare-reference`.  Four cells are known misprints in the
@@ -280,7 +278,7 @@ def _resolve_seed(value: int | None) -> int:
         return value
     raw = os.environ.get("ELLVAR_SEED")
     if raw is None:
-        return 0
+        return SimulationSpec.seed
     try:
         return int(raw)
     except ValueError:
@@ -475,15 +473,15 @@ def build_parser() -> argparse.ArgumentParser:
         "mc-validate", help="check analytic VaR/ES against a seeded simulation",
     )
     _add_model_arguments(p)
-    p.add_argument("--paths", type=int, default=1_000_000,
-                   help="simulated paths (default: 1000000)")
+    p.add_argument("--paths", type=int, default=SimulationSpec.paths,
+                   help="simulated paths (default: %(default)s)")
     p.add_argument("--seed", type=int, default=None,
-                   help="PRNG seed (default: $ELLVAR_SEED, else 0)")
-    p.add_argument("--batch-size", type=int, default=262_144,
-                   help="paths per batch substream (default: 262144)")
+                   help=f"PRNG seed (default: $ELLVAR_SEED, else {SimulationSpec.seed})")
+    p.add_argument("--batch-size", type=int, default=SimulationSpec.batch_size,
+                   help="paths per batch substream (default: %(default)s)")
     p.add_argument("--antithetic", action="store_true",
                    help="mirror the normals within consecutive path pairs")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=int, default=SimulationSpec.workers,
                    help="batch worker threads; results do not depend on this")
     p.set_defaults(func=cmd_mc_validate)
     return parser

@@ -132,8 +132,8 @@ class DensityGenerator:
     Unless an explicit ``normalizer`` is supplied (then it is trusted and
     multiplies ``density``), the constructor verifies by quadrature that g
     integrates to unit mass over R^n; ``auto_rescale=True`` instead folds
-    the measured mass into the scale.  Such a generator gets every number
-    by quadrature and cannot be sampled.
+    the measured mass into the scale (not both: that raises DomainError).
+    Such a generator gets every number by quadrature and cannot be sampled.
 
     ``tail``, ``tail_expectation``, ``quantile`` and ``marginal_density``
     are closed forms for the marginal survival function, the partial
@@ -172,6 +172,8 @@ class DensityGenerator:
         if not isinstance(self.auto_rescale, bool):
             raise DomainError(f"auto_rescale must be a bool, got {self.auto_rescale!r}")
         if self.normalizer is not None:
+            if self.auto_rescale:
+                raise DomainError("give a normalizer or auto_rescale=True, not both")
             self._scale = _check_real(self.normalizer, "normalizer", 0.0)
             return
         # the mass over R^n, int_0^inf g(r^2) |S^(n-1)| r^(n-1) dr, read at scale 1

@@ -46,6 +46,9 @@ __all__ = [
     "validate_model",
 ]
 
+# the tail levels validate_model and the CLI report when none are given
+DEFAULT_ALPHAS = (0.01, 0.025, 0.05)
+
 _MIN_PATHS_FOR_ESTIMATE = 10_000
 
 # normals drawn and projected at a time within a batch: a chunk is
@@ -277,7 +280,7 @@ def _analytic_var_es(model, delta, alpha: float) -> tuple[float, float]:
 def validate_model(
     model,
     delta,
-    alphas: Sequence[float] = (0.01, 0.025, 0.05),
+    alphas: Sequence[float] = DEFAULT_ALPHAS,
     spec: SimulationSpec = SimulationSpec(),
 ) -> list[ValidationRow]:
     """Compare analytic VaR and ES against one simulation at each level.

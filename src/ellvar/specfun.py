@@ -128,10 +128,9 @@ def _fast_series(a: float, b: float, c: float, w: float) -> bool:
 
     Then the terms shrink at least geometrically and their sum lies within
     a third of the first term.  Past k = 4 (|a| + |b| + |c| + 1) a ratio is
-    below 2.1 w, so only the terms before that are checked one by one.
+    below 2.1 w, which the caller's w <= _CONNECTION_MAX_W = 1/64 keeps
+    below 1/4, so only the terms before that are checked one by one.
     """
-    if 2.1 * w > _FAST_RATIO:
-        return False
     k_max = 4.0 * (abs(a) + abs(b) + abs(c) + 1.0)
     if k_max > _SERIES_BLOCK:
         return False

@@ -35,7 +35,7 @@ from .elliptic import (
     _component_rows,
 )
 from .elliptic import var as student_var
-from .errors import DomainError, _check_int, _check_real
+from .errors import DomainError, _check_array, _check_int, _check_real
 from .linalg import quadratic_form  # noqa: F401  wrapped by bench/tracing.py
 from .linalg import validate_symmetric
 from .specfun import hyp2f1_log, log_gamma
@@ -76,23 +76,18 @@ def _log_gamma_ratio(x: float) -> float:
 def _t_log_norm(nu: float, n: int) -> float:
     """log Gamma((nu + n)/2) / (Gamma(nu/2) (nu pi)^(n/2)), the n-variate t density at 0.
 
-    With x = nu/2 the plain form subtracts values of size x log x, which
-    keeps only about 1e-16 x log x of the result.  n = 1 takes the half
-    step ``_log_gamma_ratio`` at every x; from x = _LARGE_X on a larger n
-    is summed from terms of size one: with h = 1/2 at odd n and 0 at even
-    n, and x / (nu pi) = 1 / (2 pi),
+    A plain difference of log_gamma values of size x log x, x = nu/2,
+    keeps only about 1e-16 x log x of it, so by Gamma(y + 1) = y Gamma(y)
+    it is summed, at every x, from terms of size one: with h = 1/2 at odd
+    n and 0 at even n, and x / (nu pi) = 1 / (2 pi),
 
         lgamma(x + n/2) - lgamma(x) - n/2 log(nu pi)
-            = [odd n] (the value at n = 1)
+            = [odd n] (_log_gamma_ratio(x) - 1/2 log(nu pi))
               + sum_{j < n // 2} (log1p((h + j) / x) - log(2 pi)).
     """
     x = nu / 2.0
-    if n == 1:
-        return _log_gamma_ratio(x) - 0.5 * math.log(nu * math.pi)
-    if x < _LARGE_X:
-        return log_gamma((nu + n) / 2.0) - log_gamma(x) - n / 2.0 * math.log(nu * math.pi)
+    odd = _log_gamma_ratio(x) - 0.5 * math.log(nu * math.pi) if n % 2 else 0.0
     steps = [math.log1p((n % 2 / 2.0 + j) / x) for j in range(n // 2)]
-    odd = _t_log_norm(nu, 1) if n % 2 else 0.0
     return math.fsum([odd, *steps, -(n // 2) * math.log(2.0 * math.pi)])
 
 
@@ -170,24 +165,22 @@ def student_es_multiplier(alpha: float, nu: float, quantile: float | None = None
     m = Gamma((nu-1)/2) / (2 alpha sqrt(pi) Gamma(nu/2))
         * nu^(nu/2) * (q^2 + nu)^(-(nu-1)/2),
 
-    with q the alpha-quantile.  Assembled entirely in log space.
+    with q the alpha-quantile.  Assembled in log space, with the power
+    terms (nu/2) log nu - x log(q^2 + nu), x = (nu-1)/2, taken as
+    1/2 log nu - x log1p(q^2/nu): x log nu off both sides, exact at every
+    nu, and no cancellation between terms of size x log x.
     """
     alpha = _check_alpha(alpha)
     nu = _check_nu(nu)
     q = student_quantile(alpha, nu) if quantile is None else _check_real(quantile, "quantile")
     x = (nu - 1.0) / 2.0
-    if x < _LARGE_X:
-        log_nu, log_q = (nu / 2.0) * math.log(nu), x * math.log(q * q + nu)
-    else:
-        # the same difference less x log nu on each side, which keeps its digits
-        log_nu, log_q = 0.5 * math.log(nu), x * math.log1p(q * q / nu)
     log_m = (
         -_log_gamma_ratio(x)
         - math.log(2.0)
         - math.log(alpha)
         - 0.5 * math.log(math.pi)
-        + log_nu
-        - log_q
+        + 0.5 * math.log(nu)
+        - x * math.log1p(q * q / nu)
     )
     return math.exp(log_m)
 
@@ -269,8 +262,8 @@ class StudentParams(EllipticModel):
 
     def __init__(self, nu: float, mu, sigma):
         self.nu = _check_nu(nu, minimum=2.0)
-        dimension = len(np.atleast_1d(mu))
-        super().__init__(mu=mu, sigma=sigma, generator=student_generator(dimension, self.nu))
+        mu = _check_array(mu, "mu")
+        super().__init__(mu=mu, sigma=sigma, generator=student_generator(len(mu), self.nu))
 
     def __repr__(self) -> str:
         return f"StudentParams(nu={self.nu!r}, mu={self.mu!r}, sigma={self.sigma!r})"

@@ -410,20 +410,21 @@ def test_mc_validate_reproducible_across_workers(one_factor):
 
 
 def test_python_m_ellvar_runs_the_cli(one_factor):
+    # the two entry points print the same bytes
     runs = []
     for module in ("ellvar", "ellvar.cli"):
         for argv in (
             ["var", "--portfolio", one_factor, "--model", "student", "--nu", "5",
              "--alpha", "0.05"],
             ["var", "--portfolio", one_factor, "--alpha", "0.7"],
+            ["table", "--nu", "3", "--alpha", "0.01"],
         ):
-            proc = subprocess.run(
-                [sys.executable, "-m", module, *argv], capture_output=True, text=True
-            )
+            proc = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True)
             runs.append((proc.returncode, proc.stdout, proc.stderr))
-    assert runs[:2] == runs[2:]
-    assert runs[0][0] == 0 and "2.01505" in runs[0][1]
-    assert runs[1][0] == 2 and "error: kind=DomainError" in runs[1][2]
+    assert runs[:3] == runs[3:]
+    assert runs[0][0] == 0 and b"2.01505" in runs[0][1]
+    assert runs[1][0] == 2 and b"error: kind=DomainError" in runs[1][2]
+    assert runs[2][0] == 0 and b"4.5407" in runs[2][1]
 
 
 def test_console_script_is_installed():

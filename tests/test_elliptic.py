@@ -106,6 +106,27 @@ def test_generator_auto_rescale():
     assert gen.g(0.0) == pytest.approx(1.0 / math.pi, rel=1e-9)
 
 
+def test_normalizer_and_auto_rescale_are_not_both():
+    # two scales for one density: taking the normalizer alone gave G(0) = 1.2533
+    with pytest.raises(DomainError, match="normalizer.*auto_rescale"):
+        DensityGenerator(
+            dimension=1, density=lambda u: math.exp(-u / 2), normalizer=1.0, auto_rescale=True
+        )
+
+
+def test_unit_mass_density_needs_no_normalizer():
+    density = gaussian_generator(1).density
+    measured = DensityGenerator(dimension=1, density=density)
+    trusted = DensityGenerator(dimension=1, density=density, normalizer=1.0)
+    for s in (0.0, 0.5, 2.0, 6.0):
+        assert big_g(s, measured, "kernel") == big_g(s, trusted, "kernel")
+
+
+def test_auto_rescale_refuses_a_density_of_no_mass():
+    with pytest.raises(DomainError, match="cannot be rescaled"):
+        DensityGenerator(dimension=2, density=lambda u: 0.0, auto_rescale=True)
+
+
 def test_generator_rejects_bad_dimension():
     with pytest.raises(DomainError):
         DensityGenerator(dimension=0, density=lambda u: math.exp(-u))

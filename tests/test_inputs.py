@@ -180,6 +180,7 @@ MALFORMED = [
     ("integrate_semi_infinite", "spec str", lambda: integrate_semi_infinite(abs, 0.0, "x")),
     ("StudentParams", "nu str", lambda: StudentParams("5", np.zeros(2), np.eye(2))),
     ("StudentParams", "mu of str", lambda: StudentParams(5.0, ["a", "b"], np.eye(2))),
+    ("StudentParams", "mu ragged", lambda: StudentParams(5.0, _RAGGED, np.eye(2))),
     ("student_generator", "nu str", lambda: student_generator(2, "5")),
     ("student_generator", "dimension bool", lambda: student_generator(True, 5.0)),
     ("student_generator", "dimension float", lambda: student_generator(2.0, 5.0)),

@@ -13,6 +13,7 @@ from ellvar import (
     MixtureModel,
     expected_shortfall,
     gaussian_generator,
+    incremental_var,
     marginal_tail,
     mixture_expected_shortfall,
     mixture_var,
@@ -69,6 +70,26 @@ def test_two_normal_mixture_against_univariate_inversion():
         assert mixture_expected_shortfall(mix, d, alpha) == pytest.approx(
             es_ref, abs=1e-8
         )
+
+
+@pytest.mark.parametrize("m, expected", [(5.0, -2.219357), (50.0, -92.219357)])
+def test_mixture_var_far_below_zero(m, expected):
+    # a mean gain of 2m puts the VaR below -1, so the root's bracket must
+    # double downward from its negative start before it can close
+    quiet = _component(gaussian_generator(2), [m, m], np.eye(2))
+    noisy = _component(gaussian_generator(2), [m, m], 9.0 * np.eye(2))
+    mix = MixtureModel(components=[(0.7, quiet), (0.3, noisy)])
+    d = np.array([1.0, 1.0])
+
+    def tail(x: float) -> float:
+        z = 2.0 * m + x
+        return 0.7 * stats.norm.sf(z / math.sqrt(2.0)) + 0.3 * stats.norm.sf(z / math.sqrt(18.0)) - 0.01
+
+    ref = optimize.brentq(tail, -4.0 * m, 0.0, xtol=1e-14, rtol=8.9e-16)
+    got = var(mix, d, 0.01)
+    assert got == pytest.approx(expected, abs=5e-7)
+    assert got == pytest.approx(ref, rel=1e-13)
+    assert math.fsum(incremental_var(mix, d, 0.01).contributions) == pytest.approx(got, rel=1e-13)
 
 
 def test_var_threshold_recovers_alpha():

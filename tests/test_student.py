@@ -113,8 +113,9 @@ def test_student_big_g_hyp2f1_route_small_s():
 
 
 def test_only_the_t_normalisers_call_log_gamma():
-    # both tail routes and every density read the t constant from _t_log_norm
-    # (or its half step _log_gamma_ratio), so no other function forms it anew
+    # both tail routes and every density read the t constant from _t_log_norm,
+    # which sums log1p steps on the half step _log_gamma_ratio, so no other
+    # function forms a gamma ratio anew
     tree = ast.parse(Path(elliptic.__file__).with_name("student.py").read_text(encoding="utf-8"))
     callers = {
         func.name
@@ -123,7 +124,7 @@ def test_only_the_t_normalisers_call_log_gamma():
         for node in ast.walk(func)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "log_gamma"
     }
-    assert callers == {"_log_gamma_ratio", "_t_log_norm"}
+    assert callers == {"_log_gamma_ratio"}
 
 
 def test_student_big_g_rejects_unknown_method():
@@ -195,7 +196,10 @@ def test_student_tail_expectation_at_huge_t(t, nu, expected):
 # mpmath (50 digits) oracles, frozen, at large nu: where the gamma ratios of
 # log_gamma differences kept 5.5e-10 of the tail expectation at nu = 1e6 and
 # 2.3e-7 of the ES multiplier at nu = 1e8, and their asymptotic series keep
-# 1e-12.  The multiplier is exact at the given q, a frozen student_quantile.
+# 1e-12.  Below nu/2 = 1e3 (nu = 1300, 1500) the plain difference
+# (nu/2) log nu - x log(q^2 + nu) of its power terms kept 1.1e-12 to
+# 1.3e-12 and their log1p form keeps 5e-13.  The multiplier is exact at the
+# given q, a frozen student_quantile.
 LARGE_NU_TAIL_EXPECTATION_CASES = [
     (0.0, 1000.0, 0.39924179911297114),
     (3.0, 1000.0, 0.004545675907538693),
@@ -214,6 +218,9 @@ LARGE_NU_TAIL_EXPECTATION_CASES = [
     (30.0, 100000000.0, 1.4766399297458766e-196),
 ]
 LARGE_NU_ES_MULTIPLIER_CASES = [
+    (0.01, 1300.0, 2.3292197802155754, 2.6695325098684775),
+    (0.001, 1300.0, 3.0965133050353058, 3.375234304685912),
+    (0.05, 1500.0, 1.6458701045425264, 2.0646762880320804),
     (0.01, 1000.0, 2.330082674755513, 2.6708306715321095),
     (1e-06, 1000.0, 4.781608620458351, 4.980174029106841),
     (0.01, 2001.0, 2.328212908706989, 2.668018146118905),
@@ -235,6 +242,29 @@ def test_student_tail_expectation_at_large_nu(t, nu, expected):
 @pytest.mark.parametrize("alpha, nu, q, expected", LARGE_NU_ES_MULTIPLIER_CASES)
 def test_student_es_multiplier_at_large_nu(alpha, nu, q, expected):
     assert student_es_multiplier(alpha, nu, quantile=q) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+# mpmath (50 digits) oracles, frozen, of the n-variate t constant
+# lgamma((nu + n)/2) - lgamma(nu/2) - n/2 log(nu pi) at even n and nu/2
+# below 1e3, where the plain difference of log_gamma values was 3.1e-13 to
+# 1.25e-12 off; the sum of log1p steps is within 6e-14.  An error e in the
+# log is a relative error e of the density.
+T_LOG_NORM_CASES = [
+    (2, 900.0, -1.8378770664093456),
+    (2, 1600.0, -1.8378770664093456),
+    (50, 900.0, -45.292039914071914),
+    (50, 1999.0, -45.649199426539305),
+    (1000, 50.0, 177.91031095576542),
+    (1000, 900.0, -709.4585561327375),
+    (1000, 1600.0, -788.021166660451),
+]
+
+
+@pytest.mark.parametrize("n, nu, expected", T_LOG_NORM_CASES)
+def test_t_log_norm_keeps_its_digits_below_large_nu(n, nu, expected):
+    from ellvar.student import _t_log_norm
+
+    assert abs(_t_log_norm(nu, n) - expected) <= 2e-13
 
 
 # mpmath (50 digits) oracles, frozen, of the n-variate Student density at
