@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -95,18 +96,19 @@ def _csv_rows(path: str) -> list[tuple[int, list[str]]]:
 
 
 def _row_numbers(path: str, line: int, row: list[str], columns, skip: int = 0) -> list[float]:
-    """The cells after the first ``skip`` as floats, one per column name, else DomainError."""
+    """The cells after the first ``skip`` as finite floats, one per column, else DomainError."""
     width = skip + len(columns)
     if len(row) != width:
         raise DomainError(f"{path}:{line}: expected {width} columns, got {len(row)}")
     numbers = []
     for cell, column in zip(row[skip:], columns):
         try:
-            numbers.append(float(cell))
+            number = float(cell)
         except ValueError:
-            raise DomainError(
-                f"{path}:{line}: column {column!r} is not a number: {cell!r}"
-            ) from None
+            number = math.nan
+        if not math.isfinite(number):
+            raise DomainError(f"{path}:{line}: column {column!r} is not a number: {cell!r}")
+        numbers.append(number)
     return numbers
 
 
@@ -322,15 +324,16 @@ def cmd_table(args) -> int:
     header += [f"es_mult({a:g})" for a in alphas]
     rows = []
     flagged = []
+    compared = 0
     for nu in nus:
         quantiles = [student_quantile(a, nu) for a in alphas]
         mults = [student_es_multiplier(a, nu, quantile=q) for a, q in zip(alphas, quantiles)]
         cells: list = [f"{nu:g}"]
         for a, q in zip(alphas, quantiles):
             cell = _fmt(q)
-            if args.compare_reference:
-                ref = reference_quantile(a, nu)
-                if ref is not None and abs(q - ref) > 5e-4:
+            if args.compare_reference and (ref := reference_quantile(a, nu)) is not None:
+                compared += 1
+                if abs(q - ref) > 5e-4:
                     cell += "*"
                     flagged.append((a, nu, ref, q))
             cells.append(cell)
@@ -339,14 +342,20 @@ def cmd_table(args) -> int:
 
     print(_render_table(header, rows))
     if args.compare_reference:
-        if flagged:
-            print()
+        print()
+        total = len(nus) * len(alphas)
+        if not compared:
+            print("no quantile cell is on the reference grid, so none was compared")
+        elif flagged:
             print("* differs from the reference table by more than 0.0005:")
             for a, nu, ref, q in flagged:
                 print(f"  alpha={a:g} nu={nu:g}: reference {ref:g}, computed {q:.6g}")
-        else:
-            print()
+        elif compared == total:
             print("all cells match the reference table within 0.0005")
+        if 0 < compared < total:
+            verdict = "" if flagged else "; each matches it within 0.0005"
+            print(f"{compared} of {total} quantile cells are on the reference grid "
+                  f"and were compared{verdict}")
     return 0
 
 
@@ -507,10 +516,10 @@ def main(argv=None) -> int:
         if isinstance(exc, NumericalError):
             detail += "".join(f" {key}={value}" for key, value in exc.diagnostics.items())
         print(f"error: kind={type(exc).__name__} detail={detail}", file=sys.stderr)
+        # the last kind is EllvarError itself, so the loop always returns
         for kind, code in _EXIT_CODES:
             if isinstance(exc, kind):
                 return code
-        return 2
 
 
 if __name__ == "__main__":

@@ -6,21 +6,20 @@ log-gamma, the Gauss hypergeometric function on the negative real axis
 the regularized incomplete beta are exported for callers and called
 nowhere inside the package: the kernel route of the generic engine
 takes its incomplete beta from ``scipy.special`` directly.  Everything
-here is scalar float-in/float-out; vectorization happens at the call
-sites that need it.  The incomplete beta is ``scipy.special.betainc``
-behind this module's argument checks; the hypergeometric function is
-summed here, because it is the independent route the Student tail is
-checked by.
+here is scalar float-in/float-out.  The incomplete beta is
+``scipy.special.betainc`` behind this module's argument checks.  The
+hypergeometric function is summed here: it is the route the Student tail
+is checked by, independent of ``stdtr``, and ``scipy.special.hyp2f1``
+gives nan near argument 1, where that route's Pfaff argument lies.
 
-``hyp2f1`` only supports z <= 0.  That is the branch the tail formulas
-actually evaluate, and it is reachable from a single Pfaff transformation
-into the unit disk, which keeps the series analysis short.  Arguments far
+``hyp2f1`` only supports z <= 0, the branch the tail formulas evaluate,
+reached by one Pfaff transformation into the unit disk.  Arguments far
 out on the negative axis map close to the disk boundary, so the series is
-summed in vectorized blocks with a geometric tail estimate rather than
-term by term.  Where that boundary is so close that the series would need
-millions of terms, the 1 - x connection formula turns it into two short
-series, unless a - b is an integer (or nearly so, when its two terms
-cancel), which is left to the direct series.
+summed in vectorized blocks with a geometric tail estimate.  Where the
+boundary is so close that it would need millions of terms, the 1 - x
+connection formula turns it into two short series, each gated and summed
+from one array of term ratios, unless a - b is an integer or so near one
+that the two terms cancel; those are left to the direct series.
 """
 
 from __future__ import annotations
@@ -123,38 +122,26 @@ def _series_2f1(a: float, b: float, c: float, z: float) -> float:
     )
 
 
-def _fast_series(a: float, b: float, c: float, w: float) -> bool:
-    """True when every term ratio of the Gauss series 2F1(a, b; c; w) is at most 1/4 in size.
+def _fast_series(a: float, b: float, c: float, w: float) -> float | None:
+    """The Gauss series 2F1(a, b; c; w) if each term ratio is at most 1/4 in size, else None.
 
-    Then the terms shrink at least geometrically and their sum lies within
-    a third of the first term.  Past k = 4 (|a| + |b| + |c| + 1) a ratio is
-    below 2.1 w, which the caller's w <= _CONNECTION_MAX_W = 1/64 keeps
-    below 1/4, so only the terms before that are checked one by one.
+    Past k = 4 (|a| + |b| + |c| + 1) a ratio is below 2.1 w, which the
+    caller's w <= _CONNECTION_MAX_W = 1/64 keeps below 1/4, so only the
+    ratios before that are checked.  The sum takes at least 28 of them:
+    the terms shrink at least 4x each, so what is left after term 28 is at
+    most 4^-28 / 3 of the first, below double precision.
     """
     k_max = 4.0 * (abs(a) + abs(b) + abs(c) + 1.0)
     if k_max > _SERIES_BLOCK:
-        return False
-    k = np.arange(math.ceil(k_max) + 1, dtype=np.float64)
-    ratios = np.abs((a + k) * (b + k) / ((c + k) * (k + 1.0))) * w
-    return bool(ratios.max() <= _FAST_RATIO)
+        return None
+    k = np.arange(max(math.ceil(k_max) + 1, 28), dtype=np.float64)
+    ratios = (a + k) * (b + k) / ((c + k) * (k + 1.0)) * w
+    if np.abs(ratios).max() > _FAST_RATIO:
+        return None
+    return 1.0 + float(np.cumprod(ratios).sum())
 
 
-def _short_series(a: float, b: float, c: float, w: float) -> float:
-    """Sum the Gauss series term by term where ``_fast_series`` holds.
-
-    The terms shrink by at least 4x each, so what is left after a term is
-    at most a third of it, and a few dozen terms reach double precision.
-    """
-    total = term = 1.0
-    k = 0.0
-    while abs(term) > 2.2e-16 * abs(total):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * w
-        total += term
-        k += 1.0
-    return total
-
-
-def _log_gamma_ratio(num: tuple, den: tuple) -> tuple[float, float]:
+def _log_gamma_quotient(num: tuple, den: tuple) -> tuple[float, float]:
     """(sign, ln |prod Gamma(num) / prod Gamma(den)|); sign 0 when a denominator is at a pole."""
     sign, log = 1.0, 0.0
     for x, power in [(x, 1.0) for x in num] + [(x, -1.0) for x in den]:
@@ -178,16 +165,18 @@ def _connection(a: float, b: float, c: float, w: float) -> tuple[float, float] |
     d = c - a - b
     if w > _CONNECTION_MAX_W or d == math.floor(d):
         return None
-    if not (_fast_series(a, b, 1.0 - d, w) and _fast_series(c - a, c - b, 1.0 + d, w)):
+    f1 = _fast_series(a, b, 1.0 - d, w)
+    f2 = _fast_series(c - a, c - b, 1.0 + d, w)
+    if f1 is None or f2 is None:
         return None
-    s1, l1 = _log_gamma_ratio((c, d), (c - a, c - b))
-    s2, l2 = _log_gamma_ratio((c, -d), (a, b))
+    s1, l1 = _log_gamma_quotient((c, d), (c - a, c - b))
+    s2, l2 = _log_gamma_quotient((c, -d), (a, b))
     if s1 == 0.0 and s2 == 0.0:
         return None
     l2 += d * math.log(w)
     scale = max(l1, l2)
-    t1 = s1 * math.exp(l1 - scale) * _short_series(a, b, 1.0 - d, w) if s1 else 0.0
-    t2 = s2 * math.exp(l2 - scale) * _short_series(c - a, c - b, 1.0 + d, w) if s2 else 0.0
+    t1 = s1 * math.exp(l1 - scale) * f1 if s1 else 0.0
+    t2 = s2 * math.exp(l2 - scale) * f2 if s2 else 0.0
     series = t1 + t2
     if abs(series) < _FAST_RATIO * max(abs(t1), abs(t2)):
         return None
@@ -230,8 +219,6 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric 2F1(a, b; c; z) for real z <= 0."""
     a, b, c, z = map(_check_real, (a, b, c, z), _HYP2F1_PARAMETERS)
     exponent, log_scale, series = _hyp2f1_parts(a, b, c, z)
-    if log_scale == 0.0:
-        return (1.0 - z) ** exponent * series
     return math.exp(exponent * math.log1p(-z) + log_scale) * series
 
 

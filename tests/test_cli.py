@@ -237,6 +237,101 @@ def test_malformed_model_file_field_exit_2(case, two_factor, tmp_path, capsys):
     assert str(path) in err and repr(field) in err
 
 
+_BOOK = "a,1.0\n"
+_MODEL = json.dumps({"mu": [0.0], "sigma": [[1.0]]})
+_SPEC = json.dumps({"components": [{"beta": 1.0}]})
+_RETURNS = "a\n0.01\n-0.02\n"
+
+# case: (files to write, which default to the one-position book; `var`
+# arguments after --portfolio, where a file's name stands for its path;
+# a fragment of the error line)
+BAD_INPUTS = {
+    "book empty": ({"book": ""}, [], ": no rows"),
+    "book of one column": ({"book": "a\n"}, [], "expected 2 or 3 columns (id,delta or id,shares,price), got 1"),
+    "book of four columns": ({"book": "a,1,2,3\n"}, [], "expected 2 or 3 columns (id,delta or id,shares,price), got 4"),
+    "book header only": ({"book": "id,delta\n"}, [], ": header only, no positions"),
+    "price zero": ({"book": "id,shares,price\na,2,0\n"}, [], ":2: price must be positive, got 0.0"),
+    "price negative": ({"book": "a,2,-1.5\n"}, [], ":1: price must be positive, got -1.5"),
+    "returns of one observation": (
+        {"returns": "a\n0.01\n"}, ["--returns", "returns"], "need a header and at least 2 observation rows",
+    ),
+    "model invalid JSON": ({"model": "{"}, ["--model-file", "model"], ": invalid JSON: "),
+    "model a JSON array": ({"model": "[1.0]"}, ["--model-file", "model"], ": expected a JSON object"),
+    "model without sigma": (
+        {"model": '{"mu": [0.0]}'}, ["--model-file", "model"], ": expected fields 'mu' and 'sigma'",
+    ),
+    "mixture without components": (
+        {"spec": '{"components": []}'}, ["--model", "mixture", "--mixture-spec", "spec"],
+        ": expected a nonempty 'components' list",
+    ),
+    "mixture component without beta": (
+        {"spec": '{"components": [{"nu": 5}]}'}, ["--model", "mixture", "--mixture-spec", "spec"],
+        ": component 0: expected an object with 'beta'",
+    ),
+    "nu with normal": ({}, ["--nu", "5"], "--nu only applies to --model student"),
+    "mixture spec with student": (
+        {"spec": _SPEC}, ["--model", "student", "--nu", "5", "--mixture-spec", "spec"],
+        "--mixture-spec only applies to --model mixture",
+    ),
+    "mixture without spec": ({}, ["--model", "mixture"], "--model mixture requires --mixture-spec"),
+    "mixture with model file": (
+        {"spec": _SPEC, "model": _MODEL},
+        ["--model", "mixture", "--mixture-spec", "spec", "--model-file", "model"],
+        "mixture components carry their own moments; drop --model-file/--returns",
+    ),
+    "model file with returns": (
+        {"model": _MODEL, "returns": _RETURNS}, ["--model-file", "model", "--returns", "returns"],
+        "give either --model-file or --returns, not both",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys):
+    files, options, fragment = BAD_INPUTS[case]
+    paths = {}
+    for name, text in {"book": _BOOK, **files}.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
+    argv = ["var", "--portfolio", str(paths["book"])]
+    argv += [str(paths.get(option, option)) for option in options]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: kind=DomainError detail=")
+    assert fragment in err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_csv_cell_names_its_file_and_line(cell, tmp_path, capsys):
+    book = tmp_path / "book.csv"
+    book.write_text(f"id,delta\na,1.0\nb,{cell}\n")
+    code, _, err = run_cli(capsys, ["var", "--portfolio", str(book)])
+    assert code == 2
+    assert err == f"error: kind=DomainError detail={book}:3: column 'delta' is not a number: {cell!r}\n"
+
+    two = tmp_path / "two.csv"
+    two.write_text("a,1.0\nb,1.0\n")
+    returns = tmp_path / "returns.csv"
+    returns.write_text(f"a,b\n0.01,0.02\n0.03,{cell}\n-0.01,0.0\n")
+    code, _, err = run_cli(capsys, ["var", "--portfolio", str(two), "--returns", str(returns)])
+    assert code == 2
+    assert err == f"error: kind=DomainError detail={returns}:3: column 'b' is not a number: {cell!r}\n"
+
+
+def test_shares_and_prices_book_reports_as_its_deltas(tmp_path, capsys):
+    priced = tmp_path / "priced.csv"
+    priced.write_text("id,shares,price\na,2,3.5\nb,-4,0.25\n")
+    deltas = tmp_path / "deltas.csv"
+    deltas.write_text("a,7.0\nb,-1.0\n")
+    argv = ["var", "--model", "student", "--nu", "5", "--format", "json"]
+    from_priced = run_cli(capsys, [*argv, "--portfolio", str(priced)])
+    from_deltas = run_cli(capsys, [*argv, "--portfolio", str(deltas)])
+    assert from_priced == from_deltas
+    assert from_priced[0] == 0
+
+
 def test_student_nu_floor_is_the_generators_for_model_and_mixture(one_factor, tmp_path, capsys):
     # --model student and every mixture component are built alike, so both take nu > 1
     spec = tmp_path / "mix.json"
@@ -356,6 +451,36 @@ def test_table_single_cell_matches_reference(capsys):
     assert "all cells match" in out
 
 
+def test_table_compare_reference_counts_the_cells_it_compared(capsys):
+    # neither nu = 11 nor alpha = 0.02 is on the published grid
+    code, out, _ = run_cli(
+        capsys, ["table", "--nu", "11", "--alpha", "0.02", "--compare-reference"]
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == "no quantile cell is on the reference grid, so none was compared"
+    assert "match" not in out
+    code, out, _ = run_cli(
+        capsys,
+        ["table", "--nu", "5", "--nu", "11", "--alpha", "0.01", "--alpha", "0.02",
+         "--compare-reference"],
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "1 of 4 quantile cells are on the reference grid and were compared; "
+        "each matches it within 0.0005"
+    )
+    assert "all cells match" not in out
+    # a flagged cell keeps its line, and the count follows
+    code, out, _ = run_cli(
+        capsys, ["table", "--nu", "9", "--nu", "11", "--alpha", "0.05", "--compare-reference"]
+    )
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "  alpha=0.05 nu=9: reference 1.81246, computed 1.83311",
+        "1 of 2 quantile cells are on the reference grid and were compared",
+    ]
+
+
 def test_table_rejects_nu_at_or_below_one(capsys):
     code, _, err = run_cli(capsys, ["table", "--nu", "1.0"])
     assert code == 2
@@ -382,6 +507,17 @@ def test_mc_validate_seed_env(one_factor, capsys, monkeypatch):
     )
     assert code == 0
     assert "seed=123" in out
+
+
+def test_mc_validate_default_seed_is_zero(one_factor, capsys, monkeypatch):
+    monkeypatch.delenv("ELLVAR_SEED", raising=False)
+    code, out, _ = run_cli(
+        capsys,
+        ["mc-validate", "--portfolio", one_factor, "--paths", "20000",
+         "--alpha", "0.05"],
+    )
+    assert code == 0
+    assert out.rstrip().endswith("(paths=20000, seed=0)")
 
 
 def test_mc_validate_bad_seed_env(one_factor, capsys, monkeypatch):

@@ -131,6 +131,11 @@ def test_estimate_moments_ridge_adds_to_diagonal():
     assert np.allclose(loaded - bare, 0.25 * np.eye(3), atol=1e-14)
 
 
+def test_estimate_moments_rejects_negative_ridge():
+    with pytest.raises(DomainError, match="ridge must be non-negative"):
+        estimate_moments(np.eye(3), ridge=-1.0)
+
+
 def test_estimate_moments_rejects_bad_shapes():
     with pytest.raises(DimensionError):
         estimate_moments(np.ones(5))

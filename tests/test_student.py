@@ -112,6 +112,25 @@ def test_student_big_g_hyp2f1_route_small_s():
         )
 
 
+# mpmath oracle, frozen: G(s) = 1/2 I_x(nu/2, 1/2) at x = nu/(nu + s^2), at
+# points where scipy.special.hyp2f1(1/2, nu/2; 1 + nu/2; x) is nan, so the
+# route's own 2F1 cannot be swapped for scipy's.  The first three take the
+# 1 - x connection formula, the last three the direct series.
+HYP2F1_ROUTE_CASES = [
+    (0.001289, 754.0562, 0.49948593400494123),
+    (0.020841, 393.8142, 0.4916915233413324),
+    (0.006514, 443.0647, 0.49740277430622726),
+    (1.424672, 729.8732, 0.07733973363477377),
+    (1.003364, 588.8798, 0.15804868578728573),
+    (1.028302, 395.0559, 0.15221848131945828),
+]
+
+
+@pytest.mark.parametrize("s, nu, expected", HYP2F1_ROUTE_CASES)
+def test_student_big_g_hyp2f1_route_near_argument_one(s, nu, expected):
+    assert student_big_g(s, nu, method="hyp2f1") == pytest.approx(expected, rel=1e-11)
+
+
 def test_only_the_t_normalisers_call_log_gamma():
     # both tail routes and every density read the t constant from _t_log_norm,
     # which sums log1p steps on the half step _log_gamma_ratio, so no other
@@ -416,6 +435,9 @@ def test_student_params_validation_and_covariance():
     assert np.allclose(params.covariance, (5.0 / 3.0) * sigma)
     with pytest.raises(DomainError):
         StudentParams(nu=2.0, mu=np.zeros(2), sigma=sigma)
+    assert repr(StudentParams(nu=5.0, mu=np.zeros(2), sigma=np.eye(2))) == (
+        "StudentParams(nu=5.0, mu=array([0., 0.]), sigma=array([[1., 0.],\n       [0., 1.]]))"
+    )
 
 
 def test_dispersion_from_covariance_round_trip():
