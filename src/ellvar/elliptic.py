@@ -8,13 +8,14 @@ generator g:
 * ``big_g(s)``   -- survival function of the first spherical coordinate,
 * ``marginal_tail_expectation(t)`` -- E[Z1 * 1{Z1 >= t}] for that coordinate.
 
-Known families attach closed forms on the generator; any other gets both
-by adaptive quadrature.  Each reader takes the generator's hook when it
-has one and the generic engine otherwise: ``marginal_tail``,
-``marginal_tail_expectation``, ``quantile_multiplier`` and
-``_marginal_pdf``, the marginal density of the Euler allocation.  Every
-quadrature of g (the mass check, both routes of ``big_g``, the tail
-expectation, the marginal density) is one radial integral,
+Every generator answers the law of that coordinate through four methods,
+``tail``, ``tail_expectation``, ``quantile`` and ``marginal_density`` (the
+last for the Euler allocation): ``DensityGenerator``'s own are the
+quadratures below, and the Student and Gaussian factories assign closed
+forms over them.  ``marginal_tail``, ``marginal_tail_expectation`` and
+``quantile_multiplier`` check their arguments and call the generator's
+law.  Every quadrature of g (the mass check, both routes of ``big_g``, the
+tail expectation, the marginal density) is one radial integral,
 ``_radial_integral``, the one place g is read: one frame per point, the
 checks of ``DensityGenerator.g``, and a weight formed in log space, so
 large dimensions give a number or a typed error, never an OverflowError.
@@ -23,14 +24,14 @@ exp-sinh node rule (Takahasi & Mori 1974) in one numpy pass.  The
 "kernel" route of ``big_g`` integrates g against the closed-form share
 of a sphere beyond s, a regularized incomplete beta (the marginal form
 of a spherical law, Fang, Kotz & Ng 1990); quantile solves and
-hook-less tails use it.  The "double" route integrates the marginal
-density, itself a radial integral, and is the independent reference.  A
-quantile is a generator's closed form or a two-stage solve: the root of
-the log tail on the kernel route's fixed rule, polished by Newton steps
-on the adaptive kernel route, with the bracketed root of the adaptive
-log tail, ``_solve_decreasing``, as its fallback.  Every quantile ends
-in the same relative residual check on the adaptive route or the
-closed form.
+``DensityGenerator.tail`` use it.  The "double" route integrates the
+marginal density, itself a radial integral, and is the independent
+reference.  A quantile is a generator's closed form or a two-stage
+solve: the root of the log tail on the kernel route's fixed rule,
+polished by Newton steps on the adaptive kernel route, with the
+bracketed root of the adaptive log tail, ``_solve_decreasing``, as its
+fallback.  Every quantile ends in the same relative residual check on
+the adaptive route or the closed form.
 
 Every model is its ``components``, (weight, EllipticModel) pairs: an
 EllipticModel (a StudentParams among them) is one pair of weight one,
@@ -38,9 +39,10 @@ a MixtureModel its own pairs.  Every VaR and ES, here and in the
 mixture, portfolio, Student and Monte Carlo modules, takes one private
 path: ``_component_rows`` reads a model as (weight, generator, mean,
 vol) rows and rejects anything that is not a model, ``_rows_var`` takes
-the closed form for one row and the mixture root for several, and
-``_rows_es`` builds ES at the same thresholds.  ``var`` and
-``expected_shortfall`` therefore serve every model type.
+the generator's quantile for one row and, for several, the mixture root
+bracketed by their VaRs, and ``_rows_es`` builds ES at the same
+thresholds.  ``var`` and ``expected_shortfall`` therefore serve every
+model type.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ _MAX_BRACKET_DOUBLINGS = 64
 # rounding: the floor of brentq's xtol, and a few ulps of x
 _NEWTON_XTOL = 1e-15
 _NEWTON_RTOL = 4e-15
-# hook-less quantiles are cached per (generator, alpha) and each entry
+# solved quantiles are cached per (generator, alpha) and each entry
 # keeps its generator alive, so the oldest entries give way past this size
 _QUANTILE_CACHE_SIZE = 4096
 
@@ -133,22 +135,23 @@ class DensityGenerator:
     multiplies ``density``), the constructor verifies by quadrature that g
     integrates to unit mass over R^n; ``auto_rescale=True`` instead folds
     the measured mass into the scale (not both: that raises DomainError).
-    Such a generator gets every number by quadrature and cannot be sampled.
 
     ``tail``, ``tail_expectation``, ``quantile`` and ``marginal_density``
-    are closed forms for the marginal survival function, the partial
-    expectation, the alpha-tail quantile (alpha in (0, 0.5)) and the
-    density of one spherical coordinate, preferred over quadrature; the
-    quantile checks its own residual against ``tail``.  ``mixing(rng,
-    size)`` is the law's Monte Carlo draw, X = mu + R A^t U written as a
-    Gaussian draw times a per-path factor (Cambanis, Huang & Simons
-    1981): it returns ``size`` factors drawn from ``rng``, or None for the
-    Gaussian, which draws nothing; a generator without it cannot be
-    sampled.  ``family`` and ``family_params`` name the law ("gaussian",
-    or "student" with (nu,)) for the closed-form Student ES and for
-    readers outside the package.  Only ``student_generator`` and
-    ``gaussian_generator`` set these seven fields, so a law's closed
-    forms, its draw and its name cannot disagree.
+    are the law of one spherical coordinate: its survival function, its
+    partial expectation, its alpha-tail quantile (alpha in (0, 0.5)) and
+    its density.  The methods here get each by quadrature of g;
+    ``student_generator`` and ``gaussian_generator`` assign closed forms
+    over them on their instances, and a closed-form quantile checks its
+    own residual against the closed-form tail.  ``mixing(rng, size)`` is
+    the law's Monte Carlo draw, X = mu + R A^t U written as a Gaussian
+    draw times a per-path factor (Cambanis, Huang & Simons 1981): it
+    returns ``size`` factors drawn from ``rng``, or None for the Gaussian,
+    which draws nothing; a generator without it cannot be sampled.
+    ``family`` and ``family_params`` name the law ("gaussian", or
+    "student" with (nu,)) for the closed-form Student ES and for readers
+    outside the package.  Only the two factories set the closed forms and
+    these three fields, so a law's closed forms, its draw and its name
+    cannot disagree.
     """
 
     dimension: int
@@ -156,10 +159,6 @@ class DensityGenerator:
     name: str = "custom"
     normalizer: float | None = None
     auto_rescale: bool = False
-    tail: Callable[[float], float] | None = field(init=False, default=None)
-    tail_expectation: Callable[[float], float] | None = field(init=False, default=None)
-    quantile: Callable[[float], float] | None = field(init=False, default=None)
-    marginal_density: Callable[[float], float] | None = field(init=False, default=None)
     mixing: Callable[[np.random.Generator, int], np.ndarray | None] | None = field(
         init=False, default=None
     )
@@ -212,6 +211,33 @@ class DensityGenerator:
 
     def _negative_error(self, u: float) -> DomainError:
         return DomainError(f"generator '{self.name}' density is negative at u={u!r}")
+
+    def tail(self, s: float) -> float:
+        """P(Z1 >= s) on the kernel route of ``big_g``."""
+        return big_g(s, self, route="kernel")
+
+    def tail_expectation(self, t: float) -> float:
+        """E[Z1 * 1{Z1 >= t}], one radial integral at |t|; a divergent one raises DivergentTailError."""
+        # int_0^inf g(t^2 + v^2) pi^((n-1)/2) / Gamma((n+1)/2) v^n dv
+        n = self.dimension
+        log_const = (n - 1) / 2.0 * math.log(math.pi) - log_gamma((n + 1) / 2.0)
+        try:
+            # a value that is not finite raises QuadratureError as well
+            return _radial_integral(self, t * t, log_const, n)
+        except QuadratureError as err:
+            raise DivergentTailError(
+                "tail expectation quadrature failed to converge; the generator's tail "
+                "may be too heavy for a finite expected shortfall",
+                **err.diagnostics,
+            ) from err
+
+    def quantile(self, alpha: float) -> float:
+        """The alpha-tail quantile of Z1, by ``solve_quantile``."""
+        return solve_quantile(alpha, self)
+
+    def marginal_density(self, z: float) -> float:
+        """Density of Z1 at z, by quadrature held to relative accuracy however small it is."""
+        return _marginal_density(z, self, _TAIL_QUAD)
 
 
 @dataclass(eq=False)
@@ -411,8 +437,9 @@ def big_g(s: float, gen: DensityGenerator, route: str = "double") -> float:
     integral over the other coordinates; it is the reference route.
     ``route="kernel"`` is one integral of the generator against the
     closed-form incomplete-beta share of the sphere beyond s, held to
-    relative accuracy however small G(s) is; quantile solves and hook-less
-    tails use it.  Negative s is folded back by symmetry.
+    relative accuracy however small G(s) is; quantile solves and
+    ``DensityGenerator.tail`` use it.  Negative s is folded back by
+    symmetry.
     """
     s = _check_real(s, "s")
     _check_generator(gen)
@@ -440,46 +467,19 @@ def _kernel_tail(
 
 
 def marginal_tail(gen: DensityGenerator, s: float) -> float:
-    """P(Z1 >= s), using the generator's closed form when it has one; s must be finite."""
+    """P(Z1 >= s) by the generator's ``tail``; s must be finite."""
     s = _check_real(s, "s")
-    if _check_generator(gen).tail is not None:
-        return gen.tail(s)
-    return big_g(s, gen, route="kernel")
-
-
-def _marginal_pdf(gen: DensityGenerator, z: float) -> float:
-    """Density of one spherical coordinate at z: the generator's closed form, else quadrature.
-
-    The quadrature is held to relative accuracy, so that the Euler shares
-    it weighs stay exact where every density is small, deep in the tail.
-    """
-    if gen.marginal_density is not None:
-        return gen.marginal_density(z)
-    return _marginal_density(z, gen, _TAIL_QUAD)
+    return _check_generator(gen).tail(s)
 
 
 def marginal_tail_expectation(gen: DensityGenerator, t: float) -> float:
-    """E[Z1 * 1{Z1 >= t}] for one spherical coordinate.
+    """E[Z1 * 1{Z1 >= t}] by the generator's ``tail_expectation``; t must be finite.
 
-    By symmetry the value at t equals the value at |t|, which is where
-    the quadrature form is valid.  t must be finite, for every generator.
-    Divergence (an overly heavy tail) surfaces as DivergentTailError.
+    By symmetry the value at t equals the value at |t|.  Divergence (an
+    overly heavy tail) surfaces as DivergentTailError.
     """
     t = _check_real(t, "t")
-    if _check_generator(gen).tail_expectation is not None:
-        return gen.tail_expectation(t)
-    # int_0^inf g(t^2 + v^2) pi^((n-1)/2) / Gamma((n+1)/2) v^n dv
-    n = gen.dimension
-    log_const = (n - 1) / 2.0 * math.log(math.pi) - log_gamma((n + 1) / 2.0)
-    try:
-        # a value that is not finite raises QuadratureError as well
-        return _radial_integral(gen, t * t, log_const, n)
-    except QuadratureError as err:
-        raise DivergentTailError(
-            "tail expectation quadrature failed to converge; the generator's tail "
-            "may be too heavy for a finite expected shortfall",
-            **err.diagnostics,
-        ) from err
+    return _check_generator(gen).tail_expectation(t)
 
 
 _quantile_cache: dict[tuple, float] = {}
@@ -515,53 +515,47 @@ def _log_tail(f: Callable[[float], float], x: float) -> float:
     return math.log(max(f(x), _SMALLEST_DOUBLE))
 
 
-def _solve_decreasing(f: Callable[[float], float], alpha: float, lo: float = 0.0) -> float:
-    """Root of f(x) = alpha for decreasing f, bracketed from lo < 1.
+def _solve_decreasing(
+    f: Callable[[float], float], alpha: float, lo: float = 0.0, hi: float | None = None
+) -> float:
+    """Root of f(x) = alpha for decreasing f, bracketed by lo <= hi.
 
     lo = 0 is taken to lie below the root, as it does for a symmetric
-    tail at alpha < 1/2; a negative lo is doubled downward until f
-    exceeds alpha there.  The upper end doubles from 1 until f falls
-    below alpha, brentq finds the root of log f(x) - log alpha, which is
-    nearly linear in x where f itself is not, and the relative residual
-    of f is checked.  f is evaluated once per point, brentq's ends and
-    the root it returns included.
+    tail at alpha < 1/2.  Without ``hi`` the upper end doubles from 1
+    until f falls below alpha.  brentq finds the root of log f(x) -
+    log alpha, which is nearly linear in x where f itself is not, and the
+    relative residual of f is checked.  An end that rounding puts on the
+    wrong side of alpha is itself the root, if it passes that check.  f
+    is evaluated once per point, brentq's ends and the root it returns
+    included.
     """
     tail = functools.cache(f)
-    hi = 1.0
-    for _ in range(_MAX_BRACKET_DOUBLINGS):
-        # each lo and hi is evaluated once: a lo that passes is left behind
-        # as soon as hi moves, since the old hi >= 1 takes its place
-        if lo < 0.0 and not tail(lo) > alpha:
-            lo *= 2.0
-        elif not tail(hi) < alpha:
+    if hi is None:
+        hi = 1.0
+        for _ in range(_MAX_BRACKET_DOUBLINGS):
+            if tail(hi) < alpha:
+                break
+            # the old hi, where f is at least alpha, is the new lo
             lo, hi = hi, 2.0 * hi
         else:
-            break
-    else:
-        moved = "rose above" if lo < 0.0 else "fell below"
-        raise BracketError(
-            f"tail probability never {moved} alpha while expanding the bracket",
-            alpha=alpha,
-            lower=lo,
-            upper=hi,
-        )
+            raise BracketError(
+                "tail probability never fell below alpha while expanding the bracket",
+                alpha=alpha,
+                lower=lo,
+                upper=hi,
+            )
+    if not tail(lo) > alpha:
+        return _checked_quantile(tail, alpha, lo)
+    if not tail(hi) < alpha:
+        return _checked_quantile(tail, alpha, hi)
     from scipy import optimize
 
     log_alpha = math.log(alpha)
-    try:
-        # xtol lies below the rounding of any root of unit scale, so brentq
-        # stops on rtol and the root is good to a few ulps
-        root = optimize.brentq(
-            lambda x: _log_tail(tail, x) - log_alpha, lo, hi, xtol=1e-15, rtol=8.9e-16
-        )
-    except ValueError as err:
-        # f(lo) fell below alpha too: at lo = 0 the tail should be 1/2
-        raise BracketError(
-            "tail probability lies below alpha at both ends of the bracket",
-            alpha=alpha,
-            lower=lo,
-            upper=hi,
-        ) from err
+    # xtol lies below the rounding of any root of unit scale, so brentq
+    # stops on rtol and the root is good to a few ulps
+    root = optimize.brentq(
+        lambda x: _log_tail(tail, x) - log_alpha, lo, hi, xtol=1e-15, rtol=8.9e-16
+    )
     return _checked_quantile(tail, alpha, float(root))
 
 
@@ -632,14 +626,9 @@ def solve_quantile(alpha: float, gen: DensityGenerator) -> float:
 
 
 def quantile_multiplier(gen: DensityGenerator, alpha: float) -> float:
-    """Quantile of the spherical marginal.
-
-    The generator's ``quantile`` hook when it has one, else ``solve_quantile``.
-    """
+    """The alpha-tail quantile of the spherical marginal, by the generator's ``quantile``."""
     alpha = _check_alpha(alpha)
-    if _check_generator(gen).quantile is not None:
-        return gen.quantile(alpha)
-    return solve_quantile(alpha, gen)
+    return _check_generator(gen).quantile(alpha)
 
 
 def _rows_var(rows: list[tuple], alpha: float) -> tuple[float, list[float]]:
@@ -648,19 +637,23 @@ def _rows_var(rows: list[tuple], alpha: float) -> tuple[float, list[float]]:
     One row is the closed form -mean + q * vol, its threshold q.  Several
     rows solve sum_k w_k G_k((mean_k + V) / vol_k) = alpha for V in units
     of the largest vol, so the solve does not depend on the book's scale;
-    the root's tail is within 1e-10 of alpha in relative terms.
+    the root's tail is within 1e-10 of alpha in relative terms.  Where V
+    is below every component's VaR each G_k is at least alpha, and where
+    it is above every one each is at most alpha, so the smallest and the
+    largest component VaR bracket the root at any alpha.
     """
+    qs = [quantile_multiplier(gen, alpha) for _, gen, _, _ in rows]
     if len(rows) == 1:
-        _, gen, mean, vol = rows[0]
-        q = quantile_multiplier(gen, alpha)
-        return -mean + q * vol, [q]
+        _, _, mean, vol = rows[0]
+        return -mean + qs[0] * vol, qs
     scale = max(vol for _, _, _, vol in rows)
 
     def tail_prob(t: float) -> float:
         v = t * scale
         return math.fsum(w * marginal_tail(gen, (mean + v) / vol) for w, gen, mean, vol in rows)
 
-    v = _solve_decreasing(tail_prob, alpha, -1.0) * scale
+    ends = [(-mean + q * vol) / scale for (_, _, mean, vol), q in zip(rows, qs)]
+    v = _solve_decreasing(tail_prob, alpha, min(ends), max(ends)) * scale
     return v, [(mean + v) / vol for _, _, mean, vol in rows]
 
 

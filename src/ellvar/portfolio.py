@@ -9,9 +9,9 @@ read once as rows of its ``components``, its weighted elliptic models,
 and handed to the engine's one VaR/ES path, where one row takes the
 closed forms and several take the mixture root.  The Euler allocation
 takes its gradient from that one solve's thresholds, by the
-implicit-function theorem, weighing the components by their marginal
-densities there: the generator's ``marginal_density`` hook when it has
-one, quadrature otherwise, both through the engine's ``_marginal_pdf``.
+implicit-function theorem, weighing the components by their generators'
+``marginal_density`` there: a closed form, or quadrature held to
+relative accuracy.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def incremental_var(model, delta, alpha: float) -> IncrementalVar:
     total, thresholds = elliptic._rows_var(rows, alpha)
     shares = np.ones(1)
     if len(rows) > 1:
-        c = [w * elliptic._marginal_pdf(g, z) / vol for (w, g, _, vol), z in zip(rows, thresholds)]
+        c = [w * g.marginal_density(z) / vol for (w, g, _, vol), z in zip(rows, thresholds)]
         shares = np.array(c) / math.fsum(c)
     pairs = zip(model.components, rows, thresholds)
     gamma = shares @ np.array([z * (m.sigma @ d) / row[3] - m.mu for (_, m), row, z in pairs])

@@ -15,8 +15,8 @@ Each factory also sets the marginal density of one coordinate and the
 law's Monte Carlo draw: the Student t is a Gaussian draw times
 sqrt(nu / chi2_nu).  The Gaussian generator lives here as the
 nu -> infinity limit, with ``ndtri`` for its quantile and no mixing
-draw.  ``student_var`` is the engine's ``var``, which takes these
-closed forms through the generator's hooks.
+draw.  Each factory assigns its closed forms over the generator's
+quadrature methods, so ``student_var``, the engine's ``var``, takes them.
 """
 
 from __future__ import annotations

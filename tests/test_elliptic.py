@@ -218,7 +218,7 @@ def test_kernel_route_small_and_large_s(n):
 
 
 def _bare(gen):
-    """The generator's density without its closed-form hooks."""
+    """The generator's density without its closed forms."""
     return DensityGenerator(dimension=gen.dimension, density=gen.density, normalizer=1.0)
 
 
@@ -488,8 +488,8 @@ def test_var_rejects_alpha_outside_range():
 def test_root_solves_evaluate_each_tail_point_once(monkeypatch):
     # a hook-less solve finds its root on the fixed rule and reads the adaptive
     # route at most three times: the rule's root and up to two Newton steps,
-    # the returned point among them.  The mixture root's bracket ends and the
-    # returned root are read back, not re-evaluated
+    # the returned point among them.  The mixture root's bracket ends, its
+    # components' VaRs, and the returned root are read back, not re-evaluated
     points = []
     big_g_route = elliptic.big_g
     tail = elliptic.marginal_tail
@@ -524,7 +524,7 @@ def test_root_solves_evaluate_each_tail_point_once(monkeypatch):
         ]
     )
     mixture_var(mix, np.array([1.0, 2.0]), 0.01)
-    assert len(points) == len(set(points)) == 20
+    assert len(points) == len(set(points)) == 16
 
 
 # points of the radial integrand: v = 0, a v whose square underflows, the
@@ -635,18 +635,54 @@ def test_only_the_two_factories_set_closed_forms_and_family():
     assert found == {"student:student_generator", "student:gaussian_generator"}
 
 
+# the four laws of one spherical coordinate; every other factory-only field
+# is the draw or the tag
+_LAWS = ("tail", "tail_expectation", "quantile", "marginal_density")
+
+
 @pytest.mark.parametrize("name", _FACTORY_ONLY)
 def test_closed_forms_and_family_are_not_constructor_options(name):
     with pytest.raises(TypeError, match=name):
         DensityGenerator(
             dimension=1, density=gaussian_generator(1).density, normalizer=1.0, **{name: None}
         )
-    # a generator built here has no closed forms, no draw and no family
-    assert getattr(_pearson_vii_generator(), name) in (None, ())
+    gen = _pearson_vii_generator()
+    if name in _LAWS:
+        # a generator built here takes DensityGenerator's own quadrature law
+        assert name not in vars(gen)
+        assert getattr(gen, name).__func__ is getattr(DensityGenerator, name)
+    else:
+        # and has no draw and no family
+        assert getattr(gen, name) in (None, ())
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize(
+    "factory",
+    [gaussian_generator, lambda n: student_generator(n, 5.0)],
+    ids=["gaussian", "student nu=5"],
+)
+def test_hook_less_laws_are_the_engine_quadratures(factory, n):
+    # each law of a factory's density without its closed forms is the engine's
+    # quadrature, exactly, and agrees with the closed form to the bounds of the
+    # route, solve and density tests
+    gen = factory(n)
+    bare = _bare(gen)
+    for s in (0.0, 0.7, 3.0):
+        assert bare.tail(s) == big_g(s, bare, route="kernel")
+        assert bare.tail(s) == pytest.approx(gen.tail(s), rel=1e-9, abs=0.0)
+        assert bare.tail_expectation(s) == pytest.approx(gen.tail_expectation(s), rel=1e-10, abs=0.0)
+        density = bare.marginal_density(s)
+        assert density == elliptic._marginal_density(s, bare, elliptic._TAIL_QUAD)
+        assert density == pytest.approx(gen.marginal_density(s), rel=1e-10, abs=0.0)
+    for alpha in (0.01, 0.05):
+        q = bare.quantile(alpha)
+        assert q == solve_quantile(alpha, bare)
+        assert q == pytest.approx(gen.quantile(alpha), rel=1e-14, abs=0.0)
 
 
 def test_only_the_closed_form_student_es_reads_the_family_tag():
-    # every other reader dispatches on the generator's hooks; the Student ES
+    # every other reader calls the generator's laws; the Student ES
     # oracle reads nu from the tag, which stays for readers outside the package
     found = _attribute_uses(("family", "family_params"), ast.Load)
     assert found == {"student:student_expected_shortfall"}

@@ -74,8 +74,8 @@ def test_two_normal_mixture_against_univariate_inversion():
 
 @pytest.mark.parametrize("m, expected", [(5.0, -2.219357), (50.0, -92.219357)])
 def test_mixture_var_far_below_zero(m, expected):
-    # a mean gain of 2m puts the VaR below -1, so the root's bracket must
-    # double downward from its negative start before it can close
+    # a mean gain of 2m puts the VaR below -1; the components' VaRs bracket
+    # the root wherever it lies
     quiet = _component(gaussian_generator(2), [m, m], np.eye(2))
     noisy = _component(gaussian_generator(2), [m, m], 9.0 * np.eye(2))
     mix = MixtureModel(components=[(0.7, quiet), (0.3, noisy)])
@@ -122,6 +122,28 @@ def test_deep_tail_normal_student_mixture():
             1.0, 1e6, xtol=1e-300, rtol=8.9e-16,
         )
         assert mixture_var(mix, d, alpha) == pytest.approx(ref, rel=1e-10)
+
+
+# (alpha, VaR, ES) of a 0.99 Gaussian + 0.01 Student nu = 4 mixture at n = 3,
+# mu = 0, Sigma = I, delta = (1, 1, 1), from a 60-digit mpmath root; the
+# Student component dominates, so the root is near its VaR at alpha / 0.01,
+# 4.2e24 vols out at alpha = 1e-100
+_DEEP_MIXTURE = [
+    (1e-100, 7.2084342424042628446e24, 9.6112456565390171261e24),
+    (1e-200, 7.2084342424042629129e49, 9.6112456565390172171e49),
+    (1e-300, 7.2084342424042628354e74, 9.6112456565390171139e74),
+]
+
+
+@pytest.mark.parametrize("alpha, expected_var, expected_es", _DEEP_MIXTURE)
+def test_deep_tail_mixture_is_bracketed_by_its_component_vars(alpha, expected_var, expected_es):
+    mix = MixtureModel(components=[
+        (0.99, _component(gaussian_generator(3), np.zeros(3), np.eye(3))),
+        (0.01, _component(student_generator(3, 4.0), np.zeros(3), np.eye(3))),
+    ])
+    d = np.ones(3)
+    assert var(mix, d, alpha) == pytest.approx(expected_var, rel=1e-12, abs=0.0)
+    assert expected_shortfall(mix, d, alpha) == pytest.approx(expected_es, rel=1e-12, abs=0.0)
 
 
 def test_var_solve_does_not_depend_on_book_scale():
