@@ -7,10 +7,10 @@ against a seeded simulation.
 
 Exit codes: 0 success, 1 a validation comparison failed, 2 malformed
 input or configuration, 3 dimension mismatch, 4 covariance not positive
-definite, 5 numerical failure.  Every error prints a single
-machine-parseable line ``error: kind=<type> detail=<message>`` to
-stderr; a numerical failure appends its diagnostics to the message as
-`` key=value`` pairs.
+definite, 5 numerical failure.  Every error, a usage error included,
+prints a single machine-parseable line ``error: kind=<type>
+detail=<message>`` to stderr; a numerical failure appends its
+diagnostics to the message as `` key=value`` pairs.
 """
 
 from __future__ import annotations
@@ -443,8 +443,15 @@ def _add_alpha_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise, so main prints them as one line."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ellvar",
         description="Value-at-risk and expected shortfall for linear "
                     "portfolios under elliptic return models.",
@@ -505,10 +512,10 @@ _EXIT_CODES = (
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except OSError as exc:
+    except (OSError, argparse.ArgumentError) as exc:
         print(f"error: kind={type(exc).__name__} detail={exc}", file=sys.stderr)
         return 2
     except EllvarError as exc:

@@ -1,21 +1,16 @@
 """Monte Carlo validation of the analytic VaR and ES numbers.
 
-Every model is sampled as its weighted elliptic components, a plain
-model being one component: one pass over the component rows gives the
-arrays the sampler consumes, the (n, K) projection of the portfolio on
-each component's factor, the K means and each component generator's
-``mixing`` draw.  Sampling is exact for every generator that has a
-mixing draw: a path is a correlated normal draw times the per-path
-factor its generator draws, if it draws one, driven by a counter-based
-Philox stream so that every batch owns an independent substream
-addressed by its index.  Results are therefore reproducible for a fixed
-seed no matter how many worker threads run the batches or in which
-order they finish.  The analytic side is ``risk_report``.
-
-Memory is O(batch_size) and independent of the number of risk factors:
-a batch draws its normals in chunks of a fixed number of variates and
-projects each chunk onto the portfolio at once, so only the per-path
-pnl of a batch is ever held whole.  The estimator selects the order
+A linear book under an elliptic law is delta mu + sqrt(delta Sigma
+delta') Z_1, with Z_1 one coordinate of the spherical law.  Every model
+is sampled as its weighted elliptic components, a plain model being one
+component, and a path is its component's pnl mean plus its pnl scale
+||L' delta|| times one standard normal times the per-path factor its
+generator's ``mixing`` draw gives, if it draws one.  Sampling is exact
+for every generator that has a mixing draw, and memory is O(batch_size)
+whatever the number of risk factors.  Every batch draws from its own
+Philox substream, addressed by its index, so results are reproducible
+for a fixed seed however many worker threads run the batches.  The
+analytic side is ``risk_report``; the estimator selects the order
 statistics of a sample once, for every alpha of a validation.
 """
 
@@ -51,10 +46,6 @@ DEFAULT_ALPHAS = (0.01, 0.025, 0.05)
 
 _MIN_PATHS_FOR_ESTIMATE = 10_000
 
-# normals drawn and projected at a time within a batch: a chunk is
-# max(1, _CHUNK_NORMALS // n) rows, at most 512 KB for n <= 65,536
-_CHUNK_NORMALS = 1 << 16
-
 
 @dataclass(frozen=True)
 class SimulationSpec:
@@ -83,44 +74,33 @@ class SimulationSpec:
 
 
 def _draw_pnl(
-    rng: np.random.Generator, count: int, weights, projection, means, draws, antithetic: bool
+    rng: np.random.Generator, count: int, weights, scales, means, draws, antithetic: bool
 ) -> np.ndarray:
-    """One pnl draw per path: z @ projection scaled by the mixing factor.
+    """One pnl draw per path: mean + scale * z * factor, with one normal z per row.
 
-    ``projection`` is (n, K), one column per component, ``means`` the K
-    pnl means and ``draws`` the K generators' ``mixing`` draws, each
-    giving its rows' factors or None for none.  The stream is consumed
-    in a fixed order: the component of every row, then the normals row
-    by row, then one mixing block per component, in component order,
-    for the components that draw one.  The normals are drawn in
-    chunks of consecutive rows, which yields the same variates as one
-    draw of the whole block, and each chunk is projected onto every
-    component at once.
+    ``scales`` are the K components' pnl scales ||L_k' delta||,
+    ``means`` their pnl means and ``draws`` their generators' ``mixing``
+    draws, each giving its rows' factors or None for none.  The stream
+    is consumed in a fixed order: the component of every row, then one
+    standard normal per row, then one mixing block per component, in
+    component order, for the components that draw one.
 
     Antithetic draws come in pairs (m + t, m - t): mirrored normals with
     a shared mixing variable and component, so half as many rows are
     drawn.
     """
     rows = (count + 1) // 2 if antithetic else count
-    dim, k = projection.shape
+    k = len(draws)
     component = None if k == 1 else rng.choice(k, size=rows, p=weights)
-    core = np.empty(rows)
-    step = max(1, _CHUNK_NORMALS // dim)
-    for start in range(0, rows, step):
-        stop = min(start + step, rows)
-        projected = rng.standard_normal((stop - start, dim)) @ projection
-        if component is None:
-            core[start:stop] = projected[:, 0]
-        else:
-            picked = component[start:stop, None]
-            core[start:stop] = np.take_along_axis(projected, picked, axis=1)[:, 0]
+    pick = 0 if component is None else component
+    core = rng.standard_normal(rows) * scales[pick]
     # rows per component first, so a component that draws nothing costs no index
     counts = [rows] if component is None else np.bincount(component, minlength=k).tolist()
     for j, (draw, n_j) in enumerate(zip(draws, counts)):
         factor = draw(rng, n_j) if n_j else None
         if factor is not None:
             core[slice(None) if component is None else component == j] *= factor
-    mean = means[0] if component is None else means[component]
+    mean = means[pick]
     if not antithetic:
         return mean + core
     out = np.empty(2 * rows)
@@ -149,7 +129,10 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
         draws.append(gen.mixing)
     weights = np.array([w for w, _, _, _ in rows])
     means = np.array([mean for _, _, mean, _ in rows])
-    projection = np.column_stack([_cholesky_lower(m.sigma).T @ d for _, m in model.components])
+    # from the Cholesky factor, not the rows' vol, so the check has its own route to it
+    scales = np.array(
+        [np.linalg.norm(_cholesky_lower(m.sigma).T @ d) for _, m in model.components]
+    )
 
     n_batches = -(-spec.paths // spec.batch_size)
 
@@ -157,7 +140,7 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
         start = b * spec.batch_size
         count = min(spec.batch_size, spec.paths - start)
         rng = np.random.Generator(np.random.Philox(key=spec.seed).jumped(b))
-        return start, _draw_pnl(rng, count, weights, projection, means, draws, spec.antithetic)
+        return start, _draw_pnl(rng, count, weights, scales, means, draws, spec.antithetic)
 
     out = np.empty(spec.paths)
     with ThreadPoolExecutor(max_workers=min(spec.workers, n_batches)) as pool:
@@ -168,7 +151,7 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
 
 @dataclass(frozen=True)
 class EmpiricalEstimate:
-    """Order-statistic VaR and tail-mean ES with standard errors."""
+    """Order-statistic VaR and tail-mean ES with the standard errors of ``empirical_var_es``."""
 
     var: float
     es: float
@@ -229,11 +212,14 @@ def _estimates(pnl, alphas: Sequence[float]) -> list[EmpiricalEstimate]:
         else:
             density = 2.0 * h / width
             var_se = math.sqrt(alpha * (1.0 - alpha) / n) / density
-        es_se = float(np.std(tail, ddof=1)) / math.sqrt(k) if k > 1 else float("nan")
+        var_k, es_k = -float(head[k - 1]), -float(np.mean(tail))
+        spread = float(np.var(tail, ddof=1)) if k > 1 else math.nan
+        # ES's influence function adds a threshold term to the tail's own spread
+        es_se = math.sqrt((spread + (1.0 - alpha) * (es_k - var_k) ** 2) / k)
         out.append(
             EmpiricalEstimate(
-                var=-float(head[k - 1]),
-                es=-float(np.mean(tail)),
+                var=var_k,
+                es=es_k,
                 var_se=var_se,
                 es_se=es_se,
                 paths=n,
@@ -251,8 +237,11 @@ def empirical_var_es(pnl: np.ndarray, alpha: float) -> EmpiricalEstimate:
     asymptotic quantile variance alpha (1 - alpha) / (N f^2) with the
     density estimated by a central difference of the empirical quantile
     function (``np.quantile``'s linear method at alpha / 2 and
-    3 alpha / 2); the ES standard error is the tail standard deviation
-    over sqrt(tail size).  A pnl with a non-finite entry is rejected.
+    3 alpha / 2).  The ES standard error is sqrt((s^2 + (1 - alpha)
+    (ES - VaR)^2) / k) over the k tail draws with sample variance s^2,
+    the variance of ES's influence function, whose threshold term the
+    tail spread alone leaves out (Chen 2008, "Nonparametric estimation
+    of expected shortfall").  A pnl with a non-finite entry is rejected.
     """
     return _estimates(pnl, (alpha,))[0]
 

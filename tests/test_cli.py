@@ -374,6 +374,26 @@ def test_alpha_out_of_range_exit_2(one_factor, capsys):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize(
+    "options, detail",
+    [
+        (["--portfolio", "BOOK", "--alpha", "abc"], "argument --alpha: invalid float value: 'abc'"),
+        ([], "the following arguments are required: --portfolio"),
+    ],
+    ids=["alpha not a number", "no portfolio"],
+)
+def test_usage_error_exits_2_with_one_error_line(options, detail, one_factor, capsys):
+    argv = ["var", *(one_factor if option == "BOOK" else option for option in options)]
+    assert run_cli(capsys, argv) == (2, "", f"error: kind=ArgumentError detail={detail}\n")
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["var", "-h"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ellvar var ")
+
+
 def test_numerical_error_line_keeps_diagnostics(one_factor, tmp_path, capsys):
     # the mixture root is bracketed by its components' VaRs, and stdtrit gives
     # -inf for the t3 component's quantile at 1e-300

@@ -203,8 +203,9 @@ def _reference_estimate(pnl, alpha):
     lower, upper = np.quantile(pnl, [alpha - h, alpha + h])
     width = float(upper - lower)
     var_se = math.sqrt(alpha * (1.0 - alpha) / n) / (2.0 * h / width) if width > 0.0 else math.nan
-    es_se = float(np.std(tail, ddof=1)) / math.sqrt(k)
-    return -float(part[k - 1]), -float(np.mean(tail)), var_se, es_se
+    var, es = -float(part[k - 1]), -float(np.mean(tail))
+    es_se = math.sqrt((float(np.var(tail, ddof=1)) + (1.0 - alpha) * (es - var) ** 2) / k)
+    return var, es, var_se, es_se
 
 
 # 0.3 and 0.45 read quantiles far past the tail of every smaller alpha
@@ -231,6 +232,19 @@ def test_empirical_var_es_matches_full_partition_and_quantile(sample):
         assert est.es == pytest.approx(es_ref, rel=1e-14, abs=0.0)
         assert est.es_se == pytest.approx(es_se_ref, rel=1e-14, abs=1e-300)
         assert est.tail_count == math.ceil(alpha * pnl.shape[0])
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [lambda rng, n: rng.standard_normal(n), lambda rng, n: rng.standard_t(4.0, n)],
+    ids=["normal", "student4"],
+)
+def test_es_standard_error_matches_the_spread_of_es_estimates(draw):
+    # without the threshold term the spread is about 1.5x (normal) and 1.3x (t4) the SE
+    rng = np.random.default_rng(97)
+    estimates = [empirical_var_es(draw(rng, 20_000), 0.01) for _ in range(400)]
+    spread = np.std([e.es for e in estimates], ddof=1)
+    assert spread == pytest.approx(np.mean([e.es_se for e in estimates]), rel=0.15)
 
 
 def test_validate_model_rows_equal_per_alpha_estimates():
@@ -264,27 +278,41 @@ def _factor_mixture(n, seed):
 
 
 def test_batches_draw_components_then_normals_then_chi_square():
-    """Batch b reads Philox(seed).jumped(b): components, normals row by row, chi-squares."""
+    """Batch b reads Philox(seed).jumped(b): components, one normal per row, chi-squares."""
     n, nu, seed, batch = 3, 4.0, 79, 5_000
-    weights = (0.3, 0.7)
+    weights, means, scales = (0.3, 0.7), np.array([0.5, -0.25]), np.array([2.0, 1.0])
     mix = MixtureModel(
         components=[
-            (w, EllipticModel(generator=gen, mu=np.zeros(n), sigma=np.eye(n)))
-            for w, gen in zip(weights, (gaussian_generator(n), student_generator(n, nu)))
+            (w, EllipticModel(generator=gen, mu=np.full(n, m), sigma=s * s * np.eye(n)))
+            for w, gen, m, s in zip(
+                weights, (gaussian_generator(n), student_generator(n, nu)), means, scales
+            )
         ]
     )
     spec = SimulationSpec(paths=12_000, seed=seed, batch_size=batch)
-    # with identity dispersion and a unit delta the pnl is one column of the normals
-    columns = [simulate_pnl(mix, np.eye(n)[j], spec) for j in range(n)]
+    # a unit delta reads one factor: pnl mean and scale are the component's mu and sqrt(sigma)
+    pnl = simulate_pnl(mix, np.eye(n)[1], spec)
     for b, start in enumerate(range(0, spec.paths, batch)):
         rows = min(batch, spec.paths - start)
         rng = np.random.Generator(np.random.Philox(key=seed).jumped(b))
         component = rng.choice(2, size=rows, p=weights)
-        z = rng.standard_normal((rows, n))
-        student = np.flatnonzero(component == 1)
-        z[student] *= np.sqrt(nu / rng.chisquare(nu, size=student.shape[0]))[:, None]
-        for j in range(n):
-            assert np.array_equal(columns[j][start : start + rows], z[:, j])
+        core = rng.standard_normal(rows) * scales[component]
+        student = component == 1
+        core[student] *= np.sqrt(nu / rng.chisquare(nu, size=np.count_nonzero(student)))
+        assert np.array_equal(pnl[start : start + rows], means[component] + core)
+
+
+def test_pnl_is_the_one_factor_pnl_times_the_book_scale():
+    """A linear book is ||L' delta|| Z_1: n = 200 draws what n = 1 draws, scaled."""
+    mix, d = _factor_mixture(200, 83)
+    sigma = mix.components[0][1].sigma
+    model = EllipticModel(generator=student_generator(200, 5.0), mu=np.zeros(200), sigma=sigma)
+    one = EllipticModel(generator=student_generator(1, 5.0), mu=np.zeros(1), sigma=np.eye(1))
+    for antithetic in (False, True):
+        spec = SimulationSpec(paths=20_001, seed=89, batch_size=8_192, antithetic=antithetic)
+        scale = np.linalg.norm(np.linalg.cholesky(model.sigma).T @ d)
+        pnl, unit = simulate_pnl(model, d, spec), simulate_pnl(one, np.ones(1), spec)
+        assert np.max(np.abs(pnl - scale * unit) / np.spacing(np.abs(pnl))) <= 4
 
 
 def test_sampler_memory_does_not_scale_with_factor_count():
@@ -298,32 +326,6 @@ def test_sampler_memory_does_not_scale_with_factor_count():
     finally:
         tracemalloc.stop()
     assert peak < 32e6
-
-
-@pytest.mark.parametrize("antithetic", [False, True])
-def test_chunk_size_does_not_change_the_draws(monkeypatch, antithetic):
-    spec = SimulationSpec(paths=20_001, seed=71, batch_size=8_192, antithetic=antithetic)
-    # as above, each unit-delta pnl is one column of the normals
-    n = 5
-    unit = MixtureModel(
-        components=[
-            (0.5, EllipticModel(generator=gen, mu=np.zeros(n), sigma=np.eye(n)))
-            for gen in (gaussian_generator(n), student_generator(n, 4.0))
-        ]
-    )
-    mix, d = _factor_mixture(7, 73)
-
-    def draws():
-        columns = [simulate_pnl(unit, np.eye(n)[j], spec) for j in range(n)]
-        return columns, simulate_pnl(mix, d, spec)
-
-    columns, pnl = draws()
-    # an odd chunk of 7 rows at n = 5 and 5 rows at n = 7
-    monkeypatch.setattr(mc, "_CHUNK_NORMALS", 37)
-    chunked_columns, chunked = draws()
-    for a, b in zip(columns, chunked_columns):
-        assert np.array_equal(a, b)
-    assert np.max(np.abs(chunked - pnl)) <= 1e-12 * np.max(np.abs(pnl))
 
 
 def test_validate_model_gaussian():
