@@ -85,18 +85,20 @@ __all__ = [
     "clear_quantile_cache",
 ]
 
-# the double route: inner integrals must be resolved tighter than the
-# outer ones consuming them
-_OUTER_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13, max_subdivisions=200)
-_INNER_QUAD = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=200)
 _SMALLEST_DOUBLE = math.ulp(0.0)  # 5e-324, the smallest positive double
-# The one-integral tail forms (the kernel route and the tail expectation),
-# and the marginal density of the Euler allocation, are held to their
-# relative tolerance alone: the absolute floor is the smallest positive
-# double, no larger than any alpha > 0 can ask for, so at a solved
-# quantile the absolute tolerance is 1e-11 * alpha (1e-13 at alpha = 0.01,
-# 1e-311 at alpha = 1e-300) and deep tails keep their digits.
+# The answers' tolerance: every integral a number is built from (the mass
+# check, the kernel tail, the tail expectation, the marginal density and
+# the double route's outer integral) is held to its relative tolerance
+# alone.  The absolute floor is the smallest positive double, no larger
+# than any alpha > 0 or any generator's mass can ask for, so at a solved
+# quantile the absolute tolerance is 1e-11 * alpha and deep tails keep
+# their digits.
 _TAIL_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=_SMALLEST_DOUBLE, max_subdivisions=200)
+# The double route's inner integral alone keeps an absolute floor: held to
+# 1e-12 relative alone, the route runs out of QUADPACK's 200 subdivisions
+# (G(0.3) of the Gaussian at n = 5).  The floor leaves that route a few
+# 1e-8 off deep in the tail (the Gaussian at n = 3, s = 10).
+_INNER_QUAD = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=200)
 
 # The exp-sinh rule of Takahasi & Mori (1974) on (0, inf): v = exp(pi/2 sinh t)
 # at t = -4, -4 + h, ..., 3.1875 with h = 1/16, 116 nodes.  Stretched by
@@ -177,7 +179,7 @@ class DensityGenerator:
             return
         # the mass over R^n, int_0^inf g(r^2) |S^(n-1)| r^(n-1) dr, read at scale 1
         n = self.dimension
-        mass = _radial_integral(self, 0.0, _log_sphere_area(n), n - 1, quad=_INNER_QUAD)
+        mass = _radial_integral(self, 0.0, _log_sphere_area(n), n - 1)
         if abs(mass - 1.0) <= _NORMALIZATION_TOL:
             self._scale = 1.0
         elif self.auto_rescale:
@@ -285,27 +287,41 @@ def _check_generator(gen) -> DensityGenerator:
     return gen
 
 
+def _binary_exponent(x) -> int:
+    """e with max |x| in [2^(e-1), 2^e), 0 if x is all zeros.
+
+    ``np.ldexp(x, -e)`` is x at unit scale, exactly: its largest entry
+    lies in [1/2, 1), so a sum of squares or a quadratic form of it stays
+    in double range however large or small x is.
+    """
+    return math.frexp(float(np.abs(x).max()))[1]
+
+
 def _component_rows(model, delta) -> tuple[np.ndarray, list[tuple]]:
     """delta as a checked vector, and one (weight, generator, mean, vol) row per component.
 
     ``model`` is read through its ``components``, (weight, EllipticModel)
     pairs on a common space; anything without them is not a model.
     delta's shape and finiteness are checked here, once per call; the
-    models were checked when they were built.  A delta with zero vol has
-    no risk to measure and raises here, for every entry point.
+    models were checked when they were built.  The forms are read on delta
+    at unit scale and scaled back by the same power of two, which is exact,
+    so a book's mean and vol are those of delta at any scale.  A delta with
+    zero vol has no risk to measure and raises here, for every entry point.
     """
     try:
         components = model.components
     except AttributeError:
         raise DomainError(f"unsupported model type {type(model).__name__}") from None
     d = _check_array(delta, "delta", length=model.dimension)
+    e = _binary_exponent(d)
+    unit = np.ldexp(d, -e)
     rows = []
     for w, m in components:
         # an SPD sigma can only give a negative form through rounding
-        vol = math.sqrt(max(float(d @ m.sigma @ d), 0.0))
+        vol = math.ldexp(math.sqrt(max(float(unit @ m.sigma @ unit), 0.0)), e)
         if vol == 0.0:
             raise DomainError("delta has zero volatility; there is no risk to measure")
-        rows.append((w, m.generator, float(d @ m.mu), vol))
+        rows.append((w, m.generator, math.ldexp(float(unit @ m.mu), e), vol))
     return d, rows
 
 
@@ -409,16 +425,8 @@ def _radial_integral(
     return integrate_semi_infinite(integrand, 0.0, quad)
 
 
-def _marginal_density(
-    z: float, gen: DensityGenerator, quad: QuadratureSpec | tuple = _INNER_QUAD
-) -> float:
-    """Density of one spherical coordinate at z: the generator integrated over the others.
-
-    The default ``quad`` is the inner tolerance of the double route, whose
-    absolute floor is below anything its outer integral can see; a caller
-    that needs the density itself to relative accuracy, however small,
-    passes ``_TAIL_QUAD``.
-    """
+def _marginal_density(z: float, gen: DensityGenerator, quad: QuadratureSpec | tuple) -> float:
+    """Density of one spherical coordinate at z: the generator integrated over the others."""
     n = gen.dimension
     zz = z * z
     if n == 1:
@@ -434,7 +442,8 @@ def big_g(s: float, gen: DensityGenerator, route: str = "double") -> float:
     """Survival function P(Z1 >= s) of one coordinate of the spherical law.
 
     ``route="double"`` integrates the marginal density, itself an
-    integral over the other coordinates; it is the reference route.
+    integral over the other coordinates; it is the reference route, its
+    outer integral held relative and its inner one to ``_INNER_QUAD``.
     ``route="kernel"`` is one integral of the generator against the
     closed-form incomplete-beta share of the sphere beyond s, held to
     relative accuracy however small G(s) is; quantile solves and
@@ -448,7 +457,9 @@ def big_g(s: float, gen: DensityGenerator, route: str = "double") -> float:
     if s < 0.0:
         return 1.0 - big_g(-s, gen, route)
     if route == "double":
-        return integrate_semi_infinite(lambda z: _marginal_density(z, gen), s, _OUTER_QUAD)
+        return integrate_semi_infinite(
+            lambda z: _marginal_density(z, gen, _INNER_QUAD), s, _TAIL_QUAD
+        )
     return _kernel_tail(s, gen)
 
 

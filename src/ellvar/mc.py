@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .elliptic import _check_alpha, _component_rows
+from .elliptic import _binary_exponent, _check_alpha, _component_rows
 from .errors import DomainError, UnsupportedGeneratorError, _check_array, _check_int
 from .linalg import _cholesky_lower
 from .linalg import cholesky  # noqa: F401  wrapped by bench/tracing.py
@@ -129,9 +129,12 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
         draws.append(gen.mixing)
     weights = np.array([w for w, _, _, _ in rows])
     means = np.array([mean for _, _, mean, _ in rows])
-    # from the Cholesky factor, not the rows' vol, so the check has its own route to it
-    scales = np.array(
-        [np.linalg.norm(_cholesky_lower(m.sigma).T @ d) for _, m in model.components]
+    # from the Cholesky factor, not the rows' vol, so the check has its own
+    # route to it; read on delta at unit scale, like the rows, and scaled back
+    e = _binary_exponent(d)
+    unit = np.ldexp(d, -e)
+    scales = np.ldexp(
+        [np.linalg.norm(_cholesky_lower(m.sigma).T @ unit) for _, m in model.components], e
     )
 
     n_batches = -(-spec.paths // spec.batch_size)
@@ -213,9 +216,12 @@ def _estimates(pnl, alphas: Sequence[float]) -> list[EmpiricalEstimate]:
             density = 2.0 * h / width
             var_se = math.sqrt(alpha * (1.0 - alpha) / n) / density
         var_k, es_k = -float(head[k - 1]), -float(np.mean(tail))
-        spread = float(np.var(tail, ddof=1)) if k > 1 else math.nan
-        # ES's influence function adds a threshold term to the tail's own spread
-        es_se = math.sqrt((spread + (1.0 - alpha) * (es_k - var_k) ** 2) / k)
+        # ES's influence function adds a threshold term to the tail's own
+        # spread, both formed on the tail at unit scale and scaled back
+        e = _binary_exponent(tail)
+        spread = float(np.var(np.ldexp(tail, -e), ddof=1)) if k > 1 else math.nan
+        excess = math.ldexp(es_k - var_k, -e)
+        es_se = math.ldexp(math.sqrt((spread + (1.0 - alpha) * excess**2) / k), e)
         out.append(
             EmpiricalEstimate(
                 var=var_k,

@@ -125,7 +125,7 @@ class RiskReport:
 
     def __post_init__(self):
         _check_real(self.volatility, "volatility", 0.0)
-        slack = 1e-9 * max(1.0, abs(self.var))
+        slack = 1e-9 * abs(self.var)
         if not self.es >= self.var - slack:
             raise DomainError(
                 f"expected shortfall {self.es!r} is below VaR {self.var!r}"
@@ -159,12 +159,16 @@ def risk_report(model, delta, alpha: float) -> RiskReport:
         _, gen, mean, vol = rows[0]
         label, quantile = gen.name, thresholds[0]
     else:
+        # pooled on the vols at unit scale, so it underflows or overflows only
+        # where the volatility itself would
+        e = elliptic._binary_exponent([scale for _, _, _, scale in rows])
         mean = 0.0
         pooled = 0.0
         for w, _, m, scale in rows:
             mean += w * m
-            pooled += w * scale * scale
-        vol = math.sqrt(pooled)
+            unit = math.ldexp(scale, -e)
+            pooled += w * unit * unit
+        vol = math.ldexp(math.sqrt(pooled), e)
         label = "mixture(" + ", ".join(f"{w:g}*{gen.name}" for w, gen, _, _ in rows) + ")"
         quantile = (v + mean) / vol
     return RiskReport(

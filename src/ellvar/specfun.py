@@ -57,6 +57,9 @@ _MAX_SERIES_TERMS = 8_000_000
 # that fraction of the larger term
 _CONNECTION_MAX_W = 1.0 / 64.0
 _FAST_RATIO = 0.25
+# a connection series' term ratios are checked one by one up to this k,
+# and bounded past it
+_RATIO_PREFIX = 4096
 
 
 def log_gamma(x: float) -> float:
@@ -87,7 +90,9 @@ def _series_2f1(a: float, b: float, c: float, z: float) -> float:
     Stops when a geometric bound on the remaining tail drops below the
     relative tolerance.  The callers always land here with z in [0, 1);
     z very close to 1 (slow decay) is where the block structure pays off.
-    Each block doubles the last, up to ``_SERIES_BLOCK`` terms.
+    Each block doubles the last, up to ``_SERIES_BLOCK`` terms.  Where the
+    same estimate, at the smaller of the last ratio and z (the ratios'
+    limit), needs more terms than the budget has left, it raises at once.
     """
     total = 1.0
     term = 1.0
@@ -110,14 +115,19 @@ def _series_2f1(a: float, b: float, c: float, z: float) -> float:
             tail_bound = abs(last) * r / (1.0 - r)
             if tail_bound <= _SERIES_TOL * abs(total):
                 return total
+            if total != 0.0:
+                needed = math.log(_SERIES_TOL * abs(total) / tail_bound) / math.log(min(r, z))
+                if k + needed > _MAX_SERIES_TERMS:
+                    break
         term = last
     raise NumericalError(
-        "hypergeometric series did not converge within the term budget",
+        "hypergeometric series would not converge within the term budget",
         a=a,
         b=b,
         c=c,
         z=z,
-        terms=_MAX_SERIES_TERMS,
+        terms=k,
+        budget=_MAX_SERIES_TERMS,
         partial_sum=total,
     )
 
@@ -125,18 +135,25 @@ def _series_2f1(a: float, b: float, c: float, z: float) -> float:
 def _fast_series(a: float, b: float, c: float, w: float) -> float | None:
     """The Gauss series 2F1(a, b; c; w) if each term ratio is at most 1/4 in size, else None.
 
-    Past k = 4 (|a| + |b| + |c| + 1) a ratio is below 2.1 w, which the
-    caller's w <= _CONNECTION_MAX_W = 1/64 keeps below 1/4, so only the
-    ratios before that are checked.  The sum takes at least 28 of them:
-    the terms shrink at least 4x each, so what is left after term 28 is at
-    most 4^-28 / 3 of the first, below double precision.
+    The ratio at k is w (a + k) / (c + k) * (b + k) / (k + 1).  Up to
+    k_max = 4 (|a| + |b| + |c| + 1), or _RATIO_PREFIX if that is smaller,
+    each ratio is checked.  Past the checked prefix, from k = p with
+    c + p > 0, neither factor has a pole, so each moves monotonically
+    towards 1 and is at most max(1, its size at p): w times the two is a
+    bound on every later ratio.  Past k_max that bound is below 2.1 w,
+    which the caller's w <= _CONNECTION_MAX_W = 1/64 keeps below 1/4.
+    The sum takes at least 28 ratios: the terms shrink at least 4x each,
+    so what is left after term 28 is at most 4^-28 / 3 of the first,
+    below double precision.
     """
     k_max = 4.0 * (abs(a) + abs(b) + abs(c) + 1.0)
-    if k_max > _SERIES_BLOCK:
-        return None
-    k = np.arange(max(math.ceil(k_max) + 1, 28), dtype=np.float64)
+    p = max(min(math.ceil(k_max), _RATIO_PREFIX) + 1, 28)
+    k = np.arange(p, dtype=np.float64)
     ratios = (a + k) * (b + k) / ((c + k) * (k + 1.0)) * w
-    if np.abs(ratios).max() > _FAST_RATIO:
+    if np.abs(ratios).max() > _FAST_RATIO or c + p <= 0.0:
+        return None
+    later = w * max(1.0, abs((a + p) / (c + p))) * max(1.0, abs((b + p) / (p + 1.0)))
+    if later > _FAST_RATIO:
         return None
     return 1.0 + float(np.cumprod(ratios).sum())
 

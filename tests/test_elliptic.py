@@ -127,6 +127,34 @@ def test_auto_rescale_refuses_a_density_of_no_mass():
         DensityGenerator(dimension=2, density=lambda u: 0.0, auto_rescale=True)
 
 
+@pytest.mark.parametrize("k", [1e-14, 1e-18, 1e-25, 1e20])
+def test_auto_rescale_keeps_its_digits_at_any_mass(k):
+    # k exp(-u/2) at n = 3 has mass k (2 pi)^1.5; the mass check is held to
+    # its relative tolerance alone, so a small mass is measured as well as
+    # a large one (an absolute floor of 1e-15 left k = 1e-18 1.2e-6 off)
+    gen = DensityGenerator(dimension=3, density=lambda u: k * math.exp(-u / 2.0), auto_rescale=True)
+    exact = 1.0 / (k * (2.0 * math.pi) ** 1.5)
+    assert gen._scale == pytest.approx(exact, rel=1e-13, abs=0.0)
+    assert solve_quantile(0.01, gen) == pytest.approx(-special.ndtri(0.01), rel=0.0, abs=1e-13)
+
+
+def test_auto_rescale_of_power_exponential_shapes_is_their_exact_mass():
+    # exp(-u^beta / 2) in R^n has mass |S^(n-1)| 2^(a - 1) Gamma(a) / beta, a = n / (2 beta)
+    for n in (1, 2, 3, 5):
+        for beta in np.linspace(0.4, 1.0, 13):
+            gen = DensityGenerator(
+                dimension=n, density=lambda u, b=beta: math.exp(-(u**b) / 2.0), auto_rescale=True
+            )
+            a = n / (2.0 * beta)
+            log_mass = (
+                elliptic._log_sphere_area(n)
+                + (a - 1.0) * math.log(2.0)
+                + math.lgamma(a)
+                - math.log(beta)
+            )
+            assert gen._scale * math.exp(log_mass) == pytest.approx(1.0, rel=1e-13, abs=0.0)
+
+
 def test_generator_rejects_bad_dimension():
     with pytest.raises(DomainError):
         DensityGenerator(dimension=0, density=lambda u: math.exp(-u))
@@ -220,6 +248,16 @@ def test_kernel_route_small_and_large_s(n):
 def _bare(gen):
     """The generator's density without its closed forms."""
     return DensityGenerator(dimension=gen.dimension, density=gen.density, normalizer=1.0)
+
+
+def test_double_route_is_relative_in_the_deep_tail():
+    # the outer integral is held to its relative tolerance alone (an absolute
+    # floor of 1e-13 left these 3.9e-9 and 2.8e-8 off); the inner one keeps
+    # its floor, which still leaves the Gaussian 4.3e-8 off at s = 10
+    gauss = big_g(7.0, _bare(gaussian_generator(3)), route="double")
+    assert gauss == pytest.approx(stats.norm.sf(7.0), rel=1e-10, abs=0.0)
+    student = big_g(10.0, _bare(student_generator(3, 30.0)), route="double")
+    assert student == pytest.approx(stats.t.sf(10.0, 30.0), rel=1e-10, abs=0.0)
 
 
 def test_solve_quantile_power_exponential():

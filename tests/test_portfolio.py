@@ -246,6 +246,13 @@ def test_risk_report_invariants():
             model="gaussian", alpha=0.05, mean=0.0, volatility=1.0,
             quantile=1.6, var=1.6, es=1.0,
         )
+    # the ES >= VaR slack is relative to VaR: a book of VaR 1.6e-12 may not
+    # report an ES below it by half its size
+    with pytest.raises(DomainError):
+        RiskReport(
+            model="gaussian", alpha=0.05, mean=0.0, volatility=1e-12,
+            quantile=1.6, var=1.6e-12, es=0.8e-12,
+        )
 
 
 def test_risk_report_dict_round_trip():

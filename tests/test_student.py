@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from ellvar import (
     var,
 )
 from ellvar import elliptic
-from ellvar.errors import DimensionError, DomainError
+from ellvar.errors import DimensionError, DomainError, NumericalError
 
 # scipy.stats.t.sf oracle, frozen
 BIG_G_CASES = [
@@ -129,6 +130,49 @@ HYP2F1_ROUTE_CASES = [
 @pytest.mark.parametrize("s, nu, expected", HYP2F1_ROUTE_CASES)
 def test_student_big_g_hyp2f1_route_near_argument_one(s, nu, expected):
     assert student_big_g(s, nu, method="hyp2f1") == pytest.approx(expected, rel=1e-11)
+
+
+# mpmath (50 digits) oracle, frozen: large nu, where the route's argument
+# -nu/s^2 maps within about 1e-6 of 1 and the connection formula's first
+# series has 2 nu + 8 as the a-priori bound on its ratio checks.  The
+# route's lgamma constants keep it to about 1e-8 at nu = 1e7.
+HYP2F1_LARGE_NU_CASES = [
+    (0.1, 5e4, 0.4601723631835029),
+    (0.5, 5e4, 0.30853863892672922),
+    (0.1, 1e5, 0.46017226295336311),
+    (0.5, 1e5, 0.30853808882720902),
+    (0.1, 1e6, 0.46017217274602158),
+    (0.5, 1e6, 0.30853759373618569),
+    (0.1, 1e7, 0.46017216372527619),
+    (0.5, 1e7, 0.30853754422700754),
+]
+
+
+def _fastest_of_three(call) -> float:
+    """The shortest of three wall times of call(), in seconds."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+@pytest.mark.parametrize("s, nu, expected", HYP2F1_LARGE_NU_CASES)
+def test_student_big_g_hyp2f1_route_at_large_nu(s, nu, expected):
+    assert student_big_g(s, nu, method="hyp2f1") == pytest.approx(expected, rel=1e-7)
+    assert _fastest_of_three(lambda: student_big_g(s, nu, method="hyp2f1")) <= 0.02
+
+
+def test_student_big_g_hyp2f1_route_fails_promptly_past_its_term_budget():
+    # at nu = 1e6, s = 1 the connection series are slow and the direct series
+    # would need about 1e7 terms, past its 8e6 budget: it raises once its own
+    # tail estimate shows that, not after summing the budget
+    def call():
+        with pytest.raises(NumericalError):
+            student_big_g(1.0, 1e6, method="hyp2f1")
+
+    assert _fastest_of_three(call) <= 0.02
 
 
 def test_only_the_t_normalisers_call_log_gamma():
