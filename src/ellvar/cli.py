@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -503,6 +504,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main parses with one parser per process: parsing leaves it as it was,
+# and building it costs more than a closed-form command itself
+_parser = functools.cache(build_parser)
+
+
 _EXIT_CODES = (
     (DimensionError, 3),
     (NotPositiveDefiniteError, 4),
@@ -513,7 +519,7 @@ _EXIT_CODES = (
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (OSError, argparse.ArgumentError) as exc:
         print(f"error: kind={type(exc).__name__} detail={exc}", file=sys.stderr)

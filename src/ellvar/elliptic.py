@@ -114,9 +114,11 @@ _NORMALIZATION_TOL = 1e-8
 _QUANTILE_RESIDUAL_TOL = 1e-10
 _MAX_BRACKET_DOUBLINGS = 64
 # a Newton step on the log tail below _NEWTON_XTOL + _NEWTON_RTOL * x is
-# rounding: the floor of brentq's xtol, and a few ulps of x
+# rounding: the floor of _solve_decreasing's xtol, and a few ulps of x
 _NEWTON_XTOL = 1e-15
 _NEWTON_RTOL = 4e-15
+# Brent steps before a root solve gives up (scipy's brentq default)
+_BRENT_MAX_STEPS = 100
 # solved quantiles are cached per (generator, alpha) and each entry
 # keeps its generator alive, so the oldest entries give way past this size
 _QUANTILE_CACHE_SIZE = 4096
@@ -533,12 +535,12 @@ def _solve_decreasing(
 
     lo = 0 is taken to lie below the root, as it does for a symmetric
     tail at alpha < 1/2.  Without ``hi`` the upper end doubles from 1
-    until f falls below alpha.  brentq finds the root of log f(x) -
+    until f falls below alpha.  ``_brent`` finds the root of log f(x) -
     log alpha, which is nearly linear in x where f itself is not, and the
     relative residual of f is checked.  An end that rounding puts on the
     wrong side of alpha is itself the root, if it passes that check.  f
-    is evaluated once per point, brentq's ends and the root it returns
-    included.
+    is evaluated once per point, the bracket's ends and the root
+    ``_brent`` returns included.
     """
     tail = functools.cache(f)
     if hi is None:
@@ -559,15 +561,80 @@ def _solve_decreasing(
         return _checked_quantile(tail, alpha, lo)
     if not tail(hi) < alpha:
         return _checked_quantile(tail, alpha, hi)
-    from scipy import optimize
-
     log_alpha = math.log(alpha)
-    # xtol lies below the rounding of any root of unit scale, so brentq
+    # xtol lies below the rounding of any root of unit scale, so the solve
     # stops on rtol and the root is good to a few ulps
-    root = optimize.brentq(
-        lambda x: _log_tail(tail, x) - log_alpha, lo, hi, xtol=1e-15, rtol=8.9e-16
-    )
-    return _checked_quantile(tail, alpha, float(root))
+    root = _brent(lambda x: _log_tail(tail, x) - log_alpha, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    return _checked_quantile(tail, alpha, root)
+
+
+def _brent(f: Callable[[float], float], lo: float, hi: float, xtol: float, rtol: float) -> float:
+    """A root of f in [lo, hi] by Brent's method.
+
+    Brent (1973), *Algorithms for Minimization without Derivatives*,
+    ch. 4, ported from scipy's ``brentq.c`` statement for statement: the
+    same secant, inverse quadratic and bisection steps, the same stop
+    once half the bracket is below (xtol + rtol * |x|) / 2, and f read
+    once at each end and once per step, so it returns brentq's root bit
+    for bit.  rtol should be at least 4 ulps of 1, as brentq requires.
+    An end where f is 0 is the root.  Ends where f has one sign raise
+    BracketError; a nan value, or no stop within _BRENT_MAX_STEPS steps,
+    raises NumericalError with the point and the step count.
+    """
+    steps = 0
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NumericalError("root solve met a nan function value", x=x, iterations=steps)
+        return fx
+
+    # xcur is the best point so far, xpre the one before it, xblk the
+    # other end of the bracket; spre and scur are the last two steps
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise BracketError("root bracket ends have one sign", lower=lo, upper=hi)
+    xblk = fblk = spre = scur = 0.0
+    for steps in range(1, _BRENT_MAX_STEPS + 1):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # in C the step is infinite or nan, which the test below refuses
+                stry = math.inf
+            bound = 3.0 * abs(sbis) - delta
+            short = 2.0 * abs(stry) < (abs(spre) if abs(spre) < bound else bound)
+        if short:
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    raise NumericalError("root solve did not converge", x=xcur, iterations=steps)
 
 
 def _rule_quantile(gen: DensityGenerator, alpha: float) -> tuple[float, float]:

@@ -74,16 +74,20 @@ class SimulationSpec:
 
 
 def _draw_pnl(
-    rng: np.random.Generator, count: int, weights, scales, means, draws, antithetic: bool
+    rng: np.random.Generator, count: int, cdf, scales, means, draws, antithetic: bool
 ) -> np.ndarray:
     """One pnl draw per path: mean + scale * z * factor, with one normal z per row.
 
-    ``scales`` are the K components' pnl scales ||L_k' delta||,
-    ``means`` their pnl means and ``draws`` their generators' ``mixing``
-    draws, each giving its rows' factors or None for none.  The stream
-    is consumed in a fixed order: the component of every row, then one
+    ``cdf`` holds the K components' cumulative weights, normalised to
+    end at 1, ``scales`` their pnl scales ||L_k' delta||, ``means``
+    their pnl means and ``draws`` their generators' ``mixing`` draws,
+    each giving its rows' factors or None for none.  The stream is
+    consumed in a fixed order: the component of every row, then one
     standard normal per row, then one mixing block per component, in
-    component order, for the components that draw one.
+    component order, for the components that draw one.  A row's
+    component is the number of cumulative weights at or below one
+    uniform, the component ``rng.choice(K, p=weights)`` picks from the
+    same stream, without its per-call checks.
 
     Antithetic draws come in pairs (m + t, m - t): mirrored normals with
     a shared mixing variable and component, so half as many rows are
@@ -91,7 +95,13 @@ def _draw_pnl(
     """
     rows = (count + 1) // 2 if antithetic else count
     k = len(draws)
-    component = None if k == 1 else rng.choice(k, size=rows, p=weights)
+    component = None
+    if k > 1:
+        # cdf[-1] is 1, which no uniform reaches
+        uniform = rng.random(rows)
+        component = (uniform >= cdf[0]).astype(np.intp)
+        for edge in cdf[1:-1]:
+            component += uniform >= edge
     pick = 0 if component is None else component
     core = rng.standard_normal(rows) * scales[pick]
     # rows per component first, so a component that draws nothing costs no index
@@ -127,7 +137,9 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
                 "and student generators have exact sampling routines"
             )
         draws.append(gen.mixing)
-    weights = np.array([w for w, _, _, _ in rows])
+    # normalised as rng.choice normalises its p
+    cdf = np.cumsum([w for w, _, _, _ in rows])
+    cdf /= cdf[-1]
     means = np.array([mean for _, _, mean, _ in rows])
     # from the Cholesky factor, not the rows' vol, so the check has its own
     # route to it; read on delta at unit scale, like the rows, and scaled back
@@ -143,7 +155,7 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
         start = b * spec.batch_size
         count = min(spec.batch_size, spec.paths - start)
         rng = np.random.Generator(np.random.Philox(key=spec.seed).jumped(b))
-        return start, _draw_pnl(rng, count, weights, scales, means, draws, spec.antithetic)
+        return start, _draw_pnl(rng, count, cdf, scales, means, draws, spec.antithetic)
 
     out = np.empty(spec.paths)
     with ThreadPoolExecutor(max_workers=min(spec.workers, n_batches)) as pool:

@@ -62,11 +62,6 @@ class MixtureModel:
         dims = {m.dimension for _, m in comps}
         if len(dims) != 1:
             raise DimensionError(f"components disagree on dimension: {sorted(dims)}")
-        if len(comps) > 1:
-            # every VaR over several components is a root solve: importing the
-            # root finder here (about 0.3 s, once per process) charges it to
-            # building the model, not to the model's first VaR
-            import scipy.optimize  # noqa: F401
         self.components = tuple(comps)
 
     @property

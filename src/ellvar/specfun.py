@@ -277,10 +277,11 @@ def _import_integrate():
     """Bind ``scipy.integrate`` as this module's ``integrate`` and return it.
 
     It is imported on the first integral, not with the package: with the
-    scipy.optimize it loads it adds about 0.3 s to a cold start, which runs
-    that need only closed forms do without.  Once bound it is an ordinary
-    module attribute, so a wrapper set in its place (as bench/tracing.py
-    sets one) sees every integral.
+    scipy.optimize it loads it adds about 0.2 s to a cold start, which
+    runs that need only closed forms, mixtures of them included, do
+    without (the package's root solver is its own ``elliptic._brent``).
+    Once bound it is an ordinary module attribute, so a wrapper set in
+    its place (as bench/tracing.py sets one) sees every integral.
     """
     global integrate
     from scipy import integrate

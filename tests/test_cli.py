@@ -594,8 +594,8 @@ def test_console_script_is_installed():
 
 
 def test_closed_form_runs_never_load_the_quadrature_stack():
-    # scipy.integrate, scipy.optimize and cython_special load with the first
-    # integral, root solve and kernel big_g; a closed-form table needs none
+    # scipy.integrate, with the scipy.optimize it loads, and cython_special
+    # load with the first integral and kernel big_g; a closed-form table needs none
     script = (
         "import sys, ellvar, ellvar.cli\n"
         "assert ellvar.cli.main(['table', '--nu', '5', '--alpha', '0.05']) == 0\n"
@@ -606,3 +606,51 @@ def test_closed_form_runs_never_load_the_quadrature_stack():
     assert proc.returncode == 0, proc.stderr
     assert "2.01505" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_mixture_runs_never_load_the_root_finder_or_quadrature(two_factor, tmp_path):
+    # a mixture's VaR is a root solve, which the package does itself: reports,
+    # Euler contributions, a simulation and the CLI load neither scipy module
+    spec = tmp_path / "mix.json"
+    spec.write_text(json.dumps(
+        {"components": [{"beta": 0.5}, {"beta": 0.3, "nu": 5}, {"beta": 0.2, "nu": 3}]}
+    ))
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from ellvar import (EllipticModel, MixtureModel, SimulationSpec, gaussian_generator,\n"
+        "    incremental_var, risk_report, student_generator, validate_model)\n"
+        "from ellvar.cli import main\n"
+        "gens = (gaussian_generator(3), student_generator(3, 5.0), student_generator(3, 3.0))\n"
+        "mix = MixtureModel(components=[(w, EllipticModel(mu=np.full(3, m), sigma=s * np.eye(3),\n"
+        "    generator=g)) for w, g, m, s in zip((0.5, 0.3, 0.2), gens, (0.0, 0.1, -0.2),\n"
+        "    (1.0, 2.0, 0.5))])\n"
+        "d = np.array([1.0, -0.5, 2.0])\n"
+        "risk_report(mix, d, 0.01)\n"
+        "incremental_var(mix, d, 0.01)\n"
+        "validate_model(mix, d, spec=SimulationSpec(paths=20_000, seed=3))\n"
+        f"assert main(['var', '--portfolio', {two_factor!r}, '--model', 'mixture',\n"
+        f"    '--mixture-spec', {str(spec)!r}, '--alpha', '0.01']) == 0\n"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "mixture(0.5*gaussian" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_one_parser_serves_every_call_in_a_process(one_factor, capsys):
+    # main keeps its parser across calls: a usage error leaves nothing behind,
+    # and each call prints the bytes a fresh process prints
+    calls = (
+        ["var", "--portfolio", one_factor, "--bogus"],
+        ["var", "--portfolio", one_factor, "--model", "student", "--nu", "5", "--alpha", "0.05"],
+        ["table", "--nu", "3", "--alpha", "0.01"],
+    )
+    in_process = [run_cli(capsys, argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "ellvar", *argv], capture_output=True, text=True)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == fresh
+    assert in_process[0][0] == 2 and "kind=ArgumentError" in in_process[0][2]

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import itertools
 import math
+import random
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import optimize, special, stats
 
 from ellvar import (
     DensityGenerator,
@@ -563,6 +566,121 @@ def test_root_solves_evaluate_each_tail_point_once(monkeypatch):
     )
     mixture_var(mix, np.array([1.0, 2.0]), 0.01)
     assert len(points) == len(set(points)) == 16
+
+
+def _brent_case(rng: random.Random):
+    """A seeded (f, lo, hi, xtol, rtol) with the root r of f inside [lo, hi].
+
+    The shapes are smooth (secant and inverse quadratic steps), saturated
+    or cusped (bisections), and cusped on brackets up to 1e60 wide (no
+    stop within 100 steps).  Each f is 0 or at least 1e-150 in size:
+    older scipy releases test signs by the product f(a) * f(b), which
+    only differs from the sign bits where that product underflows.
+    """
+    r, k, a = rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-2.0, 3.0), rng.uniform(0.0, 5.0)
+    shapes = (
+        lambda x: k * (x - r) * (1.0 + a * (x - r) ** 2),
+        lambda x: math.expm1(min(k * (x - r), 700.0)),
+        lambda x: math.tanh(k * (x - r)) + math.copysign(1e-150, x - r),
+        lambda x: math.copysign(abs(x - r) ** (1.0 / 3.0) + 1e-100, x - r),
+        lambda x: math.log(max(math.erfc(x - r), 5e-324)),
+        lambda x: k * (x - r) ** 3 + 1e-3 * (x - r),
+    )
+    kind = rng.randrange(len(shapes))
+    f, sign = shapes[kind], rng.choice((1.0, -1.0))
+    span = 10.0 ** rng.uniform(-3.0, 60.0 if kind == 3 else 2.0)
+    lo, hi = r - span * rng.uniform(0.01, 1.0), r + span * rng.uniform(0.01, 1.0)
+    xtol = rng.choice((1e-15, 2e-12, 5e-324))
+    rtol = rng.choice((8.9e-16, 1e-12, 1e-8))
+    return (lambda x: sign * f(x)), lo, hi, xtol, rtol
+
+
+def _brent_branches(run) -> set[str]:
+    """The step branches of ``elliptic._brent`` that run() takes, traced by line."""
+    marks = {
+        "secant": "stry = -fcur * (xcur - xpre)",
+        "inverse quadratic": "dpre = ",
+        "bisection": "spre = scur = sbis",
+    }
+    lines, first = inspect.getsourcelines(elliptic._brent)
+    where = {
+        first + i: name
+        for i, line in enumerate(lines)
+        for name, text in marks.items()
+        if text in line
+    }
+    assert len(where) == len(marks)
+    taken = set()
+
+    def on_line(frame, event, arg):
+        if event == "line" and frame.f_lineno in where:
+            taken.add(where[frame.f_lineno])
+        return on_line
+
+    def on_call(frame, event, arg):
+        return on_line if frame.f_code is elliptic._brent.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return taken
+
+
+def test_brent_is_brentq_bit_for_bit():
+    # root, function calls and failure to stop all match scipy's brentq
+    rng = random.Random(20250)
+    cases = [_brent_case(rng) for _ in range(2400)]
+    failures, smallest = 0, math.inf
+
+    def sweep():
+        nonlocal failures, smallest
+        for case in cases:
+            f, lo, hi, xtol, rtol = case
+            ref, res = optimize.brentq(
+                f, lo, hi, xtol=xtol, rtol=rtol, full_output=True, disp=False
+            )
+            values = []
+
+            def counted(x):
+                values.append(f(x))
+                return values[-1]
+
+            try:
+                root, stuck = elliptic._brent(counted, lo, hi, xtol, rtol), None
+            except NumericalError as exc:
+                root, stuck = exc.diagnostics["x"], exc.diagnostics["iterations"]
+                failures += 1
+            want = (ref.hex(), res.function_calls, None if res.converged else res.iterations)
+            assert (root.hex(), len(values), stuck) == want, case
+            smallest = min([smallest] + [abs(v) for v in values if v != 0.0])
+
+    assert _brent_branches(sweep) == {"secant", "inverse quadratic", "bisection"}
+    assert 0 < failures < len(cases)
+    assert smallest >= 1e-150
+
+
+def test_brent_raises_typed_errors():
+    # a nan at a step or at an end, and ends of one sign, are library errors
+    def nan_inside(x):
+        return math.nan if 0.0 < x < 1.0 else x - 0.5
+
+    with pytest.raises(NumericalError) as err:
+        elliptic._brent(nan_inside, 0.0, 1.0, 1e-15, 8.9e-16)
+    assert isinstance(err.value, EllvarError)
+    assert 0.0 < err.value.diagnostics["x"] < 1.0 and err.value.diagnostics["iterations"] == 1
+    with pytest.raises(NumericalError) as err:
+        elliptic._brent(nan_inside, 0.5, 2.0, 1e-15, 8.9e-16)
+    assert err.value.diagnostics == {"x": 0.5, "iterations": 0}
+    with pytest.raises(BracketError):
+        elliptic._brent(lambda x: x - 3.0, 0.0, 1.0, 1e-15, 8.9e-16)
+    # a tail that reads nan inside its bracket fails the quantile solve the same way
+    with pytest.raises(NumericalError):
+        elliptic._solve_decreasing(
+            lambda x: math.nan if 0.0 < x < 1.0 else 0.5 * math.exp(-10.0 * x), 0.01
+        )
 
 
 # points of the radial integrand: v = 0, a v whose square underflows, the

@@ -280,26 +280,29 @@ def _factor_mixture(n, seed):
 def test_batches_draw_components_then_normals_then_chi_square():
     """Batch b reads Philox(seed).jumped(b): components, one normal per row, chi-squares."""
     n, nu, seed, batch = 3, 4.0, 79, 5_000
-    weights, means, scales = (0.3, 0.7), np.array([0.5, -0.25]), np.array([2.0, 1.0])
-    mix = MixtureModel(
-        components=[
-            (w, EllipticModel(generator=gen, mu=np.full(n, m), sigma=s * s * np.eye(n)))
-            for w, gen, m, s in zip(
-                weights, (gaussian_generator(n), student_generator(n, nu)), means, scales
-            )
-        ]
-    )
-    spec = SimulationSpec(paths=12_000, seed=seed, batch_size=batch)
-    # a unit delta reads one factor: pnl mean and scale are the component's mu and sqrt(sigma)
-    pnl = simulate_pnl(mix, np.eye(n)[1], spec)
-    for b, start in enumerate(range(0, spec.paths, batch)):
-        rows = min(batch, spec.paths - start)
-        rng = np.random.Generator(np.random.Philox(key=seed).jumped(b))
-        component = rng.choice(2, size=rows, p=weights)
-        core = rng.standard_normal(rows) * scales[component]
-        student = component == 1
-        core[student] *= np.sqrt(nu / rng.chisquare(nu, size=np.count_nonzero(student)))
-        assert np.array_equal(pnl[start : start + rows], means[component] + core)
+    # component 1 is the one Student; the others draw no mixing block
+    gens = (gaussian_generator(n), student_generator(n, nu), gaussian_generator(n))
+    for weights, means, scales in (
+        ((0.3, 0.7), np.array([0.5, -0.25]), np.array([2.0, 1.0])),
+        ((0.2, 0.5, 0.3), np.array([0.5, -0.25, 1.0]), np.array([2.0, 1.0, 0.5])),
+    ):
+        mix = MixtureModel(
+            components=[
+                (w, EllipticModel(generator=gen, mu=np.full(n, m), sigma=s * s * np.eye(n)))
+                for w, gen, m, s in zip(weights, gens, means, scales)
+            ]
+        )
+        spec = SimulationSpec(paths=12_000, seed=seed, batch_size=batch)
+        # a unit delta reads one factor: pnl mean and scale are the component's mu and sqrt(sigma)
+        pnl = simulate_pnl(mix, np.eye(n)[1], spec)
+        for b, start in enumerate(range(0, spec.paths, batch)):
+            rows = min(batch, spec.paths - start)
+            rng = np.random.Generator(np.random.Philox(key=seed).jumped(b))
+            component = rng.choice(len(weights), size=rows, p=weights)
+            core = rng.standard_normal(rows) * scales[component]
+            student = component == 1
+            core[student] *= np.sqrt(nu / rng.chisquare(nu, size=np.count_nonzero(student)))
+            assert np.array_equal(pnl[start : start + rows], means[component] + core)
 
 
 def test_pnl_is_the_one_factor_pnl_times_the_book_scale():
