@@ -440,7 +440,7 @@ def _add_alpha_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--alpha", type=float, action="append", metavar="A",
         help="tail level in (0, 0.5); repeat for several "
-             "(default: 0.01 0.025 0.05)",
+             f"(default: {' '.join(map(str, DEFAULT_ALPHAS))})",
     )
 
 

@@ -19,8 +19,9 @@ tail expectation, the marginal density) is one radial integral,
 ``_radial_integral``, the one place g is read: one frame per point, the
 checks of ``DensityGenerator.g``, and a weight formed in log space, so
 large dimensions give a number or a typed error, never an OverflowError.
-It integrates adaptively, or sums the same integrand over a fixed
-exp-sinh node rule (Takahasi & Mori 1974) in one numpy pass.  The
+It integrates adaptively, to one relative tolerance, or sums the same
+integrand over a fixed exp-sinh node rule (Takahasi & Mori 1974) in one
+numpy pass, in either mode over one change of variable.  The
 "kernel" route of ``big_g`` integrates g against the closed-form share
 of a sphere beyond s, a regularized incomplete beta (the marginal form
 of a spherical law, Fang, Kotz & Ng 1990); quantile solves and
@@ -49,8 +50,9 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -86,28 +88,26 @@ __all__ = [
 ]
 
 _SMALLEST_DOUBLE = math.ulp(0.0)  # 5e-324, the smallest positive double
-# The answers' tolerance: every integral a number is built from (the mass
-# check, the kernel tail, the tail expectation, the marginal density and
-# the double route's outer integral) is held to its relative tolerance
-# alone.  The absolute floor is the smallest positive double, no larger
-# than any alpha > 0 or any generator's mass can ask for, so at a solved
-# quantile the absolute tolerance is 1e-11 * alpha and deep tails keep
-# their digits.
+# One relative tolerance for every integral: the mass check, the kernel
+# tail, the tail expectation, the marginal density and both integrals of
+# the double route.  The answers' absolute floor is the smallest positive
+# double, no larger than any alpha > 0 or any generator's mass can ask for,
+# so at a solved quantile the absolute tolerance is 1e-11 * alpha and deep
+# tails keep their digits.
 _TAIL_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=_SMALLEST_DOUBLE, max_subdivisions=200)
-# The double route's inner integral alone keeps an absolute floor: held to
-# 1e-12 relative alone, the route runs out of QUADPACK's 200 subdivisions
-# (G(0.3) of the Gaussian at n = 5).  The floor leaves that route a few
-# 1e-8 off deep in the tail (the Gaussian at n = 3, s = 10).
-_INNER_QUAD = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=200)
+# The double route's inner integral, the marginal density at each outer
+# point, has the smallest normal double as its floor: below it that density
+# is subnormal and has too few digits for the relative tolerance.
+_INNER_QUAD = replace(_TAIL_QUAD, abs_tol=sys.float_info.min)
 
-# The exp-sinh rule of Takahasi & Mori (1974) on (0, inf): v = exp(pi/2 sinh t)
-# at t = -4, -4 + h, ..., 3.1875 with h = 1/16, 116 nodes.  Stretched by
-# max(1, s) it gives the kernel route's G(s) to about 1e-10 relative for the
-# smooth generators of dimension up to 5 (1e-15 for the Student); it finds a
+# The exp-sinh rule of Takahasi & Mori (1974) on (0, inf): t = exp(pi/2 sinh x)
+# at x = -4, -4 + h, ..., 3.1875 with h = 1/16, 116 nodes.  At scale max(1, s)
+# it gives the kernel route's G(s) to about 1e-10 relative for the smooth
+# generators of dimension up to 5 (1e-15 for the Student); it finds a
 # quantile's neighbourhood, and the adaptive route certifies the quantile.
-_EXP_SINH_T = -4.0 + np.arange(116) / 16.0
-_EXP_SINH_NODES = np.exp(math.pi / 2.0 * np.sinh(_EXP_SINH_T))
-_EXP_SINH_WEIGHTS = math.pi / 32.0 * np.cosh(_EXP_SINH_T) * _EXP_SINH_NODES
+_EXP_SINH_X = -4.0 + np.arange(116) / 16.0
+_EXP_SINH_NODES = np.exp(math.pi / 2.0 * np.sinh(_EXP_SINH_X))
+_EXP_SINH_RULE = (_EXP_SINH_NODES, math.pi / 32.0 * np.cosh(_EXP_SINH_X) * _EXP_SINH_NODES)
 
 _NORMALIZATION_TOL = 1e-8
 # on |G(q) / alpha - 1|
@@ -327,47 +327,44 @@ def _component_rows(model, delta) -> tuple[np.ndarray, list[tuple]]:
     return d, rows
 
 
-def _exp_sinh_rule(scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """The fixed exp-sinh rule on (0, inf), its nodes and weights stretched by ``scale``."""
-    return scale * _EXP_SINH_NODES, scale * _EXP_SINH_WEIGHTS
-
-
 def _radial_integral(
     gen: DensityGenerator,
     c: float,
     log_front: float,
     power: float,
     *,
-    stretch: float = 1.0,
+    scale: float = 1.0,
     of_u: bool = False,
     share: bool = False,
     quad: QuadratureSpec | tuple[np.ndarray, np.ndarray] = _TAIL_QUAD,
 ) -> float:
-    """int_0^inf g(u) w(v) dv over u = c + (stretch v)^2: the one integrand that reads g.
+    """int_0^inf g(u) w(v) dv over u = c + v^2: the one integrand that reads g.
 
     w(v) = exp(log_front) v^power, formed in log space with g (0^0 = 1).
     ``of_u`` puts the power on u instead and brings in v, the Jacobian of
     u = c + v^2; ``share`` also weighs each u by the incomplete-beta share
     of its sphere beyond sqrt(c), I_{v^2/u}((n-1)/2, 1/2).  The integrand
-    branches only on these constants of the call.
+    branches only on these constants of the call.  It runs over t with
+    v = scale * t, so the adaptive mode multiplies its integral, and the
+    fixed rule its weights, by ``scale``.
 
     It has two evaluation modes.  A ``QuadratureSpec`` integrates it
     adaptively, one point at a time.  A fixed rule, a (nodes, weights)
-    pair, evaluates it at every node at once and returns the weighted
-    sum: the density is still called once per node, with one float, and
-    the weight, the share and the sum are formed in numpy, by the same
-    operations as a point of the adaptive mode.  Either mode raises the
-    density's overflow as NumericalError and a negative value as
-    DomainError, and a value that is not finite as a NumericalError.
+    pair in t, evaluates it at every node at once and returns the
+    weighted sum: the density is still called once per node, with one
+    float, and the weight, the share and the sum are formed in numpy, by
+    the same operations as a point of the adaptive mode.  Either mode
+    raises the density's overflow as NumericalError and a negative value
+    as DomainError, and a value that is not finite as a NumericalError.
     """
     density, g_scale, log, exp = gen.density, gen._scale, math.log, math.exp
     # the log of the weight v^power at v = 0, where 0^0 = 1
     log_at_zero = log_front if power == 0 else -math.inf
     a = (gen.dimension - 1) / 2.0
     if not isinstance(quad, QuadratureSpec):
-        v, weights = quad
-        sv = stretch * v
-        vv = sv * sv
+        t, weights = quad
+        v = scale * t
+        vv = v * v
         u = c + vv
         raw = []
         for x in u.tolist():
@@ -391,7 +388,7 @@ def _radial_integral(
                 else:
                     values = v * weighted
                 values = np.where((gu == 0.0) | (vv == 0.0), 0.0, values)
-            total = float(np.dot(weights, values))
+            total = float(np.dot(scale * weights, values))
         if not math.isfinite(total):
             raise NumericalError("fixed-rule radial integral is not finite", value=total)
         return total
@@ -400,9 +397,9 @@ def _radial_integral(
         # values without the ufunc's dispatch, a quarter of its cost
         from scipy.special.cython_special import betainc as betainc_point
 
-    def integrand(v: float) -> float:
-        sv = stretch * v
-        vv = sv * sv
+    def integrand(t: float) -> float:
+        v = scale * t
+        vv = v * v
         u = c + vv
         try:
             gu = density(u)
@@ -424,7 +421,7 @@ def _radial_integral(
             return v * betainc_point(a, 0.5, vv / u) * weighted
         return v * weighted
 
-    return integrate_semi_infinite(integrand, 0.0, quad)
+    return scale * integrate_semi_infinite(integrand, 0.0, quad)
 
 
 def _marginal_density(z: float, gen: DensityGenerator, quad: QuadratureSpec | tuple) -> float:
@@ -433,19 +430,18 @@ def _marginal_density(z: float, gen: DensityGenerator, quad: QuadratureSpec | tu
     zz = z * z
     if n == 1:
         return gen.g(zz)
-    # int_0^inf g(z^2 + r^2) |S^(n-2)| r^(n-2) dr; r = max(1,|z|) w keeps the
-    # integrand's mass near w ~ 1 however far out z lies
-    scale = max(1.0, abs(z))
-    log_front = _log_sphere_area(n - 1) + (n - 1) * math.log(scale)
-    return _radial_integral(gen, zz, log_front, n - 2, stretch=scale, quad=quad)
+    # int_0^inf g(z^2 + v^2) |S^(n-2)| v^(n-2) dv; v = max(1,|z|) t keeps the
+    # integrand's mass near t ~ 1 however far out z lies
+    log_front = _log_sphere_area(n - 1)
+    return _radial_integral(gen, zz, log_front, n - 2, scale=max(1.0, abs(z)), quad=quad)
 
 
 def big_g(s: float, gen: DensityGenerator, route: str = "double") -> float:
     """Survival function P(Z1 >= s) of one coordinate of the spherical law.
 
     ``route="double"`` integrates the marginal density, itself an
-    integral over the other coordinates; it is the reference route, its
-    outer integral held relative and its inner one to ``_INNER_QUAD``.
+    integral over the other coordinates; it is the reference route, both
+    of its integrals held to the one relative tolerance.
     ``route="kernel"`` is one integral of the generator against the
     closed-form incomplete-beta share of the sphere beyond s, held to
     relative accuracy however small G(s) is; quantile solves and
@@ -466,9 +462,9 @@ def big_g(s: float, gen: DensityGenerator, route: str = "double") -> float:
 
 
 def _kernel_tail(
-    s: float, gen: DensityGenerator, quad: QuadratureSpec | tuple = _TAIL_QUAD
+    s: float, gen: DensityGenerator, quad: QuadratureSpec | tuple = _TAIL_QUAD, scale: float = 1.0
 ) -> float:
-    """G(s) for s >= 0 on the kernel route, adaptively or on a fixed rule ``quad``."""
+    """G(s) for s >= 0 on the kernel route, adaptively or on a fixed rule ``quad`` at ``scale``."""
     # G(s) = pi^(n/2) / (2 Gamma(n/2))
     #        * int_{s^2}^inf g(u) u^((n-2)/2) I_{1-s^2/u}((n-1)/2, 1/2) du,
     # where I/2 is the share of the sphere of radius sqrt(u) beyond z1 = s
@@ -476,7 +472,9 @@ def _kernel_tail(
     # u = s^2 + v^2 removes the endpoint root at n = 2 and brings in 2v.
     n = gen.dimension
     log_const = n / 2.0 * math.log(math.pi) - log_gamma(n / 2.0)
-    return _radial_integral(gen, s * s, log_const, (n - 2) / 2.0, of_u=True, share=n > 1, quad=quad)
+    return _radial_integral(
+        gen, s * s, log_const, (n - 2) / 2.0, scale=scale, of_u=True, share=n > 1, quad=quad
+    )
 
 
 def marginal_tail(gen: DensityGenerator, s: float) -> float:
@@ -640,11 +638,12 @@ def _brent(f: Callable[[float], float], lo: float, hi: float, xtol: float, rtol:
 def _rule_quantile(gen: DensityGenerator, alpha: float) -> tuple[float, float]:
     """The root of G(q) = alpha on the fixed rule, and the rule's d log G / ds there.
 
-    G(s) is the kernel route on the exp-sinh rule stretched by max(1, s);
-    the slope is -f(q) / alpha, f the marginal density on the same rule.
+    G(s) is the kernel route on the exp-sinh rule at scale max(1, s); the
+    slope is -f(q) / alpha, f the marginal density on the same rule, which
+    takes the same scale.
     """
-    q = _solve_decreasing(lambda s: _kernel_tail(s, gen, _exp_sinh_rule(max(1.0, s))), alpha)
-    return q, -_marginal_density(q, gen, _exp_sinh_rule(1.0)) / alpha
+    q = _solve_decreasing(lambda s: _kernel_tail(s, gen, _EXP_SINH_RULE, max(1.0, s)), alpha)
+    return q, -_marginal_density(q, gen, _EXP_SINH_RULE) / alpha
 
 
 def _newton_polish(f: Callable[[float], float], alpha: float, x: float, slope: float) -> float:

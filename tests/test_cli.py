@@ -13,6 +13,7 @@ from scipy import stats
 
 from ellvar import RiskReport, StudentParams, risk_report, student_quantile
 from ellvar.cli import main
+from ellvar.mc import DEFAULT_ALPHAS
 
 
 @pytest.fixture
@@ -392,6 +393,14 @@ def test_help_still_prints_usage_and_exits_0(capsys):
         main(["var", "-h"])
     assert exit_info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: ellvar var ")
+
+
+@pytest.mark.parametrize("command", ["var", "es", "table"])
+def test_alpha_help_names_the_default_levels(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "-h"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"(default: {' '.join(str(a) for a in DEFAULT_ALPHAS)})" in help_text
 
 
 def test_numerical_error_line_keeps_diagnostics(one_factor, tmp_path, capsys):

@@ -18,6 +18,7 @@ from ellvar import (
     DensityGenerator,
     EllipticModel,
     MixtureModel,
+    QuadratureSpec,
     big_g,
     clear_quantile_cache,
     expected_shortfall,
@@ -83,7 +84,7 @@ _DENSITY_PATHS = {
     "mass check": lambda density: DensityGenerator(dimension=2, density=density),
     "kernel": lambda density: big_g(1.0, _bare_density(density), route="kernel"),
     "fixed rule": lambda density: elliptic._kernel_tail(
-        1.0, _bare_density(density), elliptic._exp_sinh_rule(1.0)
+        1.0, _bare_density(density), elliptic._EXP_SINH_RULE
     ),
     "double": lambda density: big_g(1.0, _bare_density(density), route="double"),
     "g": lambda density: _bare_density(density).g(5.0),
@@ -254,13 +255,26 @@ def _bare(gen):
 
 
 def test_double_route_is_relative_in_the_deep_tail():
-    # the outer integral is held to its relative tolerance alone (an absolute
-    # floor of 1e-13 left these 3.9e-9 and 2.8e-8 off); the inner one keeps
-    # its floor, which still leaves the Gaussian 4.3e-8 off at s = 10
-    gauss = big_g(7.0, _bare(gaussian_generator(3)), route="double")
-    assert gauss == pytest.approx(stats.norm.sf(7.0), rel=1e-10, abs=0.0)
-    student = big_g(10.0, _bare(student_generator(3, 30.0)), route="double")
-    assert student == pytest.approx(stats.t.sf(10.0, 30.0), rel=1e-10, abs=0.0)
+    # both integrals are held to one relative tolerance; absolute floors left
+    # the reference 4.3e-8 off at n = 3, s = 10 and 1.6e-3 at n = 5, s = 30
+    for n in (1, 2, 3, 5):
+        gauss = _bare(gaussian_generator(n))
+        for s in (0.0, 0.3, 1.0, 2.5, 5.0, 7.0, 10.0, 20.0, 30.0):
+            double = big_g(s, gauss, route="double")
+            assert double == pytest.approx(stats.norm.sf(s), rel=1e-12, abs=0.0), (n, s)
+        for nu in (2.5, 4.0, 30.0):
+            student = _bare(student_generator(n, nu))
+            for s in (0.0, 0.5, 2.0, 6.0, 10.0, 50.0):
+                double = big_g(s, student, route="double")
+                assert double == pytest.approx(stats.t.sf(s, nu), rel=1e-12, abs=0.0), (n, nu, s)
+
+
+def test_every_quadrature_has_one_relative_tolerance():
+    # no integral keeps an absolute floor above the smallest normal double
+    specs = [v for v in vars(elliptic).values() if isinstance(v, QuadratureSpec)]
+    assert len(specs) >= 2
+    assert {spec.rel_tol for spec in specs} == {elliptic._TAIL_QUAD.rel_tol}
+    assert all(spec.abs_tol <= sys.float_info.min for spec in specs)
 
 
 def test_solve_quantile_power_exponential():
@@ -683,13 +697,43 @@ def test_brent_raises_typed_errors():
         )
 
 
-# points of the radial integrand: v = 0, a v whose square underflows, the
+def test_solve_decreasing_bracket_ends():
+    # a tail that never falls below alpha exhausts the doublings of its upper end
+    with pytest.raises(BracketError) as err:
+        elliptic._solve_decreasing(lambda x: 0.3, 0.01)
+    upper = 2.0**elliptic._MAX_BRACKET_DOUBLINGS
+    assert err.value.diagnostics == {"alpha": 0.01, "lower": upper / 2.0, "upper": upper}
+    # an upper end whose tail is alpha exactly is the root
+    assert elliptic._solve_decreasing(lambda x: 0.5 * 2.0**-x, 0.125, 0.0, 2.0) == 2.0
+
+
+def test_newton_polish_raises_typed_errors():
+    def tail(x):
+        return 0.5 * math.exp(-x)
+
+    for slope in (0.0, 1.0, -math.inf, math.nan):
+        with pytest.raises(NumericalError, match="slope"):
+            elliptic._newton_polish(tail, 0.01, 1.0, slope)
+    # from a start past the root, a flat slope steps below zero
+    with pytest.raises(NumericalError, match="settle") as err:
+        elliptic._newton_polish(tail, 0.01, 5.0, -1e-3)
+    assert err.value.diagnostics["quantile"] < 0.0
+
+
+def test_fixed_rule_raises_on_a_sum_that_is_not_finite():
+    # an infinite density is no OverflowError, so it reaches the sum
+    gen = _bare_density(lambda u: math.inf)
+    with pytest.raises(NumericalError, match="not finite"):
+        elliptic._kernel_tail(1.0, gen, elliptic._EXP_SINH_RULE)
+
+
+# points of the radial integrand: t = 0, a t whose v^2 underflows, the
 # fixed rule's nodes, and the far tail
 _POINTS = np.concatenate(([0.0, 1e-200], elliptic._EXP_SINH_NODES[::5], [3e3, 1e8]))
 
 
 def _scalar_integrand(monkeypatch, *args, **flags):
-    """The adaptive mode's integrand of _radial_integral(*args, **flags), as a function of v."""
+    """The adaptive mode's integrand of _radial_integral(*args, **flags), as a function of t."""
     captured = []
     with monkeypatch.context() as patch:
         patch.setattr(
@@ -702,23 +746,24 @@ def _scalar_integrand(monkeypatch, *args, **flags):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 100])
 @pytest.mark.parametrize("of_u", [False, True])
 @pytest.mark.parametrize("share", [False, True])
-@pytest.mark.parametrize("stretch", [1.0, 2.5])
-def test_radial_integral_modes_agree_pointwise(monkeypatch, n, of_u, share, stretch):
-    # a fixed rule with one unit weight reads the array mode at one node; the
-    # powers are those of the callers: u^((n-2)/2) on the kernel route, v^(n-2)
-    # in the marginal density and v^n in the tail expectation
+@pytest.mark.parametrize("scale", [1.0, 2.5])
+def test_radial_integral_modes_agree_pointwise(monkeypatch, n, of_u, share, scale):
+    # a fixed rule with one unit weight reads the array mode at one node t,
+    # times scale as both modes multiply their integral; the powers are those
+    # of the callers: u^((n-2)/2) on the kernel route, v^(n-2) in the
+    # marginal density and v^n in the tail expectation
     powers = ((n - 2) / 2.0,) if of_u else (n - 2, n)
     for gen in (_bare(gaussian_generator(n)), _bare(student_generator(n, 4.0))):
         for c, power in itertools.product((0.0, 2.25, 9.0), powers):
             args = (gen, c, -0.5 * n, power)
-            flags = dict(stretch=stretch, of_u=of_u, share=share)
+            flags = dict(scale=scale, of_u=of_u, share=share)
             scalar = _scalar_integrand(monkeypatch, *args, **flags)
-            for k, v in enumerate(_POINTS):
+            for k, t in enumerate(_POINTS):
                 one_hot = np.zeros(len(_POINTS))
                 one_hot[k] = 1.0
                 array = elliptic._radial_integral(*args, **flags, quad=(_POINTS, one_hot))
-                point = scalar(float(v))
-                assert abs(array - point) <= 1e-15 * abs(point), (gen.name, c, power, v)
+                point = scale * scalar(float(t))
+                assert abs(array - point) <= 1e-15 * abs(point), (gen.name, c, power, t)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])

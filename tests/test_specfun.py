@@ -181,6 +181,12 @@ def test_hyp2f1_log_consistency():
         )
 
 
+def test_hyp2f1_log_refuses_a_value_that_is_not_positive():
+    # 2F1(-1, -1; 1; z) = 1 + z is -1 at z = -2; its Pfaff series ends on an exact zero term
+    with pytest.raises(DomainError, match="not positive"):
+        hyp2f1_log(-1.0, -1.0, 1.0, -2.0)
+
+
 def test_hyp2f1_log_below_double_range():
     # mpmath oracle: 2F1(30, 60, 90, -1e12) = 7.589e-354, under the double
     # floor; only the log form can represent it.
