@@ -149,8 +149,10 @@ class DensityGenerator:
     own residual against the closed-form tail.  ``mixing(rng, size)`` is
     the law's Monte Carlo draw, X = mu + R A^t U written as a Gaussian
     draw times a per-path factor (Cambanis, Huang & Simons 1981): it
-    returns ``size`` factors drawn from ``rng``, or None for the Gaussian,
-    which draws nothing; a generator without it cannot be sampled.
+    returns ``size`` factors drawn from ``rng`` in a new array that
+    belongs to the caller, which may scale it in place, or None for the
+    Gaussian, which draws nothing; a generator without it cannot be
+    sampled.
     ``family`` and ``family_params`` name the law ("gaussian", or
     "student" with (nu,)) for the closed-form Student ES and for readers
     outside the package.  Only the two factories set the closed forms and

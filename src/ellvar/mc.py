@@ -8,8 +8,9 @@ component, and a path is its component's pnl mean plus its pnl scale
 generator's ``mixing`` draw gives, if it draws one.  Sampling is exact
 for every generator that has a mixing draw, and memory is O(batch_size)
 whatever the number of risk factors.  Every batch draws from its own
-Philox substream, addressed by its index, so results are reproducible
-for a fixed seed however many worker threads run the batches.  The
+SFC64 stream, addressed by the seed and its index, and fills its own
+slice of the output in place, so results are reproducible for a fixed
+seed however many worker threads run the batches.  The
 analytic side is ``risk_report``; the estimator selects the order
 statistics of a sample once, for every alpha of a validation.
 """
@@ -74,9 +75,9 @@ class SimulationSpec:
 
 
 def _draw_pnl(
-    rng: np.random.Generator, count: int, cdf, scales, means, draws, antithetic: bool
-) -> np.ndarray:
-    """One pnl draw per path: mean + scale * z * factor, with one normal z per row.
+    rng: np.random.Generator, out: np.ndarray, cdf, scales, means, draws, antithetic: bool
+) -> None:
+    """Fill ``out`` with one pnl draw per path: mean + scale * z * factor, one normal z per row.
 
     ``cdf`` holds the K components' cumulative weights, normalised to
     end at 1, ``scales`` their pnl scales ||L_k' delta||, ``means``
@@ -89,10 +90,12 @@ def _draw_pnl(
     uniform, the component ``rng.choice(K, p=weights)`` picks from the
     same stream, without its per-call checks.
 
+    The normals are drawn into ``out`` and scaled there in place.
     Antithetic draws come in pairs (m + t, m - t): mirrored normals with
     a shared mixing variable and component, so half as many rows are
-    drawn.
+    drawn, into one half-size buffer.
     """
+    count = out.shape[0]
     rows = (count + 1) // 2 if antithetic else count
     k = len(draws)
     component = None
@@ -102,8 +105,11 @@ def _draw_pnl(
         component = (uniform >= cdf[0]).astype(np.intp)
         for edge in cdf[1:-1]:
             component += uniform >= edge
+        # freed before the normals, so a batch holds one row-sized temporary less
+        del uniform
     pick = 0 if component is None else component
-    core = rng.standard_normal(rows) * scales[pick]
+    core = rng.standard_normal(out=np.empty(rows) if antithetic else out)
+    core *= scales[pick]
     # rows per component first, so a component that draws nothing costs no index
     counts = [rows] if component is None else np.bincount(component, minlength=k).tolist()
     for j, (draw, n_j) in enumerate(zip(draws, counts)):
@@ -112,19 +118,20 @@ def _draw_pnl(
             core[slice(None) if component is None else component == j] *= factor
     mean = means[pick]
     if not antithetic:
-        return mean + core
-    out = np.empty(2 * rows)
+        core += mean
+        return
     np.add(mean, core, out=out[0::2])
-    np.subtract(mean, core, out=out[1::2])
-    return out[:count]
+    # the mirrored half is one row short at an odd count
+    half = count // 2
+    np.subtract(mean if component is None else mean[:half], core[:half], out=out[1::2])
 
 
 def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.ndarray:
     """Simulate portfolio pnl under the model; returns spec.paths draws.
 
-    Batch b consumes the substream ``Philox(key=seed).jumped(b)``, and
-    batches land in the output at their own offsets, so the result is a
-    pure function of (model, delta, spec).
+    Batch b consumes the stream ``SFC64(SeedSequence(seed,
+    spawn_key=(b,)))`` and fills its own slice of the output in place,
+    so the result is a pure function of (model, delta, spec).
     """
     if not isinstance(spec, SimulationSpec):
         raise DomainError(f"spec must be a SimulationSpec, got {type(spec).__name__}")
@@ -150,17 +157,18 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
     )
 
     n_batches = -(-spec.paths // spec.batch_size)
-
-    def run_batch(b: int):
-        start = b * spec.batch_size
-        count = min(spec.batch_size, spec.paths - start)
-        rng = np.random.Generator(np.random.Philox(key=spec.seed).jumped(b))
-        return start, _draw_pnl(rng, count, cdf, scales, means, draws, spec.antithetic)
-
     out = np.empty(spec.paths)
+
+    def run_batch(b: int) -> None:
+        start = b * spec.batch_size
+        stream = np.random.SeedSequence(spec.seed, spawn_key=(b,))
+        rng = np.random.Generator(np.random.SFC64(stream))
+        batch = out[start : start + spec.batch_size]
+        _draw_pnl(rng, batch, cdf, scales, means, draws, spec.antithetic)
+
     with ThreadPoolExecutor(max_workers=min(spec.workers, n_batches)) as pool:
-        for start, chunk in pool.map(run_batch, range(n_batches)):
-            out[start : start + chunk.shape[0]] = chunk
+        # consumed, so a batch's error is raised here
+        list(pool.map(run_batch, range(n_batches)))
     return out
 
 

@@ -207,10 +207,17 @@ def student_generator(dimension: int, nu: float) -> DensityGenerator:
     gen.tail_expectation = lambda t: student_tail_expectation(t, nu)
     gen.quantile = lambda alpha: student_quantile(alpha, nu)
     gen.marginal_density = lambda z: math.exp(_student_log_pdf(z, nu))
-    gen.mixing = lambda rng, size: np.sqrt(nu / rng.chisquare(nu, size=size))
+    gen.mixing = lambda rng, size: _student_mixing(nu, rng, size)
     gen.family = "student"
     gen.family_params = (nu,)
     return gen
+
+
+def _student_mixing(nu: float, rng, size: int) -> np.ndarray:
+    """The Student t's mixing draw, sqrt(nu / chi2_nu), formed in the chi-square buffer."""
+    factor = rng.chisquare(nu, size=size)
+    np.divide(nu, factor, out=factor)
+    return np.sqrt(factor, out=factor)
 
 
 def _normal_tail(s: float) -> float:

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from ellvar import (
@@ -278,7 +281,11 @@ def _factor_mixture(n, seed):
 
 
 def test_batches_draw_components_then_normals_then_chi_square():
-    """Batch b reads Philox(seed).jumped(b): components, one normal per row, chi-squares."""
+    """Batch b reads SFC64(SeedSequence(seed, spawn_key=(b,))): components, normals, chi-squares.
+
+    At 12,001 paths in batches of 5,000 the last batch has an odd count,
+    so with antithetic draws its mirrored half is one row short.
+    """
     n, nu, seed, batch = 3, 4.0, 79, 5_000
     # component 1 is the one Student; the others draw no mixing block
     gens = (gaussian_generator(n), student_generator(n, nu), gaussian_generator(n))
@@ -292,17 +299,55 @@ def test_batches_draw_components_then_normals_then_chi_square():
                 for w, gen, m, s in zip(weights, gens, means, scales)
             ]
         )
-        spec = SimulationSpec(paths=12_000, seed=seed, batch_size=batch)
-        # a unit delta reads one factor: pnl mean and scale are the component's mu and sqrt(sigma)
-        pnl = simulate_pnl(mix, np.eye(n)[1], spec)
-        for b, start in enumerate(range(0, spec.paths, batch)):
-            rows = min(batch, spec.paths - start)
-            rng = np.random.Generator(np.random.Philox(key=seed).jumped(b))
-            component = rng.choice(len(weights), size=rows, p=weights)
-            core = rng.standard_normal(rows) * scales[component]
-            student = component == 1
-            core[student] *= np.sqrt(nu / rng.chisquare(nu, size=np.count_nonzero(student)))
-            assert np.array_equal(pnl[start : start + rows], means[component] + core)
+        for antithetic in (False, True):
+            spec = SimulationSpec(paths=12_001, seed=seed, batch_size=batch, antithetic=antithetic)
+            # a unit delta reads one factor: pnl mean and scale are the component's mu and sqrt(sigma)
+            pnl = simulate_pnl(mix, np.eye(n)[1], spec)
+            for b, start in enumerate(range(0, spec.paths, batch)):
+                count = min(batch, spec.paths - start)
+                rows = (count + 1) // 2 if antithetic else count
+                stream = np.random.SeedSequence(seed, spawn_key=(b,))
+                rng = np.random.Generator(np.random.SFC64(stream))
+                component = rng.choice(len(weights), size=rows, p=weights)
+                core = rng.standard_normal(rows) * scales[component]
+                student = component == 1
+                core[student] *= np.sqrt(nu / rng.chisquare(nu, size=np.count_nonzero(student)))
+                want = means[component] + core
+                if antithetic:
+                    want = np.column_stack([want, means[component] - core]).ravel()[:count]
+                assert np.array_equal(pnl[start : start + count], want)
+
+
+WEIGHTS = {1: (1.0,), 2: (0.6, 0.4), 3: (0.5, 0.3, 0.2)}
+
+
+@given(
+    paths=st.integers(1, 5_000),
+    batch_size=st.integers(2, 700),
+    antithetic=st.booleans(),
+    workers=st.sampled_from((1, 2, 3)),
+    k=st.sampled_from((1, 2, 3)),
+    seed=st.integers(0, 2**128 - 1),
+)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_pnl_is_byte_identical_for_any_worker_count(
+    paths, batch_size, antithetic, workers, k, seed
+):
+    """Every batch length, odd ones included, fills its slice; threads do not change a byte."""
+    gens = (student_generator(2, 4.0), gaussian_generator(2), student_generator(2, 9.0))
+    mix = MixtureModel(
+        components=[
+            (w, EllipticModel(generator=gen, mu=np.full(2, m), sigma=s * np.eye(2)))
+            for w, gen, m, s in zip(WEIGHTS[k], gens, (0.5, -1.0, 2.0), (1.0, 4.0, 0.25))
+        ]
+    )
+    d = np.array([1.0, -0.5])
+    spec = SimulationSpec(paths=paths, seed=seed, batch_size=batch_size, antithetic=antithetic)
+    one = simulate_pnl(mix, d, spec)
+    many = simulate_pnl(mix, d, replace(spec, workers=workers))
+    assert many.tobytes() == one.tobytes()
+    assert many.shape == (paths,)
+    assert np.all(np.isfinite(many))
 
 
 def test_pnl_is_the_one_factor_pnl_times_the_book_scale():
@@ -329,6 +374,26 @@ def test_sampler_memory_does_not_scale_with_factor_count():
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+@pytest.mark.parametrize("k, bound", [(1, 1.5), (2, 3.0)], ids=["student", "mixture2"])
+def test_sampler_fills_its_output_in_place(k, bound):
+    """Beyond its output, the sampler holds a few batches of scratch, not a copy per batch."""
+    sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
+    student = EllipticModel(generator=student_generator(2, 5.0), mu=np.zeros(2), sigma=sigma)
+    gauss = EllipticModel(generator=gaussian_generator(2), mu=np.ones(2), sigma=2.0 * sigma)
+    model = student if k == 1 else MixtureModel(components=[(0.4, student), (0.6, gauss)])
+    d = np.array([1.0, -0.5])
+    batch = 65_536
+    for antithetic in (False, True):
+        spec = SimulationSpec(paths=4 * batch, seed=71, batch_size=batch, antithetic=antithetic)
+        tracemalloc.start()
+        try:
+            simulate_pnl(model, d, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - 8 * spec.paths) / (8 * batch) <= bound
 
 
 def test_validate_model_gaussian():
