@@ -21,7 +21,8 @@ checks of ``DensityGenerator.g``, and a weight formed in log space, so
 large dimensions give a number or a typed error, never an OverflowError.
 It integrates adaptively, to one relative tolerance, or sums the same
 integrand over a fixed exp-sinh node rule (Takahasi & Mori 1974) in one
-numpy pass, in either mode over one change of variable.  The
+numpy pass.  Either mode reads the point x (s, t, z, or 0 for the mass)
+and takes one change of variable from it, v = max(1, |x|) t.  The
 "kernel" route of ``big_g`` integrates g against the closed-form share
 of a sphere beyond s, a regularized incomplete beta (the marginal form
 of a spherical law, Fang, Kotz & Ng 1990); quantile solves and
@@ -101,8 +102,9 @@ _TAIL_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=_SMALLEST_DOUBLE, max_subdivi
 _INNER_QUAD = replace(_TAIL_QUAD, abs_tol=sys.float_info.min)
 
 # The exp-sinh rule of Takahasi & Mori (1974) on (0, inf): t = exp(pi/2 sinh x)
-# at x = -4, -4 + h, ..., 3.1875 with h = 1/16, 116 nodes.  At scale max(1, s)
-# it gives the kernel route's G(s) to about 1e-10 relative for the smooth
+# at x = -4, -4 + h, ..., 3.1875 with h = 1/16, 116 nodes.  Over v = max(1, s) t,
+# the change of variable every radial integral reads from its point s, it
+# gives the kernel route's G(s) to about 1e-10 relative for the smooth
 # generators of dimension up to 5 (1e-15 for the Student); it finds a
 # quantile's neighbourhood, and the adaptive route certifies the quantile.
 _EXP_SINH_X = -4.0 + np.arange(116) / 16.0
@@ -181,7 +183,7 @@ class DensityGenerator:
                 raise DomainError("give a normalizer or auto_rescale=True, not both")
             self._scale = _check_real(self.normalizer, "normalizer", 0.0)
             return
-        # the mass over R^n, int_0^inf g(r^2) |S^(n-1)| r^(n-1) dr, read at scale 1
+        # the mass over R^n, int_0^inf g(r^2) |S^(n-1)| r^(n-1) dr, read at x = 0
         n = self.dimension
         mass = _radial_integral(self, 0.0, _log_sphere_area(n), n - 1)
         if abs(mass - 1.0) <= _NORMALIZATION_TOL:
@@ -229,7 +231,7 @@ class DensityGenerator:
         log_const = (n - 1) / 2.0 * math.log(math.pi) - log_gamma((n + 1) / 2.0)
         try:
             # a value that is not finite raises QuadratureError as well
-            return _radial_integral(self, t * t, log_const, n)
+            return _radial_integral(self, t, log_const, n)
         except QuadratureError as err:
             raise DivergentTailError(
                 "tail expectation quadrature failed to converge; the generator's tail "
@@ -331,24 +333,23 @@ def _component_rows(model, delta) -> tuple[np.ndarray, list[tuple]]:
 
 def _radial_integral(
     gen: DensityGenerator,
-    c: float,
+    x: float,
     log_front: float,
     power: float,
     *,
-    scale: float = 1.0,
-    of_u: bool = False,
-    share: bool = False,
+    kernel: bool = False,
     quad: QuadratureSpec | tuple[np.ndarray, np.ndarray] = _TAIL_QUAD,
 ) -> float:
-    """int_0^inf g(u) w(v) dv over u = c + v^2: the one integrand that reads g.
+    """int_0^inf g(u) w(v) dv over u = x^2 + v^2: the one integrand that reads g.
 
     w(v) = exp(log_front) v^power, formed in log space with g (0^0 = 1).
-    ``of_u`` puts the power on u instead and brings in v, the Jacobian of
-    u = c + v^2; ``share`` also weighs each u by the incomplete-beta share
-    of its sphere beyond sqrt(c), I_{v^2/u}((n-1)/2, 1/2).  The integrand
+    ``kernel`` puts the power on u instead and brings in v, the Jacobian
+    of u = x^2 + v^2, and for n > 1 weighs each u by the incomplete-beta
+    share of its sphere beyond |x|, I_{v^2/u}((n-1)/2, 1/2).  The integrand
     branches only on these constants of the call.  It runs over t with
-    v = scale * t, so the adaptive mode multiplies its integral, and the
-    fixed rule its weights, by ``scale``.
+    v = max(1, |x|) t, which keeps its mass near t ~ 1 however far out x
+    lies, so the adaptive mode multiplies its integral, and the fixed rule
+    its weights, by max(1, |x|).
 
     It has two evaluation modes.  A ``QuadratureSpec`` integrates it
     adaptively, one point at a time.  A fixed rule, a (nodes, weights)
@@ -360,27 +361,29 @@ def _radial_integral(
     as DomainError, and a value that is not finite as a NumericalError.
     """
     density, g_scale, log, exp = gen.density, gen._scale, math.log, math.exp
+    c, scale = x * x, max(1.0, abs(x))
     # the log of the weight v^power at v = 0, where 0^0 = 1
     log_at_zero = log_front if power == 0 else -math.inf
     a = (gen.dimension - 1) / 2.0
+    share = kernel and gen.dimension > 1
     if not isinstance(quad, QuadratureSpec):
         t, weights = quad
         v = scale * t
         vv = v * v
         u = c + vv
         raw = []
-        for x in u.tolist():
+        for point in u.tolist():
             try:
-                raw.append(density(x))
+                raw.append(density(point))
             except OverflowError as err:
-                raise gen._overflow_error(x) from err
+                raise gen._overflow_error(point) from err
         gu = np.array(raw, dtype=np.float64)
         negative = gu < 0.0
         if negative.any():
             raise gen._negative_error(float(u[negative.argmax()]))
         gu = g_scale * gu
         with np.errstate(all="ignore"):
-            if not of_u:
+            if not kernel:
                 log_w = np.where(v > 0.0, log_front + power * np.log(v), log_at_zero)
                 values = np.where(gu == 0.0, 0.0, np.exp(np.log(gu) + log_w))
             else:
@@ -412,7 +415,7 @@ def _radial_integral(
         gu = g_scale * gu
         if gu == 0.0:
             return 0.0
-        if not of_u:
+        if not kernel:
             return exp(log(gu) + (log_front + power * log(v) if v > 0.0 else log_at_zero))
         # vv = 0 (v = 0, or so small that its square underflows) leaves u = c,
         # possibly 0, and contributes nothing
@@ -427,15 +430,12 @@ def _radial_integral(
 
 
 def _marginal_density(z: float, gen: DensityGenerator, quad: QuadratureSpec | tuple) -> float:
-    """Density of one spherical coordinate at z: the generator integrated over the others."""
+    """Density of one spherical coordinate at z: g over the others, one radial integral at z."""
     n = gen.dimension
-    zz = z * z
     if n == 1:
-        return gen.g(zz)
-    # int_0^inf g(z^2 + v^2) |S^(n-2)| v^(n-2) dv; v = max(1,|z|) t keeps the
-    # integrand's mass near t ~ 1 however far out z lies
-    log_front = _log_sphere_area(n - 1)
-    return _radial_integral(gen, zz, log_front, n - 2, scale=max(1.0, abs(z)), quad=quad)
+        return gen.g(z * z)
+    # int_0^inf g(z^2 + v^2) |S^(n-2)| v^(n-2) dv
+    return _radial_integral(gen, z, _log_sphere_area(n - 1), n - 2, quad=quad)
 
 
 def big_g(s: float, gen: DensityGenerator, route: str = "double") -> float:
@@ -464,9 +464,9 @@ def big_g(s: float, gen: DensityGenerator, route: str = "double") -> float:
 
 
 def _kernel_tail(
-    s: float, gen: DensityGenerator, quad: QuadratureSpec | tuple = _TAIL_QUAD, scale: float = 1.0
+    s: float, gen: DensityGenerator, quad: QuadratureSpec | tuple = _TAIL_QUAD
 ) -> float:
-    """G(s) for s >= 0 on the kernel route, adaptively or on a fixed rule ``quad`` at ``scale``."""
+    """G(s) for s >= 0 on the kernel route: one radial integral at s, adaptive or on a rule."""
     # G(s) = pi^(n/2) / (2 Gamma(n/2))
     #        * int_{s^2}^inf g(u) u^((n-2)/2) I_{1-s^2/u}((n-1)/2, 1/2) du,
     # where I/2 is the share of the sphere of radius sqrt(u) beyond z1 = s
@@ -474,9 +474,7 @@ def _kernel_tail(
     # u = s^2 + v^2 removes the endpoint root at n = 2 and brings in 2v.
     n = gen.dimension
     log_const = n / 2.0 * math.log(math.pi) - log_gamma(n / 2.0)
-    return _radial_integral(
-        gen, s * s, log_const, (n - 2) / 2.0, scale=scale, of_u=True, share=n > 1, quad=quad
-    )
+    return _radial_integral(gen, s, log_const, (n - 2) / 2.0, kernel=True, quad=quad)
 
 
 def marginal_tail(gen: DensityGenerator, s: float) -> float:
@@ -640,11 +638,11 @@ def _brent(f: Callable[[float], float], lo: float, hi: float, xtol: float, rtol:
 def _rule_quantile(gen: DensityGenerator, alpha: float) -> tuple[float, float]:
     """The root of G(q) = alpha on the fixed rule, and the rule's d log G / ds there.
 
-    G(s) is the kernel route on the exp-sinh rule at scale max(1, s); the
-    slope is -f(q) / alpha, f the marginal density on the same rule, which
-    takes the same scale.
+    G(s) is the kernel route on the exp-sinh rule, read at the point s;
+    the slope is -f(q) / alpha, f the marginal density on the same rule,
+    read at q.  Both integrate over v = max(1, |x|) t at their point x.
     """
-    q = _solve_decreasing(lambda s: _kernel_tail(s, gen, _EXP_SINH_RULE, max(1.0, s)), alpha)
+    q = _solve_decreasing(lambda s: _kernel_tail(s, gen, _EXP_SINH_RULE), alpha)
     return q, -_marginal_density(q, gen, _EXP_SINH_RULE) / alpha
 
 

@@ -42,6 +42,7 @@ from ellvar.errors import (
     NumericalError,
     QuadratureError,
 )
+from ellvar.student import student_tail_expectation
 
 
 def _pearson_vii_generator(n=2):
@@ -275,6 +276,38 @@ def test_every_quadrature_has_one_relative_tolerance():
     assert len(specs) >= 2
     assert {spec.rel_tol for spec in specs} == {elliptic._TAIL_QUAD.rel_tol}
     assert all(spec.abs_tol <= sys.float_info.min for spec in specs)
+
+
+def test_inner_integral_keeps_its_normal_floor():
+    # a powexp law of the generic benchmark (seed 2, alpha 0.05) whose marginal
+    # density turns subnormal far out: with a floor of 5e-324 in place of the
+    # smallest normal double the inner integral meets roundoff and the double
+    # route raises QuadratureError
+    gen = DensityGenerator(
+        dimension=5, density=lambda u: math.exp(-(u**0.5635656537547452) / 2.0), auto_rescale=True
+    )
+    s = 5.460764770189723
+    kernel = big_g(s, gen, route="kernel")
+    assert big_g(s, gen, route="double") == pytest.approx(kernel, rel=1e-13, abs=0.0)
+
+
+def test_hook_less_student_solves_in_the_deep_tail():
+    # every radial integral runs over v = max(1, |x|) t from its point x, so
+    # the adaptive kernel tail and tail expectation keep their mass near
+    # t ~ 1 at any quantile; at a scale of 1 half of these solves raised
+    # QuadratureError, and one a DivergentTailError for a finite ES
+    for nu, n, alpha in itertools.product((2.1, 2.5, 3.0), (1, 2, 3, 5, 8, 20), (1e-7, 1e-10, 1e-13)):
+        gen = _bare(student_generator(n, nu))
+        q = solve_quantile(alpha, gen)
+        assert q == pytest.approx(-special.stdtrit(nu, alpha), rel=1e-12, abs=0.0), (nu, n, alpha)
+        te = marginal_tail_expectation(gen, q)
+        reference = student_tail_expectation(q, nu)
+        assert te == pytest.approx(reference, rel=1e-12, abs=0.0), (nu, n, alpha)
+    gen = _bare(student_generator(3, 2.5))
+    far = big_g(1e10, gen, route="kernel")
+    assert far == pytest.approx(special.stdtr(2.5, -1e10), rel=1e-12, abs=0.0)
+    far = marginal_tail_expectation(gen, 1e10)
+    assert far == pytest.approx(student_tail_expectation(1e10, 2.5), rel=1e-12, abs=0.0)
 
 
 def test_solve_quantile_power_exponential():
@@ -743,27 +776,32 @@ def _scalar_integrand(monkeypatch, *args, **flags):
     return captured[0]
 
 
+# points x of each change of variable v = max(1, |x|) t: scale 1 from x = 0
+# to its edge, and a point past it
+_POINTS_AT_SCALE = {1.0: (0.0, 0.7, 1.0), 2.5: (2.5,)}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 100])
-@pytest.mark.parametrize("of_u", [False, True])
-@pytest.mark.parametrize("share", [False, True])
-@pytest.mark.parametrize("scale", [1.0, 2.5])
-def test_radial_integral_modes_agree_pointwise(monkeypatch, n, of_u, share, scale):
+@pytest.mark.parametrize("kernel", [False, True])
+@pytest.mark.parametrize("negative", [False, True])
+@pytest.mark.parametrize("scale", sorted(_POINTS_AT_SCALE))
+def test_radial_integral_modes_agree_pointwise(monkeypatch, n, kernel, negative, scale):
     # a fixed rule with one unit weight reads the array mode at one node t,
-    # times scale as both modes multiply their integral; the powers are those
-    # of the callers: u^((n-2)/2) on the kernel route, v^(n-2) in the
-    # marginal density and v^n in the tail expectation
-    powers = ((n - 2) / 2.0,) if of_u else (n - 2, n)
+    # times max(1, |x|) as both modes multiply their integral; the integral
+    # reads |x| alone, and its callers pass negative points too; the powers
+    # are those of the callers: u^((n-2)/2) on the kernel route, v^(n-2) in
+    # the marginal density and v^n in the tail expectation
+    powers = ((n - 2) / 2.0,) if kernel else (n - 2, n)
     for gen in (_bare(gaussian_generator(n)), _bare(student_generator(n, 4.0))):
-        for c, power in itertools.product((0.0, 2.25, 9.0), powers):
-            args = (gen, c, -0.5 * n, power)
-            flags = dict(scale=scale, of_u=of_u, share=share)
-            scalar = _scalar_integrand(monkeypatch, *args, **flags)
+        for x, power in itertools.product(_POINTS_AT_SCALE[scale], powers):
+            args = (gen, -x if negative else x, -0.5 * n, power)
+            scalar = _scalar_integrand(monkeypatch, *args, kernel=kernel)
             for k, t in enumerate(_POINTS):
                 one_hot = np.zeros(len(_POINTS))
                 one_hot[k] = 1.0
-                array = elliptic._radial_integral(*args, **flags, quad=(_POINTS, one_hot))
+                array = elliptic._radial_integral(*args, kernel=kernel, quad=(_POINTS, one_hot))
                 point = scale * scalar(float(t))
-                assert abs(array - point) <= 1e-15 * abs(point), (gen.name, c, power, t)
+                assert abs(array - point) <= 1e-15 * abs(point), (gen.name, x, power, t)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
