@@ -12,12 +12,14 @@ Every generator answers the law of that coordinate through four methods,
 ``tail``, ``tail_expectation``, ``quantile`` and ``marginal_density`` (the
 last for the Euler allocation): ``DensityGenerator``'s own are the
 quadratures below, and the Student and Gaussian factories assign closed
-forms over them.  ``marginal_tail``, ``marginal_tail_expectation`` and
-``quantile_multiplier`` check their arguments and call the generator's
-law.  Every quadrature of g (the mass check, both routes of ``big_g``, the
-tail expectation, the marginal density) is one radial integral,
-``_radial_integral``, the one place g is read: one frame per point, the
-checks of ``DensityGenerator.g``, and a weight formed in log space, so
+forms over them.  Each method checks its own argument (alpha in (0,
+0.5); s, t and z finite) for every generator, and the engine calls them
+directly; ``marginal_tail``, ``marginal_tail_expectation`` and
+``quantile_multiplier`` check the generator and call its law.  Every
+quadrature of g (the mass check, both routes of ``big_g``, the tail
+expectation, the marginal density) is one radial integral,
+``_radial_integral``: one frame per point, a density value read by the
+rule of ``DensityGenerator.g``, and a weight formed in log space, so
 large dimensions give a number or a typed error, never an OverflowError.
 It integrates adaptively, to one relative tolerance, or sums the same
 integrand over a fixed exp-sinh node rule (Takahasi & Mori 1974) in one
@@ -145,7 +147,8 @@ class DensityGenerator:
     ``tail``, ``tail_expectation``, ``quantile`` and ``marginal_density``
     are the law of one spherical coordinate: its survival function, its
     partial expectation, its alpha-tail quantile (alpha in (0, 0.5)) and
-    its density.  The methods here get each by quadrature of g;
+    its density, and each checks its argument.  The methods here get each
+    by quadrature of g, reading every density value by the rule of ``g``;
     ``student_generator`` and ``gaussian_generator`` assign closed forms
     over them on their instances, and a closed-form quantile checks its
     own residual against the closed-form tail.  ``mixing(rng, size)`` is
@@ -199,26 +202,23 @@ class DensityGenerator:
             )
 
     def g(self, u: float) -> float:
-        """Normalized radial density at u = |z|^2.
-
-        A density that overflows raises NumericalError and a negative one
-        DomainError; ``_radial_integral`` makes the same checks.
-        """
+        """Normalized radial density at u = |z|^2, or ``_density_error`` for a bad value."""
         try:
             value = self.density(u)
-        except OverflowError as err:
-            raise self._overflow_error(u) from err
-        if value < 0.0:
-            raise self._negative_error(u)
-        return self._scale * value
+            if 0.0 <= value < math.inf:
+                return self._scale * value
+        except (OverflowError, TypeError) as err:
+            raise self._density_error(u, err) from err
+        raise self._density_error(u, value)
 
-    def _overflow_error(self, u: float) -> NumericalError:
-        return NumericalError(
-            f"generator '{self.name}' density overflowed", u=u, dimension=self.dimension
-        )
-
-    def _negative_error(self, u: float) -> DomainError:
-        return DomainError(f"generator '{self.name}' density is negative at u={u!r}")
+    def _density_error(self, u: float, value) -> DomainError | NumericalError:
+        """The error for a bad density value at u, or an OverflowError or TypeError reading it."""
+        where = f"generator '{self.name}' density at u={u!r}"
+        if isinstance(value, TypeError):
+            return DomainError(f"{where} is not a real number: {value}")
+        if not isinstance(value, OverflowError) and -math.inf < value < 0.0:
+            return DomainError(f"{where} is negative: {value!r}")
+        return NumericalError(f"{where} is not finite: {value!r}", u=u, dimension=self.dimension)
 
     def tail(self, s: float) -> float:
         """P(Z1 >= s) on the kernel route of ``big_g``."""
@@ -226,6 +226,7 @@ class DensityGenerator:
 
     def tail_expectation(self, t: float) -> float:
         """E[Z1 * 1{Z1 >= t}], one radial integral at |t|; a divergent one raises DivergentTailError."""
+        t = _check_real(t, "t")
         # int_0^inf g(t^2 + v^2) pi^((n-1)/2) / Gamma((n+1)/2) v^n dv
         n = self.dimension
         log_const = (n - 1) / 2.0 * math.log(math.pi) - log_gamma((n + 1) / 2.0)
@@ -245,7 +246,7 @@ class DensityGenerator:
 
     def marginal_density(self, z: float) -> float:
         """Density of Z1 at z, by quadrature held to relative accuracy however small it is."""
-        return _marginal_density(z, self, _TAIL_QUAD)
+        return _marginal_density(_check_real(z, "z"), self, _TAIL_QUAD)
 
 
 @dataclass(eq=False)
@@ -357,10 +358,11 @@ def _radial_integral(
     weighted sum: the density is still called once per node, with one
     float, and the weight, the share and the sum are formed in numpy, by
     the same operations as a point of the adaptive mode.  Either mode
-    raises the density's overflow as NumericalError and a negative value
-    as DomainError, and a value that is not finite as a NumericalError.
+    reads a density value by the rule of ``DensityGenerator.g``, the fixed
+    rule in one numpy pass, and a sum that is not finite raises
+    NumericalError.
     """
-    density, g_scale, log, exp = gen.density, gen._scale, math.log, math.exp
+    density, g_scale, log, exp, inf = gen.density, gen._scale, math.log, math.exp, math.inf
     c, scale = x * x, max(1.0, abs(x))
     # the log of the weight v^power at v = 0, where 0^0 = 1
     log_at_zero = log_front if power == 0 else -math.inf
@@ -371,17 +373,15 @@ def _radial_integral(
         v = scale * t
         vv = v * v
         u = c + vv
-        raw = []
-        for point in u.tolist():
-            try:
-                raw.append(density(point))
-            except OverflowError as err:
-                raise gen._overflow_error(point) from err
-        gu = np.array(raw, dtype=np.float64)
-        negative = gu < 0.0
-        if negative.any():
-            raise gen._negative_error(float(u[negative.argmax()]))
-        gu = g_scale * gu
+        points = u.tolist()
+        try:
+            gu = np.array([density(point) for point in points])
+            good = gu.dtype == np.float64 and 0.0 <= gu.min() and gu.max() < inf
+        except (OverflowError, TypeError):
+            good = False
+        # else read again through g, which raises the first bad value's
+        # error and converts a number of any other type
+        gu = g_scale * gu if good else np.array([gen.g(p) for p in points], dtype=np.float64)
         with np.errstate(all="ignore"):
             if not kernel:
                 log_w = np.where(v > 0.0, log_front + power * np.log(v), log_at_zero)
@@ -408,10 +408,10 @@ def _radial_integral(
         u = c + vv
         try:
             gu = density(u)
-        except OverflowError as err:
-            raise gen._overflow_error(u) from err
-        if gu < 0.0:
-            raise gen._negative_error(u)
+            if not 0.0 <= gu < inf:
+                raise gen._density_error(u, gu)
+        except (OverflowError, TypeError) as err:
+            raise gen._density_error(u, err) from err
         gu = g_scale * gu
         if gu == 0.0:
             return 0.0
@@ -479,7 +479,6 @@ def _kernel_tail(
 
 def marginal_tail(gen: DensityGenerator, s: float) -> float:
     """P(Z1 >= s) by the generator's ``tail``; s must be finite."""
-    s = _check_real(s, "s")
     return _check_generator(gen).tail(s)
 
 
@@ -489,7 +488,6 @@ def marginal_tail_expectation(gen: DensityGenerator, t: float) -> float:
     By symmetry the value at t equals the value at |t|.  Divergence (an
     overly heavy tail) surfaces as DivergentTailError.
     """
-    t = _check_real(t, "t")
     return _check_generator(gen).tail_expectation(t)
 
 
@@ -704,7 +702,6 @@ def solve_quantile(alpha: float, gen: DensityGenerator) -> float:
 
 def quantile_multiplier(gen: DensityGenerator, alpha: float) -> float:
     """The alpha-tail quantile of the spherical marginal, by the generator's ``quantile``."""
-    alpha = _check_alpha(alpha)
     return _check_generator(gen).quantile(alpha)
 
 
@@ -719,7 +716,7 @@ def _rows_var(rows: list[tuple], alpha: float) -> tuple[float, list[float]]:
     it is above every one each is at most alpha, so the smallest and the
     largest component VaR bracket the root at any alpha.
     """
-    qs = [quantile_multiplier(gen, alpha) for _, gen, _, _ in rows]
+    qs = [gen.quantile(alpha) for _, gen, _, _ in rows]
     if len(rows) == 1:
         _, _, mean, vol = rows[0]
         return -mean + qs[0] * vol, qs
@@ -727,7 +724,7 @@ def _rows_var(rows: list[tuple], alpha: float) -> tuple[float, list[float]]:
 
     def tail_prob(t: float) -> float:
         v = t * scale
-        return math.fsum(w * marginal_tail(gen, (mean + v) / vol) for w, gen, mean, vol in rows)
+        return math.fsum(w * gen.tail((mean + v) / vol) for w, gen, mean, vol in rows)
 
     ends = [(-mean + q * vol) / scale for (_, _, mean, vol), q in zip(rows, qs)]
     v = _solve_decreasing(tail_prob, alpha, min(ends), max(ends)) * scale
@@ -742,10 +739,10 @@ def _rows_es(rows: list[tuple], alpha: float, thresholds: list[float]) -> float:
     """
     if len(rows) == 1:
         _, gen, mean, vol = rows[0]
-        return -mean + vol * marginal_tail_expectation(gen, thresholds[0]) / alpha
+        return -mean + vol * gen.tail_expectation(thresholds[0]) / alpha
     acc = 0.0
     for (w, gen, mean, vol), z in zip(rows, thresholds):
-        acc += w * (vol * marginal_tail_expectation(gen, z) - mean * marginal_tail(gen, z))
+        acc += w * (vol * gen.tail_expectation(z) - mean * gen.tail(z))
     return acc / alpha
 
 

@@ -206,7 +206,7 @@ def student_generator(dimension: int, nu: float) -> DensityGenerator:
     gen.tail = lambda s: student_big_g(s, nu)
     gen.tail_expectation = lambda t: student_tail_expectation(t, nu)
     gen.quantile = lambda alpha: student_quantile(alpha, nu)
-    gen.marginal_density = lambda z: math.exp(_student_log_pdf(z, nu))
+    gen.marginal_density = lambda z: math.exp(_student_log_pdf(_check_real(z, "z"), nu))
     gen.mixing = lambda rng, size: _student_mixing(nu, rng, size)
     gen.family = "student"
     gen.family_params = (nu,)
@@ -221,7 +221,7 @@ def _student_mixing(nu: float, rng, size: int) -> np.ndarray:
 
 
 def _normal_tail(s: float) -> float:
-    return 0.5 * math.erfc(s / math.sqrt(2.0))
+    return 0.5 * math.erfc(_check_real(s, "s") / math.sqrt(2.0))
 
 
 def _normal_density(s: float) -> float:
@@ -229,6 +229,7 @@ def _normal_density(s: float) -> float:
 
 
 def _normal_quantile(alpha: float) -> float:
+    alpha = _check_alpha(alpha)
     return _checked_quantile(_normal_tail, alpha, -float(ndtri(alpha)))
 
 
@@ -249,9 +250,9 @@ def gaussian_generator(dimension: int) -> DensityGenerator:
     )
     gen.tail = _normal_tail
     # E[Z 1{Z >= t}] = phi(t) for the standard normal, any real t
-    gen.tail_expectation = _normal_density
+    gen.tail_expectation = lambda t: _normal_density(_check_real(t, "t"))
     gen.quantile = _normal_quantile
-    gen.marginal_density = _normal_density
+    gen.marginal_density = lambda z: _normal_density(_check_real(z, "z"))
     gen.mixing = _no_mixing
     gen.family = "gaussian"
     return gen

@@ -23,10 +23,12 @@ from ellvar import (
     clear_quantile_cache,
     expected_shortfall,
     gaussian_generator,
+    incremental_var,
     marginal_tail,
     marginal_tail_expectation,
     mixture_var,
     quantile_multiplier,
+    risk_report,
     solve_quantile,
     student_generator,
     var,
@@ -75,12 +77,17 @@ def _overflowing_past_4(u):
     return math.exp(-0.5 * u) if u <= 4.0 else math.exp(1e3 * u)
 
 
+def _returning_past_4(value):
+    return lambda u: math.exp(-0.5 * u) if u <= 4.0 else value
+
+
 def _bare_density(density):
     return DensityGenerator(dimension=2, density=density, normalizer=1.0 / (2.0 * math.pi))
 
 
-# g and every integrand read the density, each with the same two checks, on
-# the adaptive route and on the fixed rule, whose nodes reach past u = 4
+# g and every integrand, on the adaptive route and on the fixed rule, whose
+# nodes reach past u = 4, read a density value by one rule: not a real
+# number or negative is a DomainError, nan, inf or an overflow NumericalError
 _DENSITY_PATHS = {
     "mass check": lambda density: DensityGenerator(dimension=2, density=density),
     "kernel": lambda density: big_g(1.0, _bare_density(density), route="kernel"),
@@ -96,7 +103,15 @@ _DENSITY_PATHS = {
 
 @pytest.mark.parametrize("path", sorted(_DENSITY_PATHS))
 @pytest.mark.parametrize(
-    "density, error", [(_negative_past_4, DomainError), (_overflowing_past_4, NumericalError)]
+    "density, error",
+    [
+        (_negative_past_4, DomainError),
+        (_overflowing_past_4, NumericalError),
+        pytest.param(_returning_past_4(math.nan), NumericalError, id="nan_past_4-NumericalError"),
+        pytest.param(_returning_past_4(math.inf), NumericalError, id="inf_past_4-NumericalError"),
+        pytest.param(_returning_past_4("0.1"), DomainError, id="str_past_4-DomainError"),
+        pytest.param(_returning_past_4(None), DomainError, id="None_past_4-DomainError"),
+    ],
 )
 def test_density_checks_hold_in_every_integrand(path, density, error):
     with pytest.raises(error, match="density"):
@@ -580,18 +595,12 @@ def test_root_solves_evaluate_each_tail_point_once(monkeypatch):
     # components' VaRs, and the returned root are read back, not re-evaluated
     points = []
     big_g_route = elliptic.big_g
-    tail = elliptic.marginal_tail
 
     def counting_big_g(s, gen, route="double"):
         points.append(("big_g", s))
         return big_g_route(s, gen, route)
 
-    def counting_tail(gen, s):
-        points.append((gen.name, s))
-        return tail(gen, s)
-
     monkeypatch.setattr(elliptic, "big_g", counting_big_g)
-    monkeypatch.setattr(elliptic, "marginal_tail", counting_tail)
     hookless = DensityGenerator(
         dimension=3, density=student_generator(3, 5.0).density, normalizer=1.0
     )
@@ -599,20 +608,58 @@ def test_root_solves_evaluate_each_tail_point_once(monkeypatch):
     assert len(points) == len(set(points)) <= 3
     assert ("big_g", q) in points
 
+    def counting_tail(gen):
+        tail = gen.tail
+
+        def counted(s):
+            points.append((gen.name, s))
+            return tail(s)
+
+        return counted
+
     points.clear()
+    gens = [gaussian_generator(2), student_generator(2, 4.0)]
+    for gen in gens:
+        # the mixture root reads each component's law directly
+        monkeypatch.setattr(gen, "tail", counting_tail(gen))
     mix = MixtureModel(
         components=[
-            (0.7, EllipticModel(mu=np.zeros(2), sigma=np.eye(2), generator=gaussian_generator(2))),
-            (
-                0.3,
-                EllipticModel(
-                    mu=np.zeros(2), sigma=2.0 * np.eye(2), generator=student_generator(2, 4.0)
-                ),
-            ),
+            (0.7, EllipticModel(mu=np.zeros(2), sigma=np.eye(2), generator=gens[0])),
+            (0.3, EllipticModel(mu=np.zeros(2), sigma=2.0 * np.eye(2), generator=gens[1])),
         ]
     )
     mixture_var(mix, np.array([1.0, 2.0]), 0.01)
     assert len(points) == len(set(points)) == 16
+
+
+def test_the_engine_calls_the_laws_not_the_module_wrappers(monkeypatch):
+    # the wrappers re-check a generator the model checked when it was built
+    calls = []
+
+    def counting(name):
+        wrapper = getattr(elliptic, name)
+
+        def counted(*args):
+            calls.append(name)
+            return wrapper(*args)
+
+        return counted
+
+    for name in ("marginal_tail", "marginal_tail_expectation", "quantile_multiplier"):
+        monkeypatch.setattr(elliptic, name, counting(name))
+    n = 20
+    hookless = DensityGenerator(n, student_generator(n, 5.0).density, normalizer=1.0)
+    mix = MixtureModel(
+        components=[
+            (w, EllipticModel(mu=np.zeros(n), sigma=np.eye(n), generator=gen))
+            for w, gen in ((0.5, gaussian_generator(n)), (0.3, student_generator(n, 4.0)), (0.2, hookless))
+        ]
+    )
+    delta = np.linspace(1.0, 2.0, n)
+    risk_report(mix, delta, 0.01)
+    expected_shortfall(mix, delta, 0.01)
+    incremental_var(mix, delta, 0.01)
+    assert calls == []
 
 
 def _brent_case(rng: random.Random):
@@ -754,8 +801,8 @@ def test_newton_polish_raises_typed_errors():
 
 
 def test_fixed_rule_raises_on_a_sum_that_is_not_finite():
-    # an infinite density is no OverflowError, so it reaches the sum
-    gen = _bare_density(lambda u: math.inf)
+    # every value of this density is finite, but not its integral
+    gen = _bare_density(lambda u: 1e308)
     with pytest.raises(NumericalError, match="not finite"):
         elliptic._kernel_tail(1.0, gen, elliptic._EXP_SINH_RULE)
 

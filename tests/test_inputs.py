@@ -1,10 +1,10 @@
 """Malformed input: every public entry raises a typed error for it.
 
 One table holds (entry, malformed argument) calls, with a bool, a
-string, None, a ragged list, an array of bools or numeric strings, a list
-or object array that mixes one of them with floats, or an arbitrary
-object where a number, an integer, a vector or a library
-object is expected.  Each call must raise DomainError or DimensionError,
+string, None, nan, an alpha outside (0, 0.5), a ragged list, an array of
+bools or numeric strings, a list or object array that mixes one of them
+with floats, or an arbitrary object where a number, an integer, a vector
+or a library object is expected.  Each call must raise DomainError or DimensionError,
 never a bare TypeError, ValueError or AttributeError, and never a
 numerical failure further in.  A guard test
 keeps the table complete: every function and class that ``ellvar``
@@ -75,6 +75,8 @@ _DELTA = np.array([1.0, 0.5])
 _RETURNS = np.random.default_rng(3).normal(size=(50, 2))
 _RAGGED = [[1.0], [2.0, 3.0]]
 _SMALL_SPEC = SimulationSpec(paths=20_000)
+# the same law with no closed forms: its methods are the quadratures
+_HOOKLESS = DensityGenerator(2, _GEN.density, normalizer=1.0)
 
 
 def _decay(x: float) -> float:
@@ -185,6 +187,14 @@ MALFORMED = [
     ("student_generator", "dimension bool", lambda: student_generator(True, 5.0)),
     ("student_generator", "dimension float", lambda: student_generator(2.0, 5.0)),
     ("gaussian_generator", "dimension None", lambda: gaussian_generator(None)),
+    ("gaussian_generator", "quantile alpha 0.7", lambda: gaussian_generator(2).quantile(0.7)),
+    ("gaussian_generator", "quantile alpha str", lambda: gaussian_generator(2).quantile("0.01")),
+    ("gaussian_generator", "tail s nan", lambda: gaussian_generator(2).tail(math.nan)),
+    ("gaussian_generator", "tail_expectation t None", lambda: gaussian_generator(2).tail_expectation(None)),
+    ("gaussian_generator", "marginal_density z nan", lambda: gaussian_generator(2).marginal_density(math.nan)),
+    ("student_generator", "marginal_density z str", lambda: student_generator(2, 5.0).marginal_density("x")),
+    ("DensityGenerator", "tail_expectation t nan", lambda: _HOOKLESS.tail_expectation(math.nan)),
+    ("DensityGenerator", "marginal_density z None", lambda: _HOOKLESS.marginal_density(None)),
     ("student_big_g", "s str", lambda: student_big_g("1.5", 4.0)),
     ("student_quantile", "nu str", lambda: student_quantile(0.01, "x")),
     ("student_quantile", "nu None", lambda: student_quantile(0.01, None)),
