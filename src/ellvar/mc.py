@@ -13,6 +13,9 @@ slice of the output in place, so results are reproducible for a fixed
 seed however many worker threads run the batches.  The
 analytic side is ``risk_report``; the estimator selects the order
 statistics of a sample once, for every alpha of a validation.
+``validate_model`` selects them in place on the one sample it drew, so
+a request holds no second sample-sized array; ``empirical_var_es``
+selects them on a copy, so a caller's array is never reordered.
 """
 
 from __future__ import annotations
@@ -194,15 +197,15 @@ def _linear_quantile(head: np.ndarray, n: int, q: float) -> float:
     return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
-def _estimates(pnl, alphas: Sequence[float]) -> list[EmpiricalEstimate]:
-    """Order-statistic estimates at every alpha from one selection of the sample.
+def _estimates(x: np.ndarray, alphas: Sequence[float]) -> list[EmpiricalEstimate]:
+    """Order-statistic estimates at every alpha from one selection of the checked sample x.
 
-    The sample is partitioned once, at the highest order statistic any
-    alpha reads, and only the part below it is sorted; each alpha then
-    reads its VaR, its tail and the two quantiles behind its VaR standard
-    error from that sorted head.
+    x, a float64 array that ``_check_array`` has passed, is reordered in
+    place: partitioned once, at the highest order statistic any alpha
+    reads, and only the part below it sorted; each alpha then reads its
+    VaR, its tail and the two quantiles behind its VaR standard error
+    from that sorted head.
     """
-    x = _check_array(pnl, "pnl")
     n = x.shape[0]
     if n < _MIN_PATHS_FOR_ESTIMATE:
         raise DomainError(
@@ -212,11 +215,9 @@ def _estimates(pnl, alphas: Sequence[float]) -> list[EmpiricalEstimate]:
 
     # an alpha reads order statistics up to the upper neighbour of its
     # 3 alpha / 2 quantile, which lies past its VaR at k - 1
-    top = max(
-        (max(k - 1, math.floor((n - 1) * (alpha + alpha / 2.0)) + 1) for alpha, k in levels),
-        default=0,
-    )
-    head = np.partition(x, top)[: top + 1]
+    top = max(max(k - 1, math.floor((n - 1) * (alpha + alpha / 2.0)) + 1) for alpha, k in levels)
+    x.partition(top)
+    head = x[: top + 1]
     head.sort()
 
     out = []
@@ -268,8 +269,10 @@ def empirical_var_es(pnl: np.ndarray, alpha: float) -> EmpiricalEstimate:
     the variance of ES's influence function, whose threshold term the
     tail spread alone leaves out (Chen 2008, "Nonparametric estimation
     of expected shortfall").  A pnl with a non-finite entry is rejected.
+    The order statistics are selected on a copy of the checked pnl, so
+    the caller's array is never reordered.
     """
-    return _estimates(pnl, (alpha,))[0]
+    return _estimates(_check_array(pnl, "pnl").copy(), (alpha,))[0]
 
 
 @dataclass(frozen=True)
@@ -300,14 +303,17 @@ def validate_model(
 ) -> list[ValidationRow]:
     """Compare analytic VaR and ES against one simulation at each level.
 
-    The alphas and the spec are checked before anything is drawn; a
-    single pnl sample is then drawn once, and its order statistics are
-    selected once, for every alpha.  A row passes when both analytic
-    numbers fall within three standard errors of their empirical
-    estimates.
+    The alphas and the spec are checked before anything is drawn, and
+    an empty sequence of alphas raises DomainError; a single pnl sample
+    is then drawn once, and its order statistics are selected once, for
+    every alpha, in place on that sample, which no caller sees.  A row
+    passes when both analytic numbers fall within three standard errors
+    of their empirical estimates.
     """
     alphas = tuple(map(_check_alpha, alphas))
-    estimates = _estimates(simulate_pnl(model, delta, spec), alphas)
+    if not alphas:
+        raise DomainError("alphas must hold at least one level, got none")
+    estimates = _estimates(_check_array(simulate_pnl(model, delta, spec), "pnl"), alphas)
     rows = []
     for alpha, est in zip(alphas, estimates):
         a_var, a_es = _analytic_var_es(model, delta, alpha)

@@ -156,6 +156,39 @@ def test_empirical_var_es_warns_on_thin_tail():
         empirical_var_es(pnl, 0.004)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: empirical_var_es(np.random.default_rng(19).standard_normal(10_000), 0.004),
+        lambda: validate_model(
+            _gaussian_model(), np.array([1.0, 0.0]), (0.001,), SimulationSpec(paths=20_000, seed=3)
+        ),
+    ],
+    ids=["empirical_var_es", "validate_model"],
+)
+def test_thin_tail_warning_names_the_callers_file(call):
+    with pytest.warns(RuntimeWarning, match="paths in the") as record:
+        call()
+    assert [w.filename for w in record] == [__file__]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: rng.standard_normal(30_000),
+        lambda rng: rng.standard_normal(60_000)[::2],
+        lambda rng: rng.standard_normal(30_000).tolist(),
+    ],
+    ids=["float64", "strided", "list"],
+)
+def test_empirical_var_es_leaves_its_argument_as_it_was(make):
+    pnl = make(np.random.default_rng(101))
+    before = np.asarray(pnl).tobytes()
+    est = empirical_var_es(pnl, 0.05)
+    assert np.asarray(pnl).tobytes() == before
+    assert est == empirical_var_es(np.array(pnl), 0.05)
+
+
 def test_empirical_var_es_rejects_small_samples():
     with pytest.raises(DomainError):
         empirical_var_es(np.zeros(5_000), 0.05)
@@ -192,6 +225,17 @@ def test_validate_model_checks_alphas_before_drawing(monkeypatch, alpha):
     with pytest.raises(DomainError, match="alpha must lie in"):
         validate_model(
             _gaussian_model(), np.array([1.0, 0.0]), (0.05, alpha), SimulationSpec(paths=2_000_000)
+        )
+    assert calls == []
+
+
+@pytest.mark.parametrize("alphas", [(), [], iter(())], ids=["tuple", "list", "iterator"])
+def test_validate_model_refuses_no_alphas_before_drawing(monkeypatch, alphas):
+    calls = []
+    monkeypatch.setattr(mc, "simulate_pnl", lambda *args: calls.append(args))
+    with pytest.raises(DomainError, match="at least one level"):
+        validate_model(
+            _gaussian_model(), np.array([1.0, 0.0]), alphas, SimulationSpec(paths=2_000_000)
         )
     assert calls == []
 
@@ -376,24 +420,41 @@ def test_sampler_memory_does_not_scale_with_factor_count():
     assert peak < 32e6
 
 
-@pytest.mark.parametrize("k, bound", [(1, 1.5), (2, 3.0)], ids=["student", "mixture2"])
-def test_sampler_fills_its_output_in_place(k, bound):
-    """Beyond its output, the sampler holds a few batches of scratch, not a copy per batch."""
+def _peaks_past_the_sample(run, k):
+    """(peak - 8 paths) / (8 batch) of run(model, d, spec=spec) at 4 batches of 65,536 paths.
+
+    One value without and one with antithetic draws; the model is a
+    Student (k = 1) or a Student-Gaussian mixture (k = 2).
+    """
     sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
     student = EllipticModel(generator=student_generator(2, 5.0), mu=np.zeros(2), sigma=sigma)
     gauss = EllipticModel(generator=gaussian_generator(2), mu=np.ones(2), sigma=2.0 * sigma)
     model = student if k == 1 else MixtureModel(components=[(0.4, student), (0.6, gauss)])
     d = np.array([1.0, -0.5])
     batch = 65_536
+    ratios = []
     for antithetic in (False, True):
         spec = SimulationSpec(paths=4 * batch, seed=71, batch_size=batch, antithetic=antithetic)
         tracemalloc.start()
         try:
-            simulate_pnl(model, d, spec)
+            run(model, d, spec=spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (peak - 8 * spec.paths) / (8 * batch) <= bound
+        ratios.append((peak - 8 * spec.paths) / (8 * batch))
+    return ratios
+
+
+@pytest.mark.parametrize("k, bound", [(1, 1.5), (2, 3.0)], ids=["student", "mixture2"])
+def test_sampler_fills_its_output_in_place(k, bound):
+    """Beyond its output, the sampler holds a few batches of scratch, not a copy per batch."""
+    assert max(_peaks_past_the_sample(simulate_pnl, k)) <= bound
+
+
+@pytest.mark.parametrize("k, bound", [(1, 1.5), (2, 3.0)], ids=["student", "mixture2"])
+def test_validate_model_selects_in_place_on_its_sample(k, bound):
+    """Beyond the sample it draws, a validation holds the sampler's scratch, not a copy of it."""
+    assert max(_peaks_past_the_sample(validate_model, k)) <= bound
 
 
 def test_validate_model_gaussian():
