@@ -1,16 +1,18 @@
 """Dense symmetric-positive-definite helpers for covariance matrices.
 
-The Cholesky factor comes from LAPACK ``dpotrf``, whose ``info`` names
-the first leading minor that breaks positive definiteness, as the error
-contract asks.  The public functions check their matrix argument; a
-model checks its dispersion once, at construction, and later code
-factors it through ``_cholesky_lower`` without checking it again.
+The Cholesky factor comes from ``numpy.linalg.cholesky``, so every
+factor, Gram product and quadratic form runs on numpy's one LAPACK and
+its one BLAS thread pool.  numpy does not say where a factorisation
+failed, so on the error path only the first leading minor that breaks
+positive definiteness is found by bisection over the leading blocks, as
+the error contract asks.  The public functions check their matrix
+argument; a model checks its dispersion once, at construction, and later
+code factors it through ``_cholesky_lower`` without checking it again.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
 
 from .errors import DimensionError, DomainError, NotPositiveDefiniteError
 from .errors import _check_array, _check_real
@@ -32,8 +34,9 @@ def validate_symmetric(matrix) -> np.ndarray:
     m = _check_array(matrix, "matrix", ndim=2)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(float(np.max(np.abs(m))), 1.0)
-    asym = float(np.max(np.abs(m - m.T)))
+    scale = max(float(m.max()), -float(m.min()), 1.0)
+    diff = np.subtract(m, m.T)
+    asym = float(np.abs(diff, out=diff).max())
     if asym > _SYMMETRY_TOL * scale:
         raise DomainError(
             f"matrix is not symmetric: max asymmetry {asym:.3e} exceeds "
@@ -53,13 +56,23 @@ def cholesky(matrix) -> np.ndarray:
 
 def _cholesky_lower(a: np.ndarray) -> np.ndarray:
     """cholesky() for a matrix validate_symmetric has already accepted."""
-    low, info = dpotrf(a, lower=1, clean=1)
-    if info > 0:
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite: leading minor {info} is not positive definite",
-            minor_index=info,
-        )
-    return low
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        pass
+    # a leading minor fails only if every larger one fails too: bisect for the first
+    good, bad = 0, a.shape[0]
+    while bad - good > 1:
+        k = (good + bad) // 2
+        try:
+            np.linalg.cholesky(a[:k, :k])
+            good = k
+        except np.linalg.LinAlgError:
+            bad = k
+    raise NotPositiveDefiniteError(
+        f"matrix is not positive definite: leading minor {bad} is not positive definite",
+        minor_index=bad,
+    )
 
 
 def quadratic_form(delta, sigma) -> float:

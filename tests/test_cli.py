@@ -608,7 +608,7 @@ def test_closed_form_runs_never_load_the_quadrature_stack():
     script = (
         "import sys, ellvar, ellvar.cli\n"
         "assert ellvar.cli.main(['table', '--nu', '5', '--alpha', '0.05']) == 0\n"
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize',"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.linalg',"
         " 'scipy.special.cython_special') if m in sys.modules))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
@@ -640,7 +640,8 @@ def test_mixture_runs_never_load_the_root_finder_or_quadrature(two_factor, tmp_p
         "validate_model(mix, d, spec=SimulationSpec(paths=20_000, seed=3))\n"
         f"assert main(['var', '--portfolio', {two_factor!r}, '--model', 'mixture',\n"
         f"    '--mixture-spec', {str(spec)!r}, '--alpha', '0.01']) == 0\n"
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))\n"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.linalg')"
+        " if m in sys.modules))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

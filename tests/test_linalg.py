@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf
 
 from ellvar import cholesky, estimate_moments, quadratic_form, validate_symmetric
 from ellvar.errors import DimensionError, DomainError, NotPositiveDefiniteError
@@ -29,6 +30,11 @@ def test_validate_symmetric_rejects_asymmetry():
     m = np.array([[1.0, 0.2], [0.3, 1.0]])
     with pytest.raises(DomainError):
         validate_symmetric(m)
+    # the scale is the largest |entry| when that entry is negative: 1e-12 * 1e6
+    big = np.array([[-1e6, 0.5], [0.5, 1.0]])
+    validate_symmetric(big + [[0.0, 5e-7], [0.0, 0.0]])
+    with pytest.raises(DomainError, match="not symmetric"):
+        validate_symmetric(big + [[0.0, 2e-6], [0.0, 0.0]])
 
 
 def test_validate_symmetric_rejects_nan():
@@ -42,12 +48,14 @@ def test_validate_symmetric_tolerates_roundoff():
     validate_symmetric(m)
 
 
-def test_cholesky_matches_numpy():
+def test_cholesky_matches_lapack_dpotrf():
+    # scipy's own LAPACK is the oracle, independent of the numpy call the package makes
     rng = np.random.default_rng(7)
     for n in (1, 2, 3, 5, 8):
         m = _random_spd(rng, n)
         ours = cholesky(m)
-        ref = np.linalg.cholesky(m)
+        ref, info = dpotrf(m, lower=1, clean=1)
+        assert info == 0
         assert np.allclose(ours, ref, rtol=1e-12, atol=1e-12)
         assert np.allclose(ours @ ours.T, m, rtol=1e-12, atol=1e-12)
 
@@ -62,6 +70,24 @@ def test_cholesky_reports_failing_minor():
     with pytest.raises(NotPositiveDefiniteError) as info:
         cholesky(np.array([[-1.0]]))
     assert info.value.minor_index == 1
+
+
+@pytest.mark.parametrize("n", [2, 64, 500])
+def test_cholesky_failing_minor_matches_lapack_dpotrf(n):
+    # L D L' with unit-diagonal L has pivots D, so the first failing leading
+    # minor is the first negative entry of D, by a margin of 1 on either side
+    rng = np.random.default_rng(n)
+    low = np.eye(n) + np.tril(rng.normal(scale=0.5 / np.sqrt(n), size=(n, n)), -1)
+    for k in sorted({1, n // 2 + 1, n}):
+        pivots = np.ones(n)
+        pivots[k - 1] = -1.0
+        m = (low * pivots) @ low.T
+        m = 0.5 * (m + m.T)
+        assert dpotrf(m, lower=1)[1] == k
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            cholesky(m)
+        assert info.value.minor_index == k
+        assert f"leading minor {k} " in str(info.value)
 
 
 def test_cholesky_rejects_semidefinite():
