@@ -11,8 +11,8 @@ generator g:
 Every generator answers the law of that coordinate through four methods,
 ``tail``, ``tail_expectation``, ``quantile`` and ``marginal_density`` (the
 last for the Euler allocation): ``DensityGenerator``'s own are the
-quadratures below, and the Student and Gaussian factories assign closed
-forms over them.  Each method checks its own argument (alpha in (0,
+quadratures below, and its Student and Gaussian subclasses override them
+with closed forms.  Each method checks its own argument (alpha in (0,
 0.5); s, t and z finite) for every generator, and the engine calls them
 directly; ``marginal_tail``, ``marginal_tail_expectation`` and
 ``quantile_multiplier`` check the generator and call its law.  Every
@@ -68,6 +68,7 @@ from .errors import (
     DomainError,
     NumericalError,
     QuadratureError,
+    UnsupportedGeneratorError,
     _check_array,
     _check_int,
     _check_real,
@@ -147,22 +148,12 @@ class DensityGenerator:
     ``tail``, ``tail_expectation``, ``quantile`` and ``marginal_density``
     are the law of one spherical coordinate: its survival function, its
     partial expectation, its alpha-tail quantile (alpha in (0, 0.5)) and
-    its density, and each checks its argument.  The methods here get each
-    by quadrature of g, reading every density value by the rule of ``g``;
-    ``student_generator`` and ``gaussian_generator`` assign closed forms
-    over them on their instances, and a closed-form quantile checks its
-    own residual against the closed-form tail.  ``mixing(rng, size)`` is
-    the law's Monte Carlo draw, X = mu + R A^t U written as a Gaussian
-    draw times a per-path factor (Cambanis, Huang & Simons 1981): it
-    returns ``size`` factors drawn from ``rng`` in a new array that
-    belongs to the caller, which may scale it in place, or None for the
-    Gaussian, which draws nothing; a generator without it cannot be
-    sampled.
-    ``family`` and ``family_params`` name the law ("gaussian", or
-    "student" with (nu,)) for the closed-form Student ES and for readers
-    outside the package.  Only the two factories set the closed forms and
-    these three fields, so a law's closed forms, its draw and its name
-    cannot disagree.
+    its density, and each checks its argument.  Here they are quadratures
+    of g; the subclasses ``StudentGenerator`` and ``GaussianGenerator``
+    override them, and ``mixing``, with closed forms.  ``family`` and
+    ``family_params`` name the law ("gaussian", or "student" with (nu,))
+    for readers outside the package.  A generator pickles if and only if
+    its ``density`` does.
     """
 
     dimension: int
@@ -170,12 +161,9 @@ class DensityGenerator:
     name: str = "custom"
     normalizer: float | None = None
     auto_rescale: bool = False
-    mixing: Callable[[np.random.Generator, int], np.ndarray | None] | None = field(
-        init=False, default=None
-    )
-    family: str | None = field(init=False, default=None)
-    family_params: tuple = field(init=False, default=())
     _scale: float = field(init=False, default=1.0, repr=False)
+    family = property(lambda self: None)
+    family_params = property(lambda self: ())
 
     def __post_init__(self):
         self.dimension = _check_int(self.dimension, "dimension", 1)
@@ -247,6 +235,19 @@ class DensityGenerator:
     def marginal_density(self, z: float) -> float:
         """Density of Z1 at z, by quadrature held to relative accuracy however small it is."""
         return _marginal_density(_check_real(z, "z"), self, _TAIL_QUAD)
+
+    def mixing(self, rng: np.random.Generator, size: int) -> np.ndarray | None:
+        """``size`` per-path factors on a Gaussian draw: the law's Monte Carlo draw.
+
+        X = mu + R A^t U (Cambanis, Huang & Simons 1981).  The factors are
+        drawn from ``rng`` into a new array the caller may scale in place,
+        or are None for the Gaussian, which draws nothing.  A generator
+        known by its density alone cannot be sampled.
+        """
+        raise UnsupportedGeneratorError(
+            f"cannot sample generator {self.name!r}: only the gaussian "
+            "and student generators have exact sampling routines"
+        )
 
 
 @dataclass(eq=False)

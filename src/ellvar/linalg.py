@@ -89,7 +89,8 @@ def estimate_moments(returns, ridge: float = 0.0) -> tuple[np.ndarray, np.ndarra
 
     ``ridge`` adds ridge * I to the covariance before the definiteness
     check; it is the only supported repair for degenerate panels and is
-    off by default.
+    off by default.  Without it a panel of T <= n observations always
+    raises NotPositiveDefiniteError, at leading minor T at the latest.
     """
     x = _check_array(returns, "returns", ndim=2)
     t, n = x.shape
@@ -104,12 +105,21 @@ def estimate_moments(returns, ridge: float = 0.0) -> tuple[np.ndarray, np.ndarra
     sigma = 0.5 * (sigma + sigma.T)
     if ridge > 0.0:
         sigma = sigma + ridge * np.eye(n)
+    # T centred rows span at most T - 1 dimensions, so without a ridge leading
+    # minor T of a panel with T <= n is singular however far rounding lets a
+    # factorisation go: only the smaller ones are factored
+    short = ridge == 0.0 and t <= n
     try:
-        cholesky(sigma)
+        cholesky(sigma[: t - 1, : t - 1] if short else sigma)
     except NotPositiveDefiniteError as err:
-        raise NotPositiveDefiniteError(
-            f"{err}; the panel is degenerate (fewer independent observations than "
-            f"factors, or collinear columns) -- pass ridge=<eps> to regularize",
-            minor_index=err.minor_index,
-        ) from err
-    return mu, sigma
+        index = err.minor_index
+    else:
+        if not short:
+            return mu, sigma
+        index = t
+    raise NotPositiveDefiniteError(
+        f"matrix is not positive definite: leading minor {index} is not positive definite; "
+        f"the panel of {t} observations of {n} factors is degenerate (fewer independent "
+        f"observations than factors, or collinear columns) -- pass ridge=<eps> to regularize",
+        minor_index=index,
+    )

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .elliptic import _binary_exponent, _check_alpha, _component_rows
-from .errors import DomainError, UnsupportedGeneratorError, _check_array, _check_int
+from .errors import DomainError, _check_array, _check_int
 from .linalg import _cholesky_lower
 from .linalg import cholesky  # noqa: F401  wrapped by bench/tracing.py
 from .mixture import mixture_expected_shortfall  # noqa: F401  wrapped by bench/tracing.py
@@ -139,14 +139,11 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
     if not isinstance(spec, SimulationSpec):
         raise DomainError(f"spec must be a SimulationSpec, got {type(spec).__name__}")
     d, rows = _component_rows(model, delta)
-    draws = []
-    for _, gen, _, _ in rows:
-        if gen.mixing is None:
-            raise UnsupportedGeneratorError(
-                f"cannot sample generator {gen.name!r}: only the gaussian "
-                "and student generators have exact sampling routines"
-            )
-        draws.append(gen.mixing)
+    draws = [gen.mixing for _, gen, _, _ in rows]
+    # a draw of no paths: a law that cannot be sampled raises here, whatever its weight
+    probe = np.random.Generator(np.random.SFC64(0))
+    for draw in draws:
+        draw(probe, 0)
     # normalised as rng.choice normalises its p
     cdf = np.cumsum([w for w, _, _, _ in rows])
     cdf /= cdf[-1]

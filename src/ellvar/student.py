@@ -11,18 +11,21 @@ passes the same check as a root solve.  All gamma-ratio constants are
 composed in log space; the ES constant in particular overflows double
 precision near nu ~ 150 if assembled naively.
 
-Each factory also sets the marginal density of one coordinate and the
-law's Monte Carlo draw: the Student t is a Gaussian draw times
-sqrt(nu / chi2_nu).  The Gaussian generator lives here as the
-nu -> infinity limit, with ``ndtri`` for its quantile and no mixing
-draw.  Each factory assigns its closed forms over the generator's
-quadrature methods, so ``student_var``, the engine's ``var``, takes them.
+``StudentGenerator`` and ``GaussianGenerator`` (built by
+``student_generator`` and ``gaussian_generator``) override
+``DensityGenerator``'s quadratures and draw with closed forms, so
+``student_var``, the engine's ``var``, takes them.  The Student t's draw
+is a Gaussian draw times sqrt(nu / chi2_nu); the Gaussian, the
+nu -> infinity limit, draws nothing more.  Their densities are module
+functions, so every model built on them pickles.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
+import warnings
 
 import numpy as np
 from scipy.special import ndtri, stdtr, stdtrit
@@ -43,6 +46,8 @@ from .specfun import reg_inc_beta  # noqa: F401  wrapped by bench/tracing.py
 
 __all__ = [
     "StudentParams",
+    "StudentGenerator",
+    "GaussianGenerator",
     "student_generator",
     "gaussian_generator",
     "student_big_g",
@@ -185,77 +190,93 @@ def student_es_multiplier(alpha: float, nu: float, quantile: float | None = None
     return math.exp(log_m)
 
 
-def student_generator(dimension: int, nu: float) -> DensityGenerator:
-    """Student-t density generator in the given dimension.
+def _t_density(log_norm: float, power: float, nu: float, u: float) -> float:
+    """The t generator at u, exp(log_norm) (1 + u / nu)^power."""
+    return math.exp(log_norm + power * math.log1p(u / nu))
+
+
+class StudentGenerator(DensityGenerator):
+    """Student-t density generator in the given dimension, with its closed forms.
 
     The closed-form normalizer stays in log space, folded into
     ``density``, so it cannot overflow or underflow on its own at large
     dimension, and construction does not re-derive it by quadrature.
+    Each method calls its module function by name, at call time.
     """
-    nu = _check_nu(nu)
-    dimension = _check_int(dimension, "dimension", 1)
-    log_norm = _t_log_norm(nu, dimension)
-    power = -(dimension + nu) / 2.0
-    gen = DensityGenerator(
-        dimension=dimension,
-        density=lambda u: math.exp(log_norm + power * math.log1p(u / nu)),
-        name=f"student(nu={nu:g})",
-        normalizer=1.0,
-    )
-    # each call looks up the module function, so a wrapper installed later sees it
-    gen.tail = lambda s: student_big_g(s, nu)
-    gen.tail_expectation = lambda t: student_tail_expectation(t, nu)
-    gen.quantile = lambda alpha: student_quantile(alpha, nu)
-    gen.marginal_density = lambda z: math.exp(_student_log_pdf(_check_real(z, "z"), nu))
-    gen.mixing = lambda rng, size: _student_mixing(nu, rng, size)
-    gen.family = "student"
-    gen.family_params = (nu,)
-    return gen
+
+    family = property(lambda self: "student")
+    family_params = property(lambda self: (self.nu,))
+
+    def __init__(self, dimension: int, nu: float):
+        self.nu = nu = _check_nu(nu)
+        dimension = _check_int(dimension, "dimension", 1)
+        log_norm, power = _t_log_norm(nu, dimension), -(dimension + nu) / 2.0
+        density = functools.partial(_t_density, log_norm, power, nu)
+        super().__init__(dimension, density, name=f"student(nu={nu:g})", normalizer=1.0)
+
+    def tail(self, s: float) -> float:
+        return student_big_g(s, self.nu)
+
+    def tail_expectation(self, t: float) -> float:
+        return student_tail_expectation(t, self.nu)
+
+    def quantile(self, alpha: float) -> float:
+        return student_quantile(alpha, self.nu)
+
+    def marginal_density(self, z: float) -> float:
+        return math.exp(_student_log_pdf(_check_real(z, "z"), self.nu))
+
+    def mixing(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """sqrt(nu / chi2_nu), formed in the chi-square buffer."""
+        factor = rng.chisquare(self.nu, size=size)
+        np.divide(self.nu, factor, out=factor)
+        return np.sqrt(factor, out=factor)
 
 
-def _student_mixing(nu: float, rng, size: int) -> np.ndarray:
-    """The Student t's mixing draw, sqrt(nu / chi2_nu), formed in the chi-square buffer."""
-    factor = rng.chisquare(nu, size=size)
-    np.divide(nu, factor, out=factor)
-    return np.sqrt(factor, out=factor)
+def student_generator(dimension: int, nu: float) -> StudentGenerator:
+    """Student-t density generator in the given dimension: a ``StudentGenerator``."""
+    return StudentGenerator(dimension, nu)
 
 
 def _normal_tail(s: float) -> float:
     return 0.5 * math.erfc(_check_real(s, "s") / math.sqrt(2.0))
 
 
-def _normal_density(s: float) -> float:
-    return math.exp(-0.5 * s * s) / math.sqrt(2.0 * math.pi)
+def _gaussian_density(log_norm: float, u: float) -> float:
+    """The Gaussian generator at u, exp(log_norm - u / 2)."""
+    return math.exp(log_norm - 0.5 * u)
 
 
-def _normal_quantile(alpha: float) -> float:
-    alpha = _check_alpha(alpha)
-    return _checked_quantile(_normal_tail, alpha, -float(ndtri(alpha)))
+class GaussianGenerator(DensityGenerator):
+    """Gaussian density generator: the nu -> infinity Student limit, with its closed forms."""
+
+    family = property(lambda self: "gaussian")
+    tail = staticmethod(_normal_tail)
+
+    def __init__(self, dimension: int):
+        dimension = _check_int(dimension, "dimension", 1)
+        density = functools.partial(_gaussian_density, -dimension / 2.0 * math.log(2.0 * math.pi))
+        super().__init__(dimension, density, name="gaussian", normalizer=1.0)
+
+    def tail_expectation(self, t: float) -> float:
+        # E[Z 1{Z >= t}] = phi(t) for the standard normal, any real t
+        return self.marginal_density(_check_real(t, "t"))
+
+    def quantile(self, alpha: float) -> float:
+        alpha = _check_alpha(alpha)
+        return _checked_quantile(_normal_tail, alpha, -float(ndtri(alpha)))
+
+    def marginal_density(self, z: float) -> float:
+        z = _check_real(z, "z")
+        return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    def mixing(self, rng: np.random.Generator, size: int) -> None:
+        return None  # the Gaussian draw is the law itself
 
 
-def _no_mixing(rng, size: int) -> None:
-    """The Gaussian's mixing draw: none, its Gaussian draw is the law itself."""
-    return None
-
-
-def gaussian_generator(dimension: int) -> DensityGenerator:
-    """Gaussian density generator: the nu -> infinity Student limit."""
-    dimension = _check_int(dimension, "dimension", 1)
-    log_norm = -dimension / 2.0 * math.log(2.0 * math.pi)
-    gen = DensityGenerator(
-        dimension=dimension,
-        density=lambda u: math.exp(log_norm - 0.5 * u),
-        name="gaussian",
-        normalizer=1.0,
-    )
-    gen.tail = _normal_tail
-    # E[Z 1{Z >= t}] = phi(t) for the standard normal, any real t
-    gen.tail_expectation = lambda t: _normal_density(_check_real(t, "t"))
-    gen.quantile = _normal_quantile
-    gen.marginal_density = lambda z: _normal_density(_check_real(z, "z"))
-    gen.mixing = _no_mixing
-    gen.family = "gaussian"
-    return gen
+def gaussian_generator(dimension: int) -> GaussianGenerator:
+    """Gaussian density generator in the given dimension: a ``GaussianGenerator``."""
+    return GaussianGenerator(dimension)
 
 
 class StudentParams(EllipticModel):
@@ -277,7 +298,9 @@ class StudentParams(EllipticModel):
         return f"StudentParams(nu={self.nu!r}, mu={self.mu!r}, sigma={self.sigma!r})"
 
     def to_model(self) -> EllipticModel:
-        """The model as an EllipticModel, which it already is."""
+        """Deprecated: the StudentParams itself, which is already an EllipticModel."""
+        message = "StudentParams.to_model() is deprecated: use the StudentParams itself"
+        warnings.warn(message, DeprecationWarning, stacklevel=2)
         return self
 
     @property
@@ -302,9 +325,9 @@ def student_expected_shortfall(model, delta, alpha: float) -> float:
     """
     alpha = _check_alpha(alpha)
     _, [(_, gen, mean, vol), *rest] = _component_rows(model, delta)
-    if rest or gen.family != "student":
+    if rest or not isinstance(gen, StudentGenerator):
         raise DomainError(
             f"closed-form Student ES needs one Student component, got {1 + len(rest)} "
             f"component(s), the first with generator {gen.name!r}"
         )
-    return -mean + student_es_multiplier(alpha, gen.family_params[0]) * vol
+    return -mean + student_es_multiplier(alpha, gen.nu) * vol

@@ -43,6 +43,7 @@ from ellvar.errors import (
     NotPositiveDefiniteError,
     NumericalError,
     QuadratureError,
+    UnsupportedGeneratorError,
 )
 from ellvar.student import student_tail_expectation
 
@@ -203,7 +204,8 @@ def test_normalizer_accepts_numpy_reals(good):
     assert gen.g(3.0) == float(good)
 
 
-@pytest.mark.parametrize("bad", ["x", None, gaussian_generator(2).density])
+# a density function is not a generator
+@pytest.mark.parametrize("bad", ["x", None, lambda u: math.exp(-u / 2.0) / (2.0 * math.pi)])
 def test_model_generator_must_be_a_density_generator(bad):
     with pytest.raises(DomainError, match="generator must be a DensityGenerator"):
         EllipticModel(mu=np.zeros(2), sigma=np.eye(2), generator=bad)
@@ -904,8 +906,8 @@ def test_only_the_radial_integrand_and_g_read_the_density():
     assert found == {"elliptic:_radial_integral", "elliptic:DensityGenerator.g"}
 
 
-# a known law's closed forms, its draw and its tag, set by its factory alone
-_FACTORY_ONLY = (
+# a known law's closed forms, its draw and its tag: methods of its class alone
+_CLASS_ONLY = (
     "tail",
     "tail_expectation",
     "quantile",
@@ -916,30 +918,48 @@ _FACTORY_ONLY = (
 )
 
 
-def test_only_the_two_factories_set_closed_forms_and_family():
-    found = _attribute_uses(_FACTORY_ONLY, ast.Store)
-    assert found == {"student:student_generator", "student:gaussian_generator"}
+def test_laws_draws_and_tags_are_methods_never_set_on_an_instance():
+    # no code in the package assigns any of them on an instance
+    assert _attribute_uses(_CLASS_ONLY, ast.Store) == set()
+    # each known law's class defines its own, and an instance holds only the
+    # constructor's fields, the scale and (for the Student) nu
+    fields = {"dimension", "density", "name", "normalizer", "auto_rescale", "_scale"}
+    for gen, own, extra in (
+        (student_generator(3, 4.0), set(_CLASS_ONLY), {"nu"}),
+        (gaussian_generator(3), set(_CLASS_ONLY) - {"family_params"}, set()),
+    ):
+        assert isinstance(gen, DensityGenerator)
+        assert own <= vars(type(gen)).keys()
+        assert vars(gen).keys() == fields | extra
+    # the tags are read-only
+    for name in ("family", "family_params"):
+        with pytest.raises(AttributeError):
+            setattr(student_generator(1, 4.0), name, None)
 
 
-# the four laws of one spherical coordinate; every other factory-only field
+# the four laws of one spherical coordinate; every other class-only name
 # is the draw or the tag
 _LAWS = ("tail", "tail_expectation", "quantile", "marginal_density")
 
 
-@pytest.mark.parametrize("name", _FACTORY_ONLY)
+@pytest.mark.parametrize("name", _CLASS_ONLY)
 def test_closed_forms_and_family_are_not_constructor_options(name):
     with pytest.raises(TypeError, match=name):
         DensityGenerator(
             dimension=1, density=gaussian_generator(1).density, normalizer=1.0, **{name: None}
         )
     gen = _pearson_vii_generator()
-    if name in _LAWS:
+    assert name not in vars(gen)
+    if name in _LAWS or name == "mixing":
         # a generator built here takes DensityGenerator's own quadrature law
-        assert name not in vars(gen)
+        # and its draw, which refuses to sample
         assert getattr(gen, name).__func__ is getattr(DensityGenerator, name)
     else:
-        # and has no draw and no family
+        # and has no family
         assert getattr(gen, name) in (None, ())
+    if name == "mixing":
+        with pytest.raises(UnsupportedGeneratorError, match="pearson-vii"):
+            gen.mixing(np.random.default_rng(0), 10)
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -967,8 +987,8 @@ def test_hook_less_laws_are_the_engine_quadratures(factory, n):
         assert q == pytest.approx(gen.quantile(alpha), rel=1e-14, abs=0.0)
 
 
-def test_only_the_closed_form_student_es_reads_the_family_tag():
-    # every other reader calls the generator's laws; the Student ES
-    # oracle reads nu from the tag, which stays for readers outside the package
-    found = _attribute_uses(("family", "family_params"), ast.Load)
-    assert found == {"student:student_expected_shortfall"}
+def test_nothing_in_the_package_reads_the_family_tag():
+    # every reader calls the generator's laws, and the Student ES oracle asks
+    # for a StudentGenerator and reads its nu; the tag stays for readers
+    # outside the package
+    assert _attribute_uses(("family", "family_params"), ast.Load) == set()

@@ -39,6 +39,8 @@ from ellvar import (
     equity_deltas,
     estimate_moments,
     expected_shortfall,
+    GaussianGenerator,
+    StudentGenerator,
     gaussian_generator,
     hyp2f1,
     hyp2f1_log,
@@ -193,6 +195,11 @@ MALFORMED = [
     ("gaussian_generator", "tail_expectation t None", lambda: gaussian_generator(2).tail_expectation(None)),
     ("gaussian_generator", "marginal_density z nan", lambda: gaussian_generator(2).marginal_density(math.nan)),
     ("student_generator", "marginal_density z str", lambda: student_generator(2, 5.0).marginal_density("x")),
+    ("StudentGenerator", "nu None", lambda: StudentGenerator(2, None)),
+    ("StudentGenerator", "dimension 0", lambda: StudentGenerator(0, 5.0)),
+    ("StudentGenerator", "tail s str", lambda: StudentGenerator(2, 5.0).tail("1.5")),
+    ("GaussianGenerator", "dimension str", lambda: GaussianGenerator("2")),
+    ("GaussianGenerator", "quantile alpha None", lambda: GaussianGenerator(2).quantile(None)),
     ("DensityGenerator", "tail_expectation t nan", lambda: _HOOKLESS.tail_expectation(math.nan)),
     ("DensityGenerator", "marginal_density z None", lambda: _HOOKLESS.marginal_density(None)),
     ("student_big_g", "s str", lambda: student_big_g("1.5", 4.0)),

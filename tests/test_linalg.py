@@ -149,6 +149,19 @@ def test_estimate_moments_singular_needs_ridge():
     assert sigma.shape == (5, 5)
 
 
+@pytest.mark.parametrize("t", [20, 60, 99])
+def test_estimate_moments_short_panel_fails_at_minor_t(t):
+    # a centred T x n panel has rank at most T - 1, so with T <= n its leading
+    # minor of order T is singular: rounding once let the factorisation pass
+    # it, naming a minor past T or (at T = 99) raising nothing
+    for seed in range(20):
+        returns = np.random.default_rng(seed).standard_normal((t, 100))
+        with pytest.raises(NotPositiveDefiniteError, match=f"{t} observations") as info:
+            estimate_moments(returns)
+        assert info.value.minor_index == t
+        assert "ridge" in str(info.value)
+
+
 def test_estimate_moments_ridge_adds_to_diagonal():
     rng = np.random.default_rng(17)
     returns = rng.normal(size=(40, 3))

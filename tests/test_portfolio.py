@@ -109,13 +109,13 @@ def test_business_unit_var_uncorrelated_vs_comonotone():
     d = business_unit_deltas(3)
     q = student_quantile(0.05, 5.0)
 
-    indep = StudentParams(nu=5.0, mu=np.zeros(3), sigma=np.eye(3)).to_model()
+    indep = StudentParams(nu=5.0, mu=np.zeros(3), sigma=np.eye(3))
     assert var(indep, d, 0.05) == pytest.approx(q * math.sqrt(3.0), rel=1e-12)
 
     rho = 1.0 - 1e-12
     tight = np.full((3, 3), rho)
     np.fill_diagonal(tight, 1.0)
-    common = StudentParams(nu=5.0, mu=np.zeros(3), sigma=tight).to_model()
+    common = StudentParams(nu=5.0, mu=np.zeros(3), sigma=tight)
     assert var(common, d, 0.05) == pytest.approx(3.0 * q, rel=1e-9)
 
 

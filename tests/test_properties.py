@@ -13,7 +13,8 @@ mixture's VaR lies between its components' VaRs.  Every number scales
 exactly with a book scaled by 2^+-600, and a book on the first k
 coordinates of an n-dimensional normal scale mixture reads the
 k-dimensional model's numbers.  The sampler ``simulate_pnl`` knows only
-the Gaussian and Student families and is checked on those.  The
+the Gaussian and Student families and is checked on those, as is a
+pickled copy of each model, which must give the same numbers and draws.  The
 examples are derandomized so that the suite is reproducible, and
 bounded so that it stays a few seconds long.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -199,7 +201,8 @@ def test_student_params_report_equals_its_model(n, seed, nu, alpha):
     rng = np.random.default_rng(seed)
     params = StudentParams(nu=nu, mu=rng.normal(scale=0.1, size=n), sigma=_spd(rng, n))
     delta = rng.normal(size=n)
-    assert risk_report(params, delta, alpha) == risk_report(params.to_model(), delta, alpha)
+    model = EllipticModel(mu=params.mu, sigma=params.sigma, generator=student_generator(n, nu))
+    assert risk_report(params, delta, alpha) == risk_report(model, delta, alpha)
 
 
 def _assert_incremental_var_sums_to_var(case, alpha):
@@ -276,6 +279,43 @@ def test_simulated_pnl_is_bit_identical_for_any_worker_count(case, seed, antithe
     model = build(mu)
     draws = [simulate_pnl(model, delta, _small_spec(seed, antithetic, w)) for w in (1, 2, 3)]
     assert draws[0].tobytes() == draws[1].tobytes() == draws[2].tobytes()
+
+
+@PROPERTY
+@given(
+    case=cases(SAMPLED_KINDS),
+    alpha=alphas,
+    seed=st.integers(0, 2**32 - 1),
+    antithetic=st.booleans(),
+)
+def test_every_sampled_kind_pickles_to_the_same_numbers(case, alpha, seed, antithetic):
+    build, mu, delta = case
+    model = build(mu)
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy is not model
+    assert risk_report(copy, delta, alpha) == risk_report(model, delta, alpha)
+    inc, inc_copy = incremental_var(model, delta, alpha), incremental_var(copy, delta, alpha)
+    assert inc_copy.total == inc.total
+    assert inc_copy.gamma.tobytes() == inc.gamma.tobytes()
+    assert inc_copy.contributions.tobytes() == inc.contributions.tobytes()
+    spec = _small_spec(seed, antithetic)
+    assert simulate_pnl(copy, delta, spec).tobytes() == simulate_pnl(model, delta, spec).tobytes()
+
+
+def _plane_normal_density(u: float) -> float:
+    return math.exp(-0.5 * u)
+
+
+def test_a_hook_less_model_pickles_if_its_density_does():
+    gen = DensityGenerator(2, _plane_normal_density, name="plane", normalizer=1.0 / (2.0 * math.pi))
+    model = EllipticModel(mu=np.array([0.01, -0.02]), sigma=np.diag([1.0, 2.0]), generator=gen)
+    copy = pickle.loads(pickle.dumps(model))
+    delta = np.array([1.0, 0.5])
+    assert risk_report(copy, delta, 0.05) == risk_report(model, delta, 0.05)
+    # a generator pickles if and only if its density does
+    local = DensityGenerator(2, lambda u: math.exp(-0.5 * u), normalizer=1.0 / (2.0 * math.pi))
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        pickle.dumps(local)
 
 
 @PROPERTY

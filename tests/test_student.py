@@ -14,7 +14,9 @@ from scipy import stats
 from ellvar import (
     DensityGenerator,
     EllipticModel,
+    GaussianGenerator,
     MixtureModel,
+    StudentGenerator,
     StudentParams,
     dispersion_from_covariance,
     expected_shortfall,
@@ -409,7 +411,7 @@ def test_student_es_multiplier_no_overflow_at_large_nu():
         assert student_es_multiplier(0.01, nu) == pytest.approx(ref, rel=1e-10)
 
 
-# the closed forms a factory sets on its generator, over DensityGenerator's quadratures
+# the closed forms a law's class defines over DensityGenerator's quadratures
 _CLOSED_FORMS = {"tail", "tail_expectation", "quantile", "marginal_density"}
 
 
@@ -425,14 +427,18 @@ def test_student_generator_mass_and_hooks():
             lambda r: area * r ** (n - 1) * gen.g(r * r), 0.0, np.inf
         )
         assert mass == pytest.approx(1.0, rel=1e-9)
-        assert _CLOSED_FORMS <= vars(gen).keys()
+        assert type(gen) is StudentGenerator and gen.nu == nu
+        assert _CLOSED_FORMS <= vars(StudentGenerator).keys()
+        assert not _CLOSED_FORMS & vars(gen).keys()
         assert gen.family == "student"
         assert gen.family_params == (nu,)
 
 
 def test_gaussian_generator_hooks():
     gen = gaussian_generator(2)
-    assert _CLOSED_FORMS <= vars(gen).keys()
+    assert type(gen) is GaussianGenerator
+    assert _CLOSED_FORMS <= vars(GaussianGenerator).keys()
+    assert not _CLOSED_FORMS & vars(gen).keys()
     assert (gen.family, gen.family_params) == ("gaussian", ())
     assert gen.tail(1.1) == pytest.approx(stats.norm.sf(1.1), rel=1e-13)
     assert quantile_multiplier(gen, 0.025) == pytest.approx(
@@ -513,7 +519,7 @@ def test_student_expected_shortfall_closed_vs_engine():
     params = StudentParams(nu=8.0, mu=np.array([0.002, 0.0]), sigma=sigma)
     d = np.array([1.0, 3.0])
     closed = student_expected_shortfall(params, d, 0.01)
-    engine = expected_shortfall(params.to_model(), d, 0.01)
+    engine = expected_shortfall(params, d, 0.01)
     assert closed == pytest.approx(engine, rel=1e-12)
     assert closed > student_var(params, d, 0.01)
 
@@ -546,8 +552,10 @@ def test_student_expected_shortfall_rejects_other_models(kind):
 
 def test_student_to_model_round_trip():
     params = StudentParams(nu=4.0, mu=np.zeros(3), sigma=np.eye(3))
-    model = params.to_model()
-    assert isinstance(model, EllipticModel)
+    # deprecated: a StudentParams is already the EllipticModel it returns
+    with pytest.warns(DeprecationWarning, match="StudentParams itself"):
+        model = params.to_model()
+    assert model is params and isinstance(model, EllipticModel)
     d = np.array([1.0, 1.0, 1.0])
     assert var(model, d, 0.05) == pytest.approx(
         student_var(params, d, 0.05), rel=1e-14
