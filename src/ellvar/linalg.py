@@ -90,7 +90,10 @@ def estimate_moments(returns, ridge: float = 0.0) -> tuple[np.ndarray, np.ndarra
     ``ridge`` adds ridge * I to the covariance before the definiteness
     check; it is the only supported repair for degenerate panels and is
     off by default.  Without it a panel of T <= n observations always
-    raises NotPositiveDefiniteError, at leading minor T at the latest.
+    raises NotPositiveDefiniteError, at leading minor T at the latest,
+    and so does a panel whose factor has a pivot L_jj^2 at or below
+    n eps Sigma_jj, the mark an exactly collinear column leaves when
+    rounding lets the factorisation pass it: the error names minor j.
     """
     x = _check_array(returns, "returns", ndim=2)
     t, n = x.shape
@@ -110,13 +113,21 @@ def estimate_moments(returns, ridge: float = 0.0) -> tuple[np.ndarray, np.ndarra
     # factorisation go: only the smaller ones are factored
     short = ridge == 0.0 and t <= n
     try:
-        cholesky(sigma[: t - 1, : t - 1] if short else sigma)
+        low = cholesky(sigma[: t - 1, : t - 1] if short else sigma)
+        index = t if short else None
     except NotPositiveDefiniteError as err:
         index = err.minor_index
-    else:
-        if not short:
-            return mu, sigma
-        index = t
+        # the leading minors below the failing one factor
+        low = _cholesky_lower(sigma[: index - 1, : index - 1])
+    if ridge == 0.0:
+        # a singular minor that rounding let through leaves a pivot of order eps
+        # (collinear columns): the first with L_jj^2 <= n eps Sigma_jj names it
+        floor = n * np.finfo(float).eps * np.diagonal(sigma)[: low.shape[0]]
+        small = np.flatnonzero(np.square(np.diagonal(low)) <= floor)
+        if small.size:
+            index = int(small[0]) + 1
+    if index is None:
+        return mu, sigma
     raise NotPositiveDefiniteError(
         f"matrix is not positive definite: leading minor {index} is not positive definite; "
         f"the panel of {t} observations of {n} factors is degenerate (fewer independent "

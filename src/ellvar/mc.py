@@ -7,15 +7,19 @@ component, and a path is its component's pnl mean plus its pnl scale
 ||L' delta|| times one standard normal times the per-path factor its
 generator's ``mixing`` draw gives, if it draws one.  Sampling is exact
 for every generator that has a mixing draw, and memory is O(batch_size)
-whatever the number of risk factors.  Every batch draws from its own
-SFC64 stream, addressed by the seed and its index, and fills its own
-slice of the output in place, so results are reproducible for a fixed
-seed however many worker threads run the batches.  The
-analytic side is ``risk_report``; the estimator selects the order
-statistics of a sample once, for every alpha of a validation.
-``validate_model`` selects them in place on the one sample it drew, so
-a request holds no second sample-sized array; ``empirical_var_es``
-selects them on a copy, so a caller's array is never reordered.
+whatever the number of risk factors.  The heaviest component scales
+and shifts a whole batch in place; each other component finds its rows
+once by index, and every path gets the same arithmetic whichever
+component is the heaviest, so that choice never changes a byte of the
+output.  Every batch draws from its own SFC64 stream, addressed by the
+seed and its index, and fills its own slice of the output in place, so
+results are reproducible for a fixed seed however many worker threads
+run the batches.  The analytic side is ``risk_report``; the estimator
+selects the order statistics of a sample once, for every alpha of a
+validation.  ``validate_model`` selects them in place on the one
+sample it drew, so a request holds no second sample-sized array;
+``empirical_var_es`` selects them on a copy, so a caller's array is
+never reordered.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ class SimulationSpec:
 
 
 def _draw_pnl(
-    rng: np.random.Generator, out: np.ndarray, cdf, scales, means, draws, antithetic: bool
+    rng: np.random.Generator, out: np.ndarray, cdf, scales, means, draws, base, antithetic: bool
 ) -> None:
     """Fill ``out`` with one pnl draw per path: mean + scale * z * factor, one normal z per row.
 
@@ -86,47 +90,72 @@ def _draw_pnl(
     end at 1, ``scales`` their pnl scales ||L_k' delta||, ``means``
     their pnl means and ``draws`` their generators' ``mixing`` draws,
     each giving its rows' factors or None for none.  The stream is
-    consumed in a fixed order: the component of every row, then one
-    standard normal per row, then one mixing block per component, in
-    component order, for the components that draw one.  A row's
-    component is the number of cumulative weights at or below one
-    uniform, the component ``rng.choice(K, p=weights)`` picks from the
-    same stream, without its per-call checks.
+    consumed in a fixed order: the label of every row, then one standard
+    normal per row, then one mixing block per component, in component
+    order, for the components that have rows and draw one.  A row's
+    label is the number of cumulative weights at or below one uniform,
+    the component ``rng.choice(K, p=weights)`` picks from the same
+    stream, without its per-call checks.
 
-    The normals are drawn into ``out`` and scaled there in place.
-    Antithetic draws come in pairs (m + t, m - t): mirrored normals with
-    a shared mixing variable and component, so half as many rows are
-    drawn, into one half-size buffer.
+    The normals are drawn into ``out``.  Component ``base`` (the
+    heaviest) scales, multiplies and shifts the whole batch in place;
+    every other component finds its rows once by index, takes their
+    normals before that, and writes its own rows back after it.  Every
+    row gets ((z * s_k) * f_k) + m_k, or m_k - z * s_k * f_k for its
+    mirror, whichever component is the base, so the choice of base
+    never changes a byte.  Antithetic draws come in pairs (m + t, m - t):
+    mirrored normals with a shared mixing variable and component, so
+    half as many rows are drawn, into one half-size buffer.
     """
     count = out.shape[0]
     rows = (count + 1) // 2 if antithetic else count
     k = len(draws)
-    component = None
     if k > 1:
-        # cdf[-1] is 1, which no uniform reaches
+        # cdf[-1] is 1, which no uniform reaches; the smallest unsigned type
+        # that holds K - 1, since a mixture may have more than 255 components
         uniform = rng.random(rows)
-        component = (uniform >= cdf[0]).astype(np.intp)
+        label = (uniform >= cdf[0]).astype(np.min_scalar_type(k - 1))
         for edge in cdf[1:-1]:
-            component += uniform >= edge
+            label += uniform >= edge
         # freed before the normals, so a batch holds one row-sized temporary less
         del uniform
-    pick = 0 if component is None else component
     core = rng.standard_normal(out=np.empty(rows) if antithetic else out)
-    core *= scales[pick]
-    # rows per component first, so a component that draws nothing costs no index
-    counts = [rows] if component is None else np.bincount(component, minlength=k).tolist()
-    for j, (draw, n_j) in enumerate(zip(draws, counts)):
-        factor = draw(rng, n_j) if n_j else None
-        if factor is not None:
-            core[slice(None) if component is None else component == j] *= factor
-    mean = means[pick]
-    if not antithetic:
-        core += mean
-        return
-    np.add(mean, core, out=out[0::2])
-    # the mirrored half is one row short at an odd count
+    # every other component finds its rows once; the base has the rest
+    others = [(j, np.flatnonzero(label == j)) for j in range(k) if j != base]
+    counts = [0] * k
+    for j, index in others:
+        counts[j] = index.size
+    counts[base] = rows - sum(counts)
+    # in component order; a component with no rows draws nothing
+    factors = [draw(rng, n) if n else None for draw, n in zip(draws, counts)]
+    # their normals, taken before the base scales the whole batch
+    taken = [(j, index, core[index]) for j, index in others if index.size]
+
+    core *= scales[base]
+    if factors[base] is not None:
+        # every row is the base's in a one-component model
+        base_rows = slice(None) if counts[base] == rows else np.flatnonzero(label == base)
+        core[base_rows] *= factors[base]
     half = count // 2
-    np.subtract(mean if component is None else mean[:half], core[:half], out=out[1::2])
+    if antithetic:
+        np.add(means[base], core, out=out[0::2])
+        # the mirrored half is one row short at an odd count
+        np.subtract(means[base], core[:half], out=out[1::2])
+    else:
+        core += means[base]
+    for j, index, t in taken:
+        t *= scales[j]
+        if factors[j] is not None:
+            t *= factors[j]
+        if antithetic:
+            # index is sorted: its rows below half have a mirror
+            paired = np.searchsorted(index, half)
+            out[1::2][index[:paired]] = np.subtract(means[j], t[:paired])
+            t += means[j]
+            out[0::2][index] = t
+        else:
+            t += means[j]
+            core[index] = t
 
 
 def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.ndarray:
@@ -145,8 +174,11 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
     for draw in draws:
         draw(probe, 0)
     # normalised as rng.choice normalises its p
-    cdf = np.cumsum([w for w, _, _, _ in rows])
+    weights = [w for w, _, _, _ in rows]
+    cdf = np.cumsum(weights)
     cdf /= cdf[-1]
+    # the heaviest component acts on the whole batch, so the fewest rows move by index
+    base = int(np.argmax(weights))
     means = np.array([mean for _, _, mean, _ in rows])
     # from the Cholesky factor, not the rows' vol, so the check has its own
     # route to it; read on delta at unit scale, like the rows, and scaled back
@@ -164,7 +196,7 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
         stream = np.random.SeedSequence(spec.seed, spawn_key=(b,))
         rng = np.random.Generator(np.random.SFC64(stream))
         batch = out[start : start + spec.batch_size]
-        _draw_pnl(rng, batch, cdf, scales, means, draws, spec.antithetic)
+        _draw_pnl(rng, batch, cdf, scales, means, draws, base, spec.antithetic)
 
     with ThreadPoolExecutor(max_workers=min(spec.workers, n_batches)) as pool:
         # consumed, so a batch's error is raised here

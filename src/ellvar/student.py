@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import warnings
 
 import numpy as np
 from scipy.special import ndtri, stdtr, stdtrit
@@ -296,12 +295,6 @@ class StudentParams(EllipticModel):
 
     def __repr__(self) -> str:
         return f"StudentParams(nu={self.nu!r}, mu={self.mu!r}, sigma={self.sigma!r})"
-
-    def to_model(self) -> EllipticModel:
-        """Deprecated: the StudentParams itself, which is already an EllipticModel."""
-        message = "StudentParams.to_model() is deprecated: use the StudentParams itself"
-        warnings.warn(message, DeprecationWarning, stacklevel=2)
-        return self
 
     @property
     def covariance(self) -> np.ndarray:

@@ -325,42 +325,99 @@ def _factor_mixture(n, seed):
     return mix, rng.normal(size=n)
 
 
+def _reference_pnl(spec, weights, nus, means, scales):
+    """What simulate_pnl draws, by rng.choice and per-row gathers; nus[j] is None for a Gaussian.
+
+    Also returns each batch's row count per component.
+    """
+    pnl, counts = [], []
+    for b, start in enumerate(range(0, spec.paths, spec.batch_size)):
+        count = min(spec.batch_size, spec.paths - start)
+        rows = (count + 1) // 2 if spec.antithetic else count
+        stream = np.random.SeedSequence(spec.seed, spawn_key=(b,))
+        rng = np.random.Generator(np.random.SFC64(stream))
+        component = rng.choice(len(weights), size=rows, p=weights)
+        core = rng.standard_normal(rows) * scales[component]
+        for j, nu in enumerate(nus):
+            rows_j = component == j
+            if nu is not None and rows_j.any():
+                core[rows_j] *= np.sqrt(nu / rng.chisquare(nu, size=np.count_nonzero(rows_j)))
+        want = means[component] + core
+        if spec.antithetic:
+            want = np.column_stack([want, means[component] - core]).ravel()[:count]
+        pnl.append(want)
+        counts.append(np.bincount(component, minlength=len(weights)))
+    return np.concatenate(pnl), np.array(counts)
+
+
+def _k300():
+    weights = np.arange(1.0, 301.0) % 7 + 1.0
+    nus = [None if j % 3 else 3.0 + j / 10.0 for j in range(300)]
+    return weights / weights.sum(), nus
+
+
+# (weights, nus): one Student nu per component, None for a Gaussian
+MIXTURE_SHAPES = {
+    "student_heaviest": ((0.3, 0.7), (None, 4.0)),
+    "one_student_of_three": ((0.2, 0.5, 0.3), (None, 4.0, None)),
+    # a Gaussian carries most of the weight, as in the benchmark's mixture
+    "gaussian_heaviest": ((0.7, 0.3), (None, 5.0)),
+    "equal_weights": ((1 / 3, 1 / 3, 1 / 3), (4.0, None, 9.0)),
+    # about one row in 1,000: some batches draw no row, and no block, of component 1
+    "rare_component": ((0.999, 0.001), (None, 4.0)),
+    "every_component_draws": ((0.2, 0.5, 0.3), (3.0, 5.0, 12.0)),
+    # labels past 255
+    "k300": _k300(),
+}
+
+
 def test_batches_draw_components_then_normals_then_chi_square():
     """Batch b reads SFC64(SeedSequence(seed, spawn_key=(b,))): components, normals, chi-squares.
 
-    At 12,001 paths in batches of 5,000 the last batch has an odd count,
-    so with antithetic draws its mirrored half is one row short.
+    At 12,001 paths in batches of 1,000 the last batch holds one path,
+    so with antithetic draws it has no mirrored row at all.
     """
-    n, nu, seed, batch = 3, 4.0, 79, 5_000
-    # component 1 is the one Student; the others draw no mixing block
-    gens = (gaussian_generator(n), student_generator(n, nu), gaussian_generator(n))
-    for weights, means, scales in (
-        ((0.3, 0.7), np.array([0.5, -0.25]), np.array([2.0, 1.0])),
-        ((0.2, 0.5, 0.3), np.array([0.5, -0.25, 1.0]), np.array([2.0, 1.0, 0.5])),
-    ):
+    for shape, (weights, nus) in MIXTURE_SHAPES.items():
+        k = len(weights)
+        means, scales = np.linspace(-1.0, 1.0, k), 0.5 + np.arange(k) % 5 / 4.0
+        # one factor: a unit delta reads pnl mean m and scale s from mu = m and sigma = s^2
         mix = MixtureModel(
             components=[
-                (w, EllipticModel(generator=gen, mu=np.full(n, m), sigma=s * s * np.eye(n)))
-                for w, gen, m, s in zip(weights, gens, means, scales)
+                (
+                    w,
+                    EllipticModel(
+                        generator=gaussian_generator(1) if nu is None else student_generator(1, nu),
+                        mu=np.full(1, m),
+                        sigma=np.full((1, 1), s * s),
+                    ),
+                )
+                for w, nu, m, s in zip(weights, nus, means, scales)
             ]
         )
         for antithetic in (False, True):
-            spec = SimulationSpec(paths=12_001, seed=seed, batch_size=batch, antithetic=antithetic)
-            # a unit delta reads one factor: pnl mean and scale are the component's mu and sqrt(sigma)
-            pnl = simulate_pnl(mix, np.eye(n)[1], spec)
-            for b, start in enumerate(range(0, spec.paths, batch)):
-                count = min(batch, spec.paths - start)
-                rows = (count + 1) // 2 if antithetic else count
-                stream = np.random.SeedSequence(seed, spawn_key=(b,))
-                rng = np.random.Generator(np.random.SFC64(stream))
-                component = rng.choice(len(weights), size=rows, p=weights)
-                core = rng.standard_normal(rows) * scales[component]
-                student = component == 1
-                core[student] *= np.sqrt(nu / rng.chisquare(nu, size=np.count_nonzero(student)))
-                want = means[component] + core
-                if antithetic:
-                    want = np.column_stack([want, means[component] - core]).ravel()[:count]
-                assert np.array_equal(pnl[start : start + count], want)
+            spec = SimulationSpec(paths=12_001, seed=97, batch_size=1_000, antithetic=antithetic)
+            want, counts = _reference_pnl(spec, np.asarray(weights), nus, means, scales)
+            if shape == "rare_component":
+                assert 0 < np.count_nonzero(counts[:, 1]) < len(counts)
+            for workers in (1, 2):
+                pnl = simulate_pnl(mix, np.ones(1), replace(spec, workers=workers))
+                assert pnl.tobytes() == want.tobytes(), (shape, antithetic, workers)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_choice_of_base_component_never_changes_a_byte(antithetic):
+    """Whichever component scales the whole batch in place, every row gets the same operations."""
+    gens = (student_generator(1, 4.0), gaussian_generator(1), student_generator(1, 9.0))
+    draws = [gen.mixing for gen in gens]
+    cdf, scales = np.array([0.2, 0.7, 1.0]), np.array([1.5, 0.25, 3.0])
+    means = np.array([0.1, -2.0, 0.7])
+    pnl = set()
+    for base in range(3):
+        out = np.empty(10_001)
+        rng = np.random.Generator(np.random.SFC64(101))
+        mc._draw_pnl(rng, out, cdf, scales, means, draws, base, antithetic)
+        pnl.add(out.tobytes())
+    assert len(pnl) == 1
 
 
 WEIGHTS = {1: (1.0,), 2: (0.6, 0.4), 3: (0.5, 0.3, 0.2)}
@@ -448,13 +505,14 @@ def _peaks_past_the_sample(run, k):
     return ratios
 
 
-@pytest.mark.parametrize("k, bound", [(1, 1.5), (2, 3.0)], ids=["student", "mixture2"])
+# the mixture's bound is its worst measured ratio, 1.40 with antithetic draws, plus a quarter
+@pytest.mark.parametrize("k, bound", [(1, 1.5), (2, 1.75)], ids=["student", "mixture2"])
 def test_sampler_fills_its_output_in_place(k, bound):
     """Beyond its output, the sampler holds a few batches of scratch, not a copy per batch."""
     assert max(_peaks_past_the_sample(simulate_pnl, k)) <= bound
 
 
-@pytest.mark.parametrize("k, bound", [(1, 1.5), (2, 3.0)], ids=["student", "mixture2"])
+@pytest.mark.parametrize("k, bound", [(1, 1.5), (2, 1.75)], ids=["student", "mixture2"])
 def test_validate_model_selects_in_place_on_its_sample(k, bound):
     """Beyond the sample it draws, a validation holds the sampler's scratch, not a copy of it."""
     assert max(_peaks_past_the_sample(validate_model, k)) <= bound

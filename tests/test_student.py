@@ -552,12 +552,11 @@ def test_student_expected_shortfall_rejects_other_models(kind):
 
 def test_student_to_model_round_trip():
     params = StudentParams(nu=4.0, mu=np.zeros(3), sigma=np.eye(3))
-    # deprecated: a StudentParams is already the EllipticModel it returns
-    with pytest.warns(DeprecationWarning, match="StudentParams itself"):
-        model = params.to_model()
-    assert model is params and isinstance(model, EllipticModel)
+    # a StudentParams is already an EllipticModel: the converter it once had is gone
+    assert not hasattr(params, "to_model")
+    assert isinstance(params, EllipticModel)
     d = np.array([1.0, 1.0, 1.0])
-    assert var(model, d, 0.05) == pytest.approx(
+    assert var(params, d, 0.05) == pytest.approx(
         student_var(params, d, 0.05), rel=1e-14
     )
 
