@@ -116,10 +116,11 @@ def estimate_moments(returns, ridge: float = 0.0) -> tuple[np.ndarray, np.ndarra
         low = cholesky(sigma[: t - 1, : t - 1] if short else sigma)
         index = t if short else None
     except NotPositiveDefiniteError as err:
-        index = err.minor_index
-        # the leading minors below the failing one factor
-        low = _cholesky_lower(sigma[: index - 1, : index - 1])
+        index, low = err.minor_index, None
     if ridge == 0.0:
+        if low is None:
+            # the leading minors below the failing one factor
+            low = _cholesky_lower(sigma[: index - 1, : index - 1])
         # a singular minor that rounding let through leaves a pivot of order eps
         # (collinear columns): the first with L_jj^2 <= n eps Sigma_jj names it
         floor = n * np.finfo(float).eps * np.diagonal(sigma)[: low.shape[0]]

@@ -120,22 +120,34 @@ def _draw_pnl(
         # freed before the normals, so a batch holds one row-sized temporary less
         del uniform
     core = rng.standard_normal(out=np.empty(rows) if antithetic else out)
-    # every other component finds its rows once; the base has the rest
-    others = [(j, np.flatnonzero(label == j)) for j in range(k) if j != base]
-    counts = [0] * k
-    for j, index in others:
-        counts[j] = index.size
-    counts[base] = rows - sum(counts)
-    # in component order; a component with no rows draws nothing
-    factors = [draw(rng, n) if n else None for draw, n in zip(draws, counts)]
-    # their normals, taken before the base scales the whole batch
-    taken = [(j, index, core[index]) for j, index in others if index.size]
-
+    # every other component finds its rows once and takes their normals
+    # before the base scales the whole batch; the base has the rest
+    taken = {}
+    for j in range(k):
+        if j != base:
+            index = np.flatnonzero(label == j)
+            taken[j] = (index, core[index])
     core *= scales[base]
-    if factors[base] is not None:
-        # every row is the base's in a one-component model
-        base_rows = slice(None) if counts[base] == rows else np.flatnonzero(label == base)
-        core[base_rows] *= factors[base]
+    # one mixing block per component in component order, each applied as it
+    # is drawn, so no two are held at once; a component with no rows draws nothing
+    for j, draw in enumerate(draws):
+        if j == base:
+            n = rows - sum(index.size for index, _ in taken.values())
+        else:
+            index, t = taken[j]
+            t *= scales[j]
+            n = index.size
+        factor = draw(rng, n) if n else None
+        if factor is not None:
+            if j != base:
+                t *= factor
+            elif n == rows:
+                # every row is the base's, as in a one-component model
+                core *= factor
+            else:
+                # in place on the base's rows, with no gathered copy of them
+                np.multiply.at(core, np.flatnonzero(label == base), factor)
+        del factor
     half = count // 2
     if antithetic:
         np.add(means[base], core, out=out[0::2])
@@ -143,10 +155,7 @@ def _draw_pnl(
         np.subtract(means[base], core[:half], out=out[1::2])
     else:
         core += means[base]
-    for j, index, t in taken:
-        t *= scales[j]
-        if factors[j] is not None:
-            t *= factors[j]
+    for j, (index, t) in taken.items():
         if antithetic:
             # index is sorted: its rows below half have a mirror
             paired = np.searchsorted(index, half)
