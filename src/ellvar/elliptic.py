@@ -305,6 +305,11 @@ def _binary_exponent(x) -> int:
     return math.frexp(float(np.abs(x).max()))[1]
 
 
+def _vol_exponent(rows: list[tuple]) -> int:
+    """``_binary_exponent`` of the rows' vols, read without numpy: they are few and positive."""
+    return math.frexp(max(row[3] for row in rows))[1]
+
+
 def _component_rows(model, delta) -> tuple[np.ndarray, list[tuple]]:
     """delta as a checked vector, and one (weight, generator, mean, vol) row per component.
 
@@ -737,14 +742,21 @@ def _rows_es(rows: list[tuple], alpha: float, thresholds: list[float]) -> float:
 
     (1/alpha) sum_k w_k (vol_k E_k(z_k) - mean_k G_k(z_k)), E_k the partial
     expectation; one row has G(q) = alpha and gives -mean + vol E(q) / alpha.
+    The sum is formed at unit scale, vols and means divided by 2^e, e the
+    binary exponent of the largest vol, and scaled back: exact, and in a
+    deep tail vol E(q) of a small book no longer underflows before the
+    division by alpha.
     """
+    e = _vol_exponent(rows)
     if len(rows) == 1:
         _, gen, mean, vol = rows[0]
-        return -mean + vol * gen.tail_expectation(thresholds[0]) / alpha
+        unit = math.ldexp(vol, -e) * gen.tail_expectation(thresholds[0]) / alpha
+        return -mean + math.ldexp(unit, e)
     acc = 0.0
     for (w, gen, mean, vol), z in zip(rows, thresholds):
-        acc += w * (vol * gen.tail_expectation(z) - mean * gen.tail(z))
-    return acc / alpha
+        unit_vol, unit_mean = math.ldexp(vol, -e), math.ldexp(mean, -e)
+        acc += w * (unit_vol * gen.tail_expectation(z) - unit_mean * gen.tail(z))
+    return math.ldexp(acc / alpha, e)
 
 
 def var(model, delta, alpha: float) -> float:

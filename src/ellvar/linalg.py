@@ -2,12 +2,12 @@
 
 The Cholesky factor comes from ``numpy.linalg.cholesky``, so every
 factor, Gram product and quadratic form runs on numpy's one LAPACK and
-its one BLAS thread pool.  numpy does not say where a factorisation
-failed, so on the error path only the first leading minor that breaks
-positive definiteness is found by bisection over the leading blocks, as
-the error contract asks.  The public functions check their matrix
-argument; a model checks its dispersion once, at construction, and later
-code factors it through ``_cholesky_lower`` without checking it again.
+its one BLAS thread pool.  A factor passes only if every pivot clears a
+floor relative to its diagonal; numpy does not say where a factorisation
+failed, so on its error path the first failing leading minor is found by
+bisection.  The public functions check their matrix argument; a model
+checks its dispersion once, at construction, and later code factors it
+through ``_cholesky_lower``, which holds that rule, with no second check.
 """
 
 from __future__ import annotations
@@ -49,26 +49,35 @@ def cholesky(matrix) -> np.ndarray:
     """Lower-triangular L with L @ L.T equal to the given SPD matrix.
 
     Raises NotPositiveDefiniteError naming the first leading principal
-    minor (1-based) that is not positive definite.
+    minor (1-based) that is not positive definite: the first that does not
+    factor, or an earlier one whose pivot has L_jj^2 <= n eps a_jj (n the
+    order), the mark of a singular minor that rounding lets through.
     """
     return _cholesky_lower(validate_symmetric(matrix))
 
 
 def _cholesky_lower(a: np.ndarray) -> np.ndarray:
     """cholesky() for a matrix validate_symmetric has already accepted."""
+    n = a.shape[0]
     try:
-        return np.linalg.cholesky(a)
+        low, bad = np.linalg.cholesky(a), None
     except np.linalg.LinAlgError:
-        pass
-    # a leading minor fails only if every larger one fails too: bisect for the first
-    good, bad = 0, a.shape[0]
-    while bad - good > 1:
-        k = (good + bad) // 2
-        try:
-            np.linalg.cholesky(a[:k, :k])
-            good = k
-        except np.linalg.LinAlgError:
-            bad = k
+        # a leading minor fails only if every larger one fails too: bisect for
+        # the first, keeping the factor of the largest block that factors
+        low, good, bad = a[:0, :0], 0, n
+        while bad - good > 1:
+            k = (good + bad) // 2
+            try:
+                low, good = np.linalg.cholesky(a[:k, :k]), k
+            except np.linalg.LinAlgError:
+                bad = k
+    # a singular minor that rounding lets through (a collinear column) leaves
+    # a pivot of order eps: the first with L_jj^2 <= n eps a_jj names it
+    floor = n * np.finfo(float).eps * np.diagonal(a)[: low.shape[0]]
+    small = np.flatnonzero(np.square(np.diagonal(low)) <= floor)
+    bad = int(small[0]) + 1 if small.size else bad
+    if bad is None:
+        return low
     raise NotPositiveDefiniteError(
         f"matrix is not positive definite: leading minor {bad} is not positive definite",
         minor_index=bad,
@@ -89,11 +98,11 @@ def estimate_moments(returns, ridge: float = 0.0) -> tuple[np.ndarray, np.ndarra
 
     ``ridge`` adds ridge * I to the covariance before the definiteness
     check; it is the only supported repair for degenerate panels and is
-    off by default.  Without it a panel of T <= n observations always
-    raises NotPositiveDefiniteError, at leading minor T at the latest,
-    and so does a panel whose factor has a pivot L_jj^2 at or below
-    n eps Sigma_jj, the mark an exactly collinear column leaves when
-    rounding lets the factorisation pass it: the error names minor j.
+    off by default.  The covariance is factored once, by ``cholesky``,
+    whose pivot floor refuses a collinear panel as it refuses any model's
+    dispersion (and a ridge at or below n eps of the diagonal, which
+    regularises nothing).  Without a ridge a panel of T <= n observations
+    always raises NotPositiveDefiniteError, at leading minor T at the latest.
     """
     x = _check_array(returns, "returns", ndim=2)
     t, n = x.shape
@@ -112,21 +121,11 @@ def estimate_moments(returns, ridge: float = 0.0) -> tuple[np.ndarray, np.ndarra
     # minor T of a panel with T <= n is singular however far rounding lets a
     # factorisation go: only the smaller ones are factored
     short = ridge == 0.0 and t <= n
+    index = t if short else None
     try:
-        low = cholesky(sigma[: t - 1, : t - 1] if short else sigma)
-        index = t if short else None
+        cholesky(sigma[: t - 1, : t - 1] if short else sigma)
     except NotPositiveDefiniteError as err:
-        index, low = err.minor_index, None
-    if ridge == 0.0:
-        if low is None:
-            # the leading minors below the failing one factor
-            low = _cholesky_lower(sigma[: index - 1, : index - 1])
-        # a singular minor that rounding let through leaves a pivot of order eps
-        # (collinear columns): the first with L_jj^2 <= n eps Sigma_jj names it
-        floor = n * np.finfo(float).eps * np.diagonal(sigma)[: low.shape[0]]
-        small = np.flatnonzero(np.square(np.diagonal(low)) <= floor)
-        if small.size:
-            index = int(small[0]) + 1
+        index = err.minor_index
     if index is None:
         return mu, sigma
     raise NotPositiveDefiniteError(

@@ -105,7 +105,10 @@ def _draw_pnl(
     mirror, whichever component is the base, so the choice of base
     never changes a byte.  Antithetic draws come in pairs (m + t, m - t):
     mirrored normals with a shared mixing variable and component, so
-    half as many rows are drawn, into one half-size buffer.
+    half as many rows are drawn, into one half-size buffer.  Both kinds
+    share one write-back over two views: m + t to ``even``, out[0::2] or
+    all of ``out``, and m - t for the first ``half`` rows to ``odd``,
+    out[1::2] (one row short at an odd count) or none.
     """
     count = out.shape[0]
     rows = (count + 1) // 2 if antithetic else count
@@ -148,23 +151,16 @@ def _draw_pnl(
                 # in place on the base's rows, with no gathered copy of them
                 np.multiply.at(core, np.flatnonzero(label == base), factor)
         del factor
-    half = count // 2
-    if antithetic:
-        np.add(means[base], core, out=out[0::2])
-        # the mirrored half is one row short at an odd count
-        np.subtract(means[base], core[:half], out=out[1::2])
-    else:
-        core += means[base]
+    even, odd = (out[0::2], out[1::2]) if antithetic else (out, out[:0])
+    half = count // 2 if antithetic else 0
+    np.add(means[base], core, out=even)
+    np.subtract(means[base], core[:half], out=odd)
     for j, (index, t) in taken.items():
-        if antithetic:
-            # index is sorted: its rows below half have a mirror
-            paired = np.searchsorted(index, half)
-            out[1::2][index[:paired]] = np.subtract(means[j], t[:paired])
-            t += means[j]
-            out[0::2][index] = t
-        else:
-            t += means[j]
-            core[index] = t
+        # index is sorted: its rows below half have a mirror
+        paired = np.searchsorted(index, half)
+        odd[index[:paired]] = means[j] - t[:paired]
+        t += means[j]
+        even[index] = t
 
 
 def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.ndarray:

@@ -91,14 +91,18 @@ def incremental_var(model, delta, alpha: float) -> IncrementalVar:
     solve: gamma = sum_k c_k (z_k Sigma_k delta / vol_k - mu_k) / sum_k c_k, with
     c_k = w_k f_k(z_k) / vol_k and f_k the marginal density.  As vol_k z_k -
     delta.mu_k = VaR for every k, the contributions sum to VaR to rounding.  One
-    component needs no density: gamma = q Sigma delta / vol - mu.
+    component needs no density: gamma = q Sigma delta / vol - mu.  The c_k are
+    formed on the vols at unit scale, which leaves their shares exact, so a
+    deep tail on a large book does not underflow them all to 0/0.
     """
     alpha = elliptic._check_alpha(alpha)
     d, rows = elliptic._component_rows(model, delta)
     total, thresholds = elliptic._rows_var(rows, alpha)
     shares = np.ones(1)
     if len(rows) > 1:
-        c = [w * g.marginal_density(z) / vol for (w, g, _, vol), z in zip(rows, thresholds)]
+        e = elliptic._vol_exponent(rows)
+        pairs = zip(rows, thresholds)
+        c = [w * g.marginal_density(z) / math.ldexp(vol, -e) for (w, g, _, vol), z in pairs]
         shares = np.array(c) / math.fsum(c)
     pairs = zip(model.components, rows, thresholds)
     gamma = shares @ np.array([z * (m.sigma @ d) / row[3] - m.mu for (_, m), row, z in pairs])
@@ -161,7 +165,7 @@ def risk_report(model, delta, alpha: float) -> RiskReport:
     else:
         # pooled on the vols at unit scale, so it underflows or overflows only
         # where the volatility itself would
-        e = elliptic._binary_exponent([scale for _, _, _, scale in rows])
+        e = elliptic._vol_exponent(rows)
         mean = 0.0
         pooled = 0.0
         for w, _, m, scale in rows:

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dpotrf
 
+from ellvar import EllipticModel, gaussian_generator
 from ellvar import cholesky, estimate_moments, quadratic_form, validate_symmetric
+from ellvar.cli import main
 from ellvar.errors import DimensionError, DomainError, NotPositiveDefiniteError
 
 
@@ -174,6 +178,31 @@ def test_estimate_moments_refuses_an_exactly_collinear_panel():
         assert "ridge" in str(info.value)
         _, sigma = estimate_moments(returns, ridge=1e-6)
         cholesky(sigma)
+
+
+def test_every_dispersion_refuses_the_collinear_covariance_at_its_singular_minor(
+    tmp_path, capsys
+):
+    # np.cov of the panel above: cholesky, a model and a CLI model file pass
+    # through the one pivot floor estimate_moments uses, so each refuses it
+    # where rounding once let numpy's factorisation through (5 of 20 seeds)
+    book, model = tmp_path / "book.csv", tmp_path / "model.json"
+    book.write_text("id,delta\n" + "".join(f"f{i},1.0\n" for i in range(10)))
+    for seed in range(20):
+        returns = np.random.default_rng(seed).standard_normal((50, 10))
+        returns[:, 4] = returns[:, 2]
+        sigma = np.cov(returns, rowvar=False)
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            cholesky(sigma)
+        assert info.value.minor_index == 5
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            EllipticModel(generator=gaussian_generator(10), mu=np.zeros(10), sigma=sigma)
+        assert info.value.minor_index == 5
+        model.write_text(json.dumps({"mu": [0.0] * 10, "sigma": sigma.tolist()}))
+        assert main(["var", "--portfolio", str(book), "--model-file", str(model)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: kind=NotPositiveDefiniteError")
+        assert "leading minor 5 is not positive definite" in err
 
 
 def test_estimate_moments_ridge_adds_to_diagonal():

@@ -397,6 +397,37 @@ def test_risk_numbers_scale_exactly_with_delta_at_extreme_powers_of_two(case, al
     assert np.array_equal(inc.contributions, np.ldexp(base_inc.contributions, power))
 
 
+def _deep_tail_models() -> dict:
+    sigma = np.array([[1.0, 0.3], [0.3, 2.0]])
+    mu = np.array([0.01, -0.02])
+    gauss = EllipticModel(mu=mu, sigma=sigma, generator=gaussian_generator(2))
+    student = EllipticModel(mu=mu, sigma=sigma, generator=student_generator(2, 5.0))
+    return {
+        "gaussian": gauss,
+        "student": student,
+        "mixture": MixtureModel(components=[(0.8, gauss), (0.2, student)]),
+    }
+
+
+@pytest.mark.parametrize("power", (-600, 600))
+@pytest.mark.parametrize("kind", ("gaussian", "student", "mixture"))
+def test_risk_numbers_scale_exactly_with_delta_in_a_deep_tail(kind, power):
+    # at alpha = 1e-250, vol E(q) of a 2^-600 book and w f(z) / vol of a 2^600
+    # one underflow unless formed at unit scale
+    model, alpha = _deep_tail_models()[kind], 1e-250
+    delta = np.array([1.0, 0.5])
+    scaled = np.ldexp(delta, power)
+    base, report = risk_report(model, delta, alpha), risk_report(model, scaled, alpha)
+    for name in ("var", "es", "mean", "volatility"):
+        assert getattr(report, name) == math.ldexp(getattr(base, name), power)
+    assert report.quantile == base.quantile
+    es = expected_shortfall(model, scaled, alpha)
+    assert es == math.ldexp(expected_shortfall(model, delta, alpha), power)
+    base_inc, inc = incremental_var(model, delta, alpha), incremental_var(model, scaled, alpha)
+    assert np.array_equal(inc.gamma, base_inc.gamma)
+    assert np.array_equal(inc.contributions, np.ldexp(base_inc.contributions, power))
+
+
 @PROPERTY
 @given(
     case=cases(SAMPLED_KINDS),

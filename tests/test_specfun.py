@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ellvar import (
     log_gamma,
     reg_inc_beta,
 )
+from ellvar import specfun
 from ellvar.errors import DomainError, QuadratureError
 
 
@@ -165,6 +167,26 @@ def test_hyp2f1_far_negative_against_scipy_sweep():
         if expected > 0.0:
             assert hyp2f1_log(a, b, c, z) == pytest.approx(math.log(expected), abs=1e-10)
     assert checked >= 150
+
+
+def _terminating_2f1(m: int, b: float, c: float, z: float) -> float:
+    """2F1(-m, b; c; z), a polynomial of degree m, summed in exact rationals."""
+    b, c, z = Fraction(b), Fraction(c), Fraction(z)
+    term = total = Fraction(1)
+    for k in range(m):
+        term *= (k - m) * (b + k) / ((c + k) * (k + 1)) * z
+        total += term
+    return float(total)
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 5, 8))
+@pytest.mark.parametrize("b, c, z", ((5.55, 11.8, -1031.4), (0.5, 2.5, -100.0), (1.5, 6.0, -1e6)))
+def test_hyp2f1_terminating_series_through_the_gamma_pole(m, b, c, z):
+    # a = -m puts 1/Gamma(a) of the connection formula's second term at a
+    # pole, which drops that term; the first alone is the polynomial
+    assert specfun._log_gamma_quotient((c,), (float(-m),)) == (0.0, -math.inf)
+    assert specfun._hyp2f1_parts(-m, b, c, z)[1] != 0.0  # the connection route
+    assert hyp2f1(-m, b, c, z) == pytest.approx(_terminating_2f1(m, b, c, z), rel=1e-11)
 
 
 def test_hyp2f1_domain_restrictions():
