@@ -60,6 +60,9 @@ from typing import Callable
 
 import numpy as np
 from scipy.special import betainc
+# the scalar betainc of cython_special gives scipy.special.betainc's values
+# without the ufunc's dispatch, a quarter of its cost
+from scipy.special.cython_special import betainc as betainc_point
 
 from .errors import (
     BracketError,
@@ -403,10 +406,6 @@ def _radial_integral(
         if not math.isfinite(total):
             raise NumericalError("fixed-rule radial integral is not finite", value=total)
         return total
-    if share:
-        # the scalar betainc of cython_special gives scipy.special.betainc's
-        # values without the ufunc's dispatch, a quarter of its cost
-        from scipy.special.cython_special import betainc as betainc_point
 
     def integrand(t: float) -> float:
         v = scale * t

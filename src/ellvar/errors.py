@@ -147,6 +147,6 @@ def _check_array(value, name: str, ndim: int = 1, length: int | None = None) -> 
         kind = "a vector" if ndim == 1 else "a matrix"
         size = "" if length is None else f" of length {length}"
         raise DimensionError(f"{name} must be {kind}{size}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{name} entries must be finite")
     return arr

@@ -27,6 +27,7 @@ __all__ = [
 
 # on the largest |asymmetry| relative to the largest |entry| (or 1)
 _SYMMETRY_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 def validate_symmetric(matrix) -> np.ndarray:
@@ -73,9 +74,10 @@ def _cholesky_lower(a: np.ndarray) -> np.ndarray:
                 bad = k
     # a singular minor that rounding lets through (a collinear column) leaves
     # a pivot of order eps: the first with L_jj^2 <= n eps a_jj names it
-    floor = n * np.finfo(float).eps * np.diagonal(a)[: low.shape[0]]
-    small = np.flatnonzero(np.square(np.diagonal(low)) <= floor)
-    bad = int(small[0]) + 1 if small.size else bad
+    pivots = low.diagonal()
+    small = pivots * pivots <= n * _EPS * a.diagonal()[: low.shape[0]]
+    if small.any():
+        bad = int(small.argmax()) + 1
     if bad is None:
         return low
     raise NotPositiveDefiniteError(
@@ -98,11 +100,12 @@ def estimate_moments(returns, ridge: float = 0.0) -> tuple[np.ndarray, np.ndarra
 
     ``ridge`` adds ridge * I to the covariance before the definiteness
     check; it is the only supported repair for degenerate panels and is
-    off by default.  The covariance is factored once, by ``cholesky``,
-    whose pivot floor refuses a collinear panel as it refuses any model's
-    dispersion (and a ridge at or below n eps of the diagonal, which
-    regularises nothing).  Without a ridge a panel of T <= n observations
-    always raises NotPositiveDefiniteError, at leading minor T at the latest.
+    off by default.  The covariance is checked finite and factored once,
+    with the pivot floor that refuses a collinear panel as it refuses any
+    model's dispersion (and a ridge at or below n eps of the diagonal,
+    which regularises nothing).  Without a ridge a panel of T <= n
+    observations always raises NotPositiveDefiniteError, at leading minor
+    T at the latest.
     """
     x = _check_array(returns, "returns", ndim=2)
     t, n = x.shape
@@ -122,8 +125,11 @@ def estimate_moments(returns, ridge: float = 0.0) -> tuple[np.ndarray, np.ndarra
     # factorisation go: only the smaller ones are factored
     short = ridge == 0.0 and t <= n
     index = t if short else None
+    # 0.5 (S + S^T) is symmetric to the bit, so of cholesky's checks only the
+    # finite one is left to make
+    block = _check_array(sigma[: t - 1, : t - 1] if short else sigma, "matrix", ndim=2)
     try:
-        cholesky(sigma[: t - 1, : t - 1] if short else sigma)
+        _cholesky_lower(block)
     except NotPositiveDefiniteError as err:
         index = err.minor_index
     if index is None:

@@ -3,13 +3,17 @@
 The Student generator admits explicit expressions for everything the
 generic engine otherwise gets from quadrature: the marginal tail, the
 quantile, and the expected-shortfall multiplier.  The tail and the
-quantile are single ``scipy.special`` calls (``stdtr``, ``stdtrit``);
-the tail has a second, independent evaluation path through the Gauss
-hypergeometric form, summed in ``specfun``, that cross-checks it.  A
-closed-form quantile is returned only once its relative tail residual
-passes the same check as a root solve.  All gamma-ratio constants are
-composed in log space; the ES constant in particular overflows double
-precision near nu ~ 150 if assembled naively.
+quantile are single scalar calls of ``scipy.special.cython_special``
+(``stdtr``, ``stdtrit``; ``ndtri`` for the Gaussian quantile): the C
+kernels of the ``scipy.special`` ufuncs, bit for bit, without the ufunc
+dispatch.  The tail has a second, independent evaluation path through
+the Gauss hypergeometric form, summed in ``specfun``, that cross-checks
+it.  A closed-form quantile is returned only once its relative tail
+residual passes the same check as a root solve.  All gamma-ratio
+constants are composed in log space; the ES constant in particular
+overflows double precision near nu ~ 150 if assembled naively.  The
+univariate t normaliser, which every Student density and tail
+expectation reads, is computed once per nu.
 
 ``StudentGenerator`` and ``GaussianGenerator`` (built by
 ``student_generator`` and ``gaussian_generator``) override
@@ -27,7 +31,7 @@ import math
 import sys
 
 import numpy as np
-from scipy.special import ndtri, stdtr, stdtrit
+from scipy.special.cython_special import ndtri, stdtr, stdtrit
 
 from .elliptic import (
     DensityGenerator,
@@ -95,9 +99,15 @@ def _t_log_norm(nu: float, n: int) -> float:
     return math.fsum([odd, *steps, -(n // 2) * math.log(2.0 * math.pi)])
 
 
+@functools.lru_cache(maxsize=1024)
+def _t_log_norm_1(nu: float) -> float:
+    """_t_log_norm(nu, 1), the univariate t normaliser, memoised for the last 1024 nu."""
+    return _t_log_norm(nu, 1)
+
+
 def _student_log_pdf(s: float, nu: float) -> float:
     """log density of the univariate standard Student-t."""
-    return _t_log_norm(nu, 1) - (nu + 1.0) / 2.0 * math.log1p(s * s / nu)
+    return _t_log_norm_1(nu) - (nu + 1.0) / 2.0 * math.log1p(s * s / nu)
 
 
 def student_big_g(s: float, nu: float, method: str = "beta") -> float:
@@ -118,10 +128,10 @@ def student_big_g(s: float, nu: float, method: str = "beta") -> float:
     if s == 0.0:
         return 0.5
     if method == "beta":
-        return float(stdtr(nu, -s))
+        return stdtr(nu, -s)
     if method == "hyp2f1":
         log_tail = (
-            _t_log_norm(nu, 1)
+            _t_log_norm_1(nu)
             - 0.5 * math.log(nu)
             + (nu / 2.0) * (math.log(nu) - 2.0 * math.log(s))
             + hyp2f1_log((1.0 + nu) / 2.0, nu / 2.0, 1.0 + nu / 2.0, -nu / (s * s))
@@ -141,7 +151,7 @@ def student_quantile(alpha: float, nu: float) -> float:
     """
     alpha = _check_alpha(alpha)
     nu = _check_nu(nu)
-    return _checked_quantile(lambda q: student_big_g(q, nu), alpha, -float(stdtrit(nu, alpha)))
+    return _checked_quantile(lambda q: student_big_g(q, nu), alpha, -stdtrit(nu, alpha))
 
 
 def student_tail_expectation(t: float, nu: float) -> float:
@@ -226,9 +236,15 @@ class StudentGenerator(DensityGenerator):
         return math.exp(_student_log_pdf(_check_real(z, "z"), self.nu))
 
     def mixing(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """sqrt(nu / chi2_nu), formed in the chi-square buffer."""
-        factor = rng.chisquare(self.nu, size=size)
-        np.divide(self.nu, factor, out=factor)
+        """sqrt(nu / chi2_nu), drawn as sqrt((nu/2) / g) in the buffer of g ~ Gamma(nu/2).
+
+        numpy's chisquare(nu) is 2 standard_gamma(nu/2) on the same stream,
+        and halving nu and doubling g are exact, so these are the factors
+        of rng.chisquare, bit for bit, and the stream ends where it would.
+        """
+        half = self.nu / 2.0
+        factor = rng.standard_gamma(half, size=size)
+        np.divide(half, factor, out=factor)
         return np.sqrt(factor, out=factor)
 
 
@@ -263,7 +279,7 @@ class GaussianGenerator(DensityGenerator):
 
     def quantile(self, alpha: float) -> float:
         alpha = _check_alpha(alpha)
-        return _checked_quantile(_normal_tail, alpha, -float(ndtri(alpha)))
+        return _checked_quantile(_normal_tail, alpha, -ndtri(alpha))
 
     def marginal_density(self, z: float) -> float:
         z = _check_real(z, "z")

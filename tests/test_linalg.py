@@ -115,6 +115,21 @@ def test_quadratic_form_never_negative():
     assert quadratic_form(d, sigma) >= 0.0
 
 
+def test_quadratic_form_clamps_a_form_that_rounds_below_zero_to_exactly_zero():
+    # sigma = v v^T and delta orthogonal to v: the exact form is 0, and the
+    # rounded one falls on either side of it
+    rng = np.random.default_rng(0)
+    raws = []
+    for _ in range(10):
+        v, w = rng.standard_normal(3), rng.standard_normal(3)
+        d = w - (w @ v) / (v @ v) * v
+        sigma = np.outer(v, v)
+        raw = float(d @ sigma @ d)
+        raws.append(raw)
+        assert quadratic_form(d, sigma) == max(raw, 0.0)
+    assert min(raws) < 0.0 < max(raws)
+
+
 def test_quadratic_form_dimension_mismatch():
     with pytest.raises(DimensionError):
         quadratic_form(np.ones(3), np.eye(2))
@@ -166,6 +181,23 @@ def test_estimate_moments_short_panel_fails_at_minor_t(t):
         assert "ridge" in str(info.value)
 
 
+def test_estimate_moments_accepts_two_observations_of_one_factor():
+    mu, sigma = estimate_moments(np.array([[1.0], [4.0]]))
+    assert mu.tolist() == [2.5]
+    assert sigma.tolist() == [[4.5]]
+
+
+def test_estimate_moments_square_panel_fails_at_minor_t():
+    # T = n: the one panel length at which the pivot floor alone lets the
+    # singular covariance through (seeds 1, 5, 13 and 17), so the panel rule
+    # must name minor T
+    for seed in range(20):
+        returns = np.random.default_rng(seed).standard_normal((5, 5))
+        with pytest.raises(NotPositiveDefiniteError, match="5 observations") as info:
+            estimate_moments(returns)
+        assert info.value.minor_index == 5
+
+
 def test_estimate_moments_refuses_an_exactly_collinear_panel():
     # column 5 copies column 3: leading minor 5 is singular, but rounding once
     # let the factorisation pass it on a pivot of order eps in 7 of these seeds
@@ -203,6 +235,20 @@ def test_every_dispersion_refuses_the_collinear_covariance_at_its_singular_minor
         err = capsys.readouterr().err
         assert err.startswith("error: kind=NotPositiveDefiniteError")
         assert "leading minor 5 is not positive definite" in err
+
+
+def test_pivot_floor_scales_with_each_diagonal_entry():
+    # D C D, with D = diag(1e-3 ... 1e3) either way round, is refused at the
+    # same minor as the collinear covariance C: the floor reads a_jj, so a
+    # rescaling of the factors moves no pivot across it
+    for seed in range(20):
+        returns = np.random.default_rng(seed).standard_normal((50, 10))
+        returns[:, 4] = returns[:, 2]
+        sigma = np.cov(returns, rowvar=False)
+        for scale in (np.logspace(-3.0, 3.0, 10), np.logspace(3.0, -3.0, 10)):
+            with pytest.raises(NotPositiveDefiniteError) as info:
+                cholesky(scale[:, None] * sigma * scale[None, :])
+            assert info.value.minor_index == 5, seed
 
 
 def test_estimate_moments_ridge_adds_to_diagonal():

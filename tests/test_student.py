@@ -227,6 +227,27 @@ def test_student_quantile_rejects_bad_alpha():
             student_quantile(alpha, 5.0)
 
 
+def test_cython_kernels_match_the_ufuncs_bit_for_bit():
+    # the closed forms call stdtr, stdtrit and ndtri of cython_special, the
+    # scalar C kernels behind the scipy.special ufuncs
+    from scipy import special
+    from scipy.special import cython_special
+
+    def bits(values):
+        return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+    ss = np.concatenate(([0.0, 5e-324, 1e-300, 1e100], np.logspace(-3.0, 3.0, 25)))
+    ss = np.concatenate((ss, -ss))
+    alphas = np.concatenate((np.logspace(-300.0, math.log10(0.49), 120), [0.01, 0.05, 0.49]))
+    for nu in np.logspace(math.log10(1.01), 8.0, 40):
+        fast = [cython_special.stdtr(nu, float(s)) for s in ss]
+        assert np.array_equal(bits(fast), bits(special.stdtr(nu, ss))), nu
+        fast = [cython_special.stdtrit(nu, float(a)) for a in alphas]
+        assert np.array_equal(bits(fast), bits(special.stdtrit(nu, alphas))), nu
+    fast = [cython_special.ndtri(float(a)) for a in alphas]
+    assert np.array_equal(bits(fast), bits(special.ndtri(alphas)))
+
+
 def test_student_tail_expectation_formula():
     # oracle: f(t) (nu + t^2) / (nu - 1), and the integral definition
     from scipy import integrate
@@ -471,10 +492,13 @@ def test_marginal_density_hook_matches_scipy_and_quadrature(factory, reference, 
 
 
 def test_mixing_draws_are_the_normal_variance_mixture_factors():
-    nu = 4.5
+    # gamma shapes nu / 2 below and above 1, and a near-normal nu; the stream
+    # ends where the chi-square draw leaves it
     rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-    factors = student_generator(3, nu).mixing(rng, 1_000)
-    assert np.array_equal(factors, np.sqrt(nu / twin.chisquare(nu, size=1_000)))
+    for nu in (1.01, 1.5, 4.5, 1e4):
+        factors = student_generator(3, nu).mixing(rng, 1_000)
+        assert np.array_equal(factors, np.sqrt(nu / twin.chisquare(nu, size=1_000))), nu
+        assert rng.bit_generator.state == twin.bit_generator.state
     # the Gaussian draws nothing and leaves the stream where it was
     before = rng.bit_generator.state
     assert gaussian_generator(3).mixing(rng, 1_000) is None
