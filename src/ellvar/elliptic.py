@@ -46,7 +46,10 @@ vol) rows and rejects anything that is not a model, ``_rows_var`` takes
 the generator's quantile for one row and, for several, the mixture root
 bracketed by their VaRs, and ``_rows_es`` builds ES at the same
 thresholds.  ``var`` and ``expected_shortfall`` therefore serve every
-model type.
+model type.  VaR and ES are positively homogeneous in delta, so a book's
+scale is one power of two 2^e, which ``_component_rows`` alone reads: every
+formula runs on its rows at unit scale, and each public number leaves it by
+``_scaled``, exactly, or past the double range as NumericalError.
 """
 
 from __future__ import annotations
@@ -308,21 +311,17 @@ def _binary_exponent(x) -> int:
     return math.frexp(float(np.abs(x).max()))[1]
 
 
-def _vol_exponent(rows: list[tuple]) -> int:
-    """``_binary_exponent`` of the rows' vols, read without numpy: they are few and positive."""
-    return math.frexp(max(row[3] for row in rows))[1]
-
-
-def _component_rows(model, delta) -> tuple[np.ndarray, list[tuple]]:
-    """delta as a checked vector, and one (weight, generator, mean, vol) row per component.
+def _component_rows(model, delta) -> tuple[np.ndarray, int, list[tuple]]:
+    """The checked delta, the book's exponent e, and a (weight, generator, mean, vol) row each.
 
     ``model`` is read through its ``components``, (weight, EllipticModel)
-    pairs on a common space; anything without them is not a model.
-    delta's shape and finiteness are checked here, once per call; the
-    models were checked when they were built.  The forms are read on delta
-    at unit scale and scaled back by the same power of two, which is exact,
-    so a book's mean and vol are those of delta at any scale.  A delta with
-    zero vol has no risk to measure and raises here, for every entry point.
+    pairs on a common space; anything without them is not a model.  delta's
+    shape and finiteness are checked here, once per call, the models' when
+    they were built.  The one scale rule: each row holds its mean and vol
+    divided by 2^e, e the exponent of delta plus that of the largest vol,
+    which so lies in [1/2, 1), or, where a mean is over 2^1000 times that
+    vol, that of the mean less 1000, so no mean passes 2^1000.  A delta
+    with zero vol has no risk and raises.
     """
     try:
         components = model.components
@@ -331,14 +330,32 @@ def _component_rows(model, delta) -> tuple[np.ndarray, list[tuple]]:
     d = _check_array(delta, "delta", length=model.dimension)
     e = _binary_exponent(d)
     unit = np.ldexp(d, -e)
-    rows = []
-    for w, m in components:
-        # an SPD sigma can only give a negative form through rounding
-        vol = math.ldexp(math.sqrt(max(float(unit @ m.sigma @ unit), 0.0)), e)
-        if vol == 0.0:
-            raise DomainError("delta has zero volatility; there is no risk to measure")
-        rows.append((w, m.generator, math.ldexp(float(unit @ m.mu), e), vol))
-    return d, rows
+    # an SPD sigma can only give a negative form through rounding
+    vols = [math.sqrt(max(float(unit @ m.sigma @ unit), 0.0)) for _, m in components]
+    if min(vols) == 0.0:
+        raise DomainError("delta has zero volatility; there is no risk to measure")
+    means = [float(unit @ m.mu) for _, m in components]
+    shift = max(math.frexp(max(vols))[1], math.frexp(max(map(abs, means)))[1] - 1000)
+    rows = [
+        (w, m.generator, math.ldexp(mean, -shift), math.ldexp(vol, -shift))
+        for (w, m), mean, vol in zip(components, means, vols)
+    ]
+    return d, e + shift, rows
+
+
+def _scaled(x, e: int):
+    """x * 2^e for a float or an array x: the one way a result leaves unit scale.
+
+    Exact where the result is a normal double and rounded once where it is
+    subnormal; past the largest double, NumericalError with x and e.
+    """
+    try:
+        if isinstance(x, np.ndarray):
+            with np.errstate(over="raise"):
+                return np.ldexp(x, e)
+        return math.ldexp(x, e)
+    except (OverflowError, FloatingPointError):
+        raise NumericalError("result is past the double range", unit_value=x, exponent=e) from None
 
 
 def _radial_integral(
@@ -711,15 +728,15 @@ def quantile_multiplier(gen: DensityGenerator, alpha: float) -> float:
 
 
 def _rows_var(rows: list[tuple], alpha: float) -> tuple[float, list[float]]:
-    """VaR over component rows, and each row's threshold at it.
+    """VaR over component rows at unit scale, and each row's threshold at it.
 
     One row is the closed form -mean + q * vol, its threshold q.  Several
     rows solve sum_k w_k G_k((mean_k + V) / vol_k) = alpha for V in units
-    of the largest vol, so the solve does not depend on the book's scale;
-    the root's tail is within 1e-10 of alpha in relative terms.  Where V
-    is below every component's VaR each G_k is at least alpha, and where
-    it is above every one each is at most alpha, so the smallest and the
-    largest component VaR bracket the root at any alpha.
+    of the largest vol, so its iterates are those of the book at any scale;
+    the root's tail is within 1e-10 of alpha in relative terms.  Where V is
+    below every component's VaR each G_k is at least alpha, and where it is
+    above every one each is at most alpha, so the smallest and the largest
+    component VaR bracket the root at any alpha.
     """
     qs = [gen.quantile(alpha) for _, gen, _, _ in rows]
     if len(rows) == 1:
@@ -737,25 +754,20 @@ def _rows_var(rows: list[tuple], alpha: float) -> tuple[float, list[float]]:
 
 
 def _rows_es(rows: list[tuple], alpha: float, thresholds: list[float]) -> float:
-    """ES over component rows at their VaR thresholds z_k.
+    """ES over component rows at unit scale, at their VaR thresholds z_k.
 
     (1/alpha) sum_k w_k (vol_k E_k(z_k) - mean_k G_k(z_k)), E_k the partial
     expectation; one row has G(q) = alpha and gives -mean + vol E(q) / alpha.
-    The sum is formed at unit scale, vols and means divided by 2^e, e the
-    binary exponent of the largest vol, and scaled back: exact, and in a
-    deep tail vol E(q) of a small book no longer underflows before the
-    division by alpha.
+    On the rows' unit scale, largest vol in [1/2, 1), vol E(q) of a small
+    book does not underflow in a deep tail before the division by alpha.
     """
-    e = _vol_exponent(rows)
     if len(rows) == 1:
         _, gen, mean, vol = rows[0]
-        unit = math.ldexp(vol, -e) * gen.tail_expectation(thresholds[0]) / alpha
-        return -mean + math.ldexp(unit, e)
+        return -mean + vol * gen.tail_expectation(thresholds[0]) / alpha
     acc = 0.0
     for (w, gen, mean, vol), z in zip(rows, thresholds):
-        unit_vol, unit_mean = math.ldexp(vol, -e), math.ldexp(mean, -e)
-        acc += w * (unit_vol * gen.tail_expectation(z) - unit_mean * gen.tail(z))
-    return math.ldexp(acc / alpha, e)
+        acc += w * (vol * gen.tail_expectation(z) - mean * gen.tail(z))
+    return acc / alpha
 
 
 def var(model, delta, alpha: float) -> float:
@@ -767,8 +779,8 @@ def var(model, delta, alpha: float) -> float:
     The loss convention is P(pnl < -VaR) = alpha.
     """
     alpha = _check_alpha(alpha)
-    _, rows = _component_rows(model, delta)
-    return _rows_var(rows, alpha)[0]
+    _, e, rows = _component_rows(model, delta)
+    return _scaled(_rows_var(rows, alpha)[0], e)
 
 
 def expected_shortfall(model, delta, alpha: float) -> float:
@@ -780,5 +792,5 @@ def expected_shortfall(model, delta, alpha: float) -> float:
     form when available and from quadrature otherwise.
     """
     alpha = _check_alpha(alpha)
-    _, rows = _component_rows(model, delta)
-    return _rows_es(rows, alpha, _rows_var(rows, alpha)[1])
+    _, e, rows = _component_rows(model, delta)
+    return _scaled(_rows_es(rows, alpha, _rows_var(rows, alpha)[1]), e)

@@ -114,10 +114,12 @@ def estimate_moments(returns, ridge: float = 0.0) -> tuple[np.ndarray, np.ndarra
     ridge = _check_real(ridge, "ridge")
     if ridge < 0.0:
         raise DomainError(f"ridge must be non-negative, got {ridge!r}")
-    mu = x.mean(axis=0)
-    centered = x - mu
-    sigma = centered.T @ centered / (t - 1)
-    sigma = 0.5 * (sigma + sigma.T)
+    # moments of finite returns may overflow; the finite check below names them
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = x.mean(axis=0)
+        centered = x - mu
+        sigma = centered.T @ centered / (t - 1)
+        sigma = 0.5 * (sigma + sigma.T)
     if ridge > 0.0:
         sigma = sigma + ridge * np.eye(n)
     # T centred rows span at most T - 1 dimensions, so without a ridge leading
@@ -127,7 +129,8 @@ def estimate_moments(returns, ridge: float = 0.0) -> tuple[np.ndarray, np.ndarra
     index = t if short else None
     # 0.5 (S + S^T) is symmetric to the bit, so of cholesky's checks only the
     # finite one is left to make
-    block = _check_array(sigma[: t - 1, : t - 1] if short else sigma, "matrix", ndim=2)
+    block = sigma[: t - 1, : t - 1] if short else sigma
+    block = _check_array(block, "returns' covariance", ndim=2)
     try:
         _cholesky_lower(block)
     except NotPositiveDefiniteError as err:

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .elliptic import _binary_exponent, _check_alpha, _component_rows
+from .elliptic import _binary_exponent, _check_alpha, _component_rows, _scaled
 from .errors import DomainError, _check_array, _check_int
 from .linalg import _cholesky_lower
 from .linalg import cholesky  # noqa: F401  wrapped by bench/tracing.py
@@ -172,7 +172,7 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
     """
     if not isinstance(spec, SimulationSpec):
         raise DomainError(f"spec must be a SimulationSpec, got {type(spec).__name__}")
-    d, rows = _component_rows(model, delta)
+    d, e, rows = _component_rows(model, delta)
     draws = [gen.mixing for _, gen, _, _ in rows]
     # a draw of no paths: a law that cannot be sampled raises here, whatever its weight
     probe = np.random.Generator(np.random.SFC64(0))
@@ -184,13 +184,13 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
     cdf /= cdf[-1]
     # the heaviest component acts on the whole batch, so the fewest rows move by index
     base = int(np.argmax(weights))
-    means = np.array([mean for _, _, mean, _ in rows])
+    means = _scaled(np.array([mean for _, _, mean, _ in rows]), e)
     # from the Cholesky factor, not the rows' vol, so the check has its own
-    # route to it; read on delta at unit scale, like the rows, and scaled back
-    e = _binary_exponent(d)
-    unit = np.ldexp(d, -e)
+    # route to it: on delta at its own unit scale, not the rows', and scaled back
+    shift = _binary_exponent(d)
+    unit = np.ldexp(d, -shift)
     scales = np.ldexp(
-        [np.linalg.norm(_cholesky_lower(m.sigma).T @ unit) for _, m in model.components], e
+        [np.linalg.norm(_cholesky_lower(m.sigma).T @ unit) for _, m in model.components], shift
     )
 
     n_batches = -(-spec.paths // spec.batch_size)
@@ -271,8 +271,8 @@ def _estimates(x: np.ndarray, alphas: Sequence[float]) -> list[EmpiricalEstimate
             density = 2.0 * h / width
             var_se = math.sqrt(alpha * (1.0 - alpha) / n) / density
         var_k, es_k = -float(head[k - 1]), -float(np.mean(tail))
-        # ES's influence function adds a threshold term to the tail's own
-        # spread, both formed on the tail at unit scale and scaled back
+        # ES's influence function adds a threshold term to the tail's own spread, both
+        # formed at the sample's own unit scale (it has no book exponent) and scaled back
         e = _binary_exponent(tail)
         spread = float(np.var(np.ldexp(tail, -e), ddof=1)) if k > 1 else math.nan
         excess = math.ldexp(es_k - var_k, -e)

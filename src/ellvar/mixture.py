@@ -19,12 +19,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .elliptic import EllipticModel, _check_alpha, _component_rows, _rows_es
+from .elliptic import EllipticModel, _check_alpha, _component_rows, _rows_es, _scaled
 from .elliptic import expected_shortfall
 from .elliptic import marginal_tail  # noqa: F401  wrapped by bench/tracing.py
 from .elliptic import marginal_tail_expectation  # noqa: F401  wrapped by bench/tracing.py
 from .elliptic import var as mixture_var
-from .errors import DimensionError, DomainError, _check_real
+from .errors import DimensionError, DomainError, NumericalError, _check_real
 from .linalg import quadratic_form  # noqa: F401  wrapped by bench/tracing.py
 
 __all__ = ["MixtureModel", "mixture_var", "mixture_expected_shortfall"]
@@ -81,5 +81,11 @@ def mixture_expected_shortfall(mixture, delta, alpha: float, var: float | None =
         return expected_shortfall(mixture, delta, alpha)
     alpha = _check_alpha(alpha)
     var = _check_real(var, "var")
-    _, rows = _component_rows(mixture, delta)
-    return _rows_es(rows, alpha, [(mean + var) / vol for _, _, mean, vol in rows])
+    _, e, rows = _component_rows(mixture, delta)
+    try:
+        var = _scaled(var, -e)
+    except NumericalError:
+        raise DomainError(
+            f"var {var!r} over the book's scale 2^{e} is past the double range"
+        ) from None
+    return _scaled(_rows_es(rows, alpha, [(mean + var) / vol for _, _, mean, vol in rows]), e)

@@ -7,9 +7,11 @@ books, aggregation across businesses).  ``risk_report`` and
 ``incremental_var`` accept every model type and location: each model is
 read once as rows of its ``components``, its weighted elliptic models,
 and handed to the engine's one VaR/ES path, where one row takes the
-closed forms and several take the mixture root.  The Euler allocation
-takes its gradient from that one solve's thresholds, by the
-implicit-function theorem, weighing the components by their generators'
+closed forms and several take the mixture root.  Everything here is
+formed on those rows at the book's unit scale, and each reported number
+leaves it once, by ``_scaled``.  The Euler allocation takes its
+gradient from that one solve's thresholds, by the implicit-function
+theorem, weighing the components by their generators'
 ``marginal_density`` there: a closed form, or quadrature held to
 relative accuracy.
 """
@@ -23,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import elliptic
-from .errors import DomainError, _check_array, _check_int, _check_real
+from .errors import DomainError, NumericalError, _check_array, _check_int, _check_real
 from .linalg import quadratic_form  # noqa: F401  wrapped by bench/tracing.py
 
 __all__ = [
@@ -91,22 +93,22 @@ def incremental_var(model, delta, alpha: float) -> IncrementalVar:
     solve: gamma = sum_k c_k (z_k Sigma_k delta / vol_k - mu_k) / sum_k c_k, with
     c_k = w_k f_k(z_k) / vol_k and f_k the marginal density.  As vol_k z_k -
     delta.mu_k = VaR for every k, the contributions sum to VaR to rounding.  One
-    component needs no density: gamma = q Sigma delta / vol - mu.  The c_k are
-    formed on the vols at unit scale, which leaves their shares exact, so a
-    deep tail on a large book does not underflow them all to 0/0.
+    component needs no density: gamma = q Sigma delta / vol - mu.  Everything is
+    formed on the engine's rows at unit scale, delta divided by the same 2^e, so
+    a deep tail on a large book does not underflow the c_k to 0/0.
     """
     alpha = elliptic._check_alpha(alpha)
-    d, rows = elliptic._component_rows(model, delta)
+    d, e, rows = elliptic._component_rows(model, delta)
     total, thresholds = elliptic._rows_var(rows, alpha)
     shares = np.ones(1)
     if len(rows) > 1:
-        e = elliptic._vol_exponent(rows)
-        pairs = zip(rows, thresholds)
-        c = [w * g.marginal_density(z) / math.ldexp(vol, -e) for (w, g, _, vol), z in pairs]
+        c = [w * g.marginal_density(z) / vol for (w, g, _, vol), z in zip(rows, thresholds)]
         shares = np.array(c) / math.fsum(c)
+    unit = np.ldexp(d, -e)
     pairs = zip(model.components, rows, thresholds)
-    gamma = shares @ np.array([z * (m.sigma @ d) / row[3] - m.mu for (_, m), row, z in pairs])
-    return IncrementalVar(gamma=gamma, contributions=d * gamma, total=total)
+    gamma = shares @ np.array([z * (m.sigma @ unit) / row[3] - m.mu for (_, m), row, z in pairs])
+    contributions, total = elliptic._scaled(unit * gamma, e), elliptic._scaled(total, e)
+    return IncrementalVar(gamma=gamma, contributions=contributions, total=total)
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,7 @@ class RiskReport:
 def risk_report(model, delta, alpha: float) -> RiskReport:
     """Compute VaR and ES for any supported model and wrap them in a report."""
     alpha = elliptic._check_alpha(alpha)
-    _, rows = elliptic._component_rows(model, delta)
+    _, e, rows = elliptic._component_rows(model, delta)
     v, thresholds = elliptic._rows_var(rows, alpha)
     es = elliptic._rows_es(rows, alpha, thresholds)
 
@@ -163,24 +165,23 @@ def risk_report(model, delta, alpha: float) -> RiskReport:
         _, gen, mean, vol = rows[0]
         label, quantile = gen.name, thresholds[0]
     else:
-        # pooled on the vols at unit scale, so it underflows or overflows only
-        # where the volatility itself would
-        e = elliptic._vol_exponent(rows)
         mean = 0.0
         pooled = 0.0
         for w, _, m, scale in rows:
             mean += w * m
-            unit = math.ldexp(scale, -e)
-            pooled += w * unit * unit
-        vol = math.ldexp(math.sqrt(pooled), e)
+            pooled += w * scale * scale
+        vol = math.sqrt(pooled)
         label = "mixture(" + ", ".join(f"{w:g}*{gen.name}" for w, gen, _, _ in rows) + ")"
         quantile = (v + mean) / vol
+    volatility = elliptic._scaled(vol, e)
+    if volatility == 0.0:
+        raise NumericalError("the volatility rounds to 0", unit_value=vol, exponent=e)
     return RiskReport(
         model=label,
         alpha=alpha,
-        mean=mean,
-        volatility=vol,
+        mean=elliptic._scaled(mean, e),
+        volatility=volatility,
         quantile=quantile,
-        var=v,
-        es=es,
+        var=elliptic._scaled(v, e),
+        es=elliptic._scaled(es, e),
     )

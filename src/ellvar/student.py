@@ -39,9 +39,10 @@ from .elliptic import (
     _check_alpha,
     _checked_quantile,
     _component_rows,
+    _scaled,
 )
 from .elliptic import var as student_var
-from .errors import DomainError, _check_array, _check_int, _check_real
+from .errors import DomainError, NumericalError, _check_array, _check_int, _check_real
 from .linalg import quadratic_form  # noqa: F401  wrapped by bench/tracing.py
 from .linalg import validate_symmetric
 from .specfun import hyp2f1_log, log_gamma
@@ -130,6 +131,8 @@ def student_big_g(s: float, nu: float, method: str = "beta") -> float:
     if method == "beta":
         return stdtr(nu, -s)
     if method == "hyp2f1":
+        if s * s == 0.0 or math.isinf(nu / (s * s)):
+            raise NumericalError("hyp2f1 tail route: -nu / s^2 is not finite", s=s, nu=nu)
         log_tail = (
             _t_log_norm_1(nu)
             - 0.5 * math.log(nu)
@@ -333,10 +336,10 @@ def student_expected_shortfall(model, delta, alpha: float) -> float:
     Any other model raises DomainError: ``expected_shortfall`` serves them.
     """
     alpha = _check_alpha(alpha)
-    _, [(_, gen, mean, vol), *rest] = _component_rows(model, delta)
+    _, e, [(_, gen, mean, vol), *rest] = _component_rows(model, delta)
     if rest or not isinstance(gen, StudentGenerator):
         raise DomainError(
             f"closed-form Student ES needs one Student component, got {1 + len(rest)} "
             f"component(s), the first with generator {gen.name!r}"
         )
-    return -mean + student_es_multiplier(alpha, gen.nu) * vol
+    return _scaled(-mean + student_es_multiplier(alpha, gen.nu) * vol, e)

@@ -428,6 +428,22 @@ def test_numerical_error_line_keeps_diagnostics(one_factor, tmp_path, capsys):
     assert line.endswith(" quantile=-inf residual=inf")
 
 
+@pytest.mark.parametrize("command", ("var", "es"))
+def test_a_risk_number_past_the_double_range_exits_5_with_its_unit_value(
+    command, tmp_path, capsys
+):
+    # the 1e308 book's VaR at 1e-12 is 3.91 units of 2^1024
+    book = tmp_path / "big.csv"
+    book.write_text("idx,1e308\n")
+    code, out, err = run_cli(capsys, [command, "--portfolio", str(book), "--alpha", "1e-12"])
+    assert (code, out) == (5, "")
+    line = err.strip()
+    assert line.startswith(
+        "error: kind=NumericalError detail=result is past the double range unit_value=3."
+    )
+    assert line.endswith(" exponent=1024")
+
+
 def test_student_var_deep_tail_is_exact_or_numerical_error(one_factor, capsys):
     code, out, _ = run_cli(
         capsys,

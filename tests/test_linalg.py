@@ -269,3 +269,16 @@ def test_estimate_moments_rejects_bad_shapes():
         estimate_moments(np.ones(5))
     with pytest.raises(DomainError):
         estimate_moments(np.ones((1, 3)))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    (
+        [[1e200, 1.0], [-1e200, 3.0], [0.0, 1.0]],  # cross products overflow
+        [[1e308, 1.0], [1e308, 3.0], [0.0, 1.0]],  # the column sum overflows
+    ),
+)
+def test_estimate_moments_names_the_returns_when_their_moments_overflow(rows):
+    # finite returns, no numpy overflow warning (Tier-1 makes one an error)
+    with pytest.raises(DomainError, match="returns' covariance entries must be finite"):
+        estimate_moments(np.array(rows))

@@ -207,6 +207,13 @@ def test_es_rejects_non_finite_precomputed_var(bad):
         mixture_expected_shortfall(mix, np.array([2.0, -1.0]), 0.025, var=bad)
 
 
+
+def test_es_refuses_a_precomputed_var_past_the_books_unit_scale():
+    # var 1 on a 2^-1030 book is 2^1028 of its unit scale
+    mix = _two_normal_mixture()
+    with pytest.raises(DomainError, match=r"^var 1.0 over the book's scale 2\^-1028 is past"):
+        mixture_expected_shortfall(mix, np.array([2.0**-1030, 0.0]), 0.025, var=1.0)
+
 def test_weight_validation():
     comp = _component(gaussian_generator(1), [0.0], [[1.0]])
     with pytest.raises(DomainError):
@@ -215,6 +222,10 @@ def test_weight_validation():
         MixtureModel(components=[(-0.1, comp), (1.1, comp)])
     with pytest.raises(DomainError):
         MixtureModel(components=[])
+    # the weights may miss 1 by 1e-12 at most
+    MixtureModel(components=[(0.5, comp), (0.5 + 0.8e-12, comp)])
+    with pytest.raises(DomainError, match="weights sum to"):
+        MixtureModel(components=[(0.5, comp), (0.5 + 1.2e-12, comp)])
 
 
 def test_components_must_be_elliptic_models():

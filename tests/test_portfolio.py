@@ -31,11 +31,13 @@ from ellvar import (
     student_var,
     var,
 )
-from ellvar.errors import DimensionError, DomainError
+from ellvar.errors import DimensionError, DomainError, NumericalError
 
 
 def test_position_validation():
     Position(spot=100.0, sensitivity=-0.4, label="idx")
+    # any positive spot, however small, is a spot
+    Position(spot=1e-300, sensitivity=1.0)
     with pytest.raises(DomainError):
         Position(spot=0.0, sensitivity=1.0)
     with pytest.raises(DomainError):
@@ -91,12 +93,16 @@ def test_equity_deltas_validation():
         equity_deltas([1.0, 2.0], [10.0])
     with pytest.raises(DomainError):
         equity_deltas([1.0], [-10.0])
+    with pytest.raises(DomainError, match="prices must be positive"):
+        equity_deltas([1.0], [0.0])
+    assert equity_deltas([3.0], [0.5])[0] == 1.5
     with pytest.raises(DomainError):
         equity_deltas([math.inf], [10.0])
 
 
 def test_business_unit_deltas():
     assert np.array_equal(business_unit_deltas(4), np.ones(4))
+    assert np.array_equal(business_unit_deltas(1), np.ones(1))
     with pytest.raises(DomainError):
         business_unit_deltas(0)
     with pytest.raises(DomainError):
@@ -253,7 +259,24 @@ def test_risk_report_invariants():
             model="gaussian", alpha=0.05, mean=0.0, volatility=1e-12,
             quantile=1.6, var=1.6e-12, es=0.8e-12,
         )
+    # an ES below VaR by the slack itself, 1e-9 of VaR, passes; by 1.2e-9 it does not
+    fields = dict(model="gaussian", alpha=0.05, mean=0.0, volatility=1.0, quantile=1.0)
+    RiskReport(**fields, var=1.0, es=1.0 - 1e-9)
+    with pytest.raises(DomainError):
+        RiskReport(**fields, var=1.0, es=1.0 - 1.2e-9)
 
+
+
+def test_risk_report_refuses_a_volatility_that_rounds_to_zero():
+    # on a book of the smallest double, VaR 0.74 of it rounds to it, the vol 0.32 to 0
+    model = EllipticModel(
+        generator=gaussian_generator(1), mu=np.zeros(1), sigma=np.array([[0.1]])
+    )
+    delta = np.array([5e-324])
+    assert var(model, delta, 0.01) == incremental_var(model, delta, 0.01).total == 5e-324
+    with pytest.raises(NumericalError, match="volatility rounds to 0") as err:
+        risk_report(model, delta, 0.01)
+    assert err.value.diagnostics == {"unit_value": math.sqrt(0.4), "exponent": -1075}
 
 def test_risk_report_dict_round_trip():
     report = RiskReport(
@@ -295,6 +318,18 @@ def test_risk_report_mixture_dispatch():
     assert report.es > report.var
     # pooled second moment of the scale: 0.8 * 2 + 0.2 * 4
     assert report.volatility == pytest.approx(math.sqrt(0.8 * 2.0 + 0.2 * 4.0), rel=1e-12)
+
+
+def test_risk_report_mixture_mean_and_quantile():
+    gauss = EllipticModel(
+        generator=gaussian_generator(2), mu=np.array([0.1, -0.2]), sigma=np.eye(2)
+    )
+    student = StudentParams(nu=5.0, mu=np.array([0.3, 0.0]), sigma=2.0 * np.eye(2))
+    mix = MixtureModel(components=[(0.8, gauss), (0.2, student)])
+    report = risk_report(mix, np.ones(2), 0.01)
+    # E[pnl] = 0.8 * (0.1 - 0.2) + 0.2 * 0.3, and the quantile is (VaR + mean) / vol
+    assert report.mean == pytest.approx(-0.02, rel=1e-12)
+    assert report.quantile == (report.var + report.mean) / report.volatility
 
 
 def test_risk_report_nonzero_mean_shifts_var():

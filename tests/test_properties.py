@@ -10,7 +10,8 @@ two-stage quantile solve is checked against the adaptive root.  The
 risk-measure axioms are checked per kind, to a rounding slack: ES is
 subadditive for every kind, VaR for one elliptic component, and a
 mixture's VaR lies between its components' VaRs.  Every number scales
-exactly with a book scaled by 2^+-600, and a book on the first k
+exactly with a book scaled by 2^k, to both ends of the double range, and
+past them raises NumericalError; a book on the first k
 coordinates of an n-dimensional normal scale mixture reads the
 k-dimensional model's numbers.  The sampler ``simulate_pnl`` knows only
 the Gaussian and Student families and is checked on those, as is a
@@ -35,6 +36,7 @@ from ellvar import (
     EllipticModel,
     EllvarError,
     MixtureModel,
+    NumericalError,
     SimulationSpec,
     StudentParams,
     empirical_var_es,
@@ -409,23 +411,88 @@ def _deep_tail_models() -> dict:
     }
 
 
-@pytest.mark.parametrize("power", (-600, 600))
+@pytest.mark.parametrize("power", (-1070, -600, 600, 1021))
 @pytest.mark.parametrize("kind", ("gaussian", "student", "mixture"))
 def test_risk_numbers_scale_exactly_with_delta_in_a_deep_tail(kind, power):
     # at alpha = 1e-250, vol E(q) of a 2^-600 book and w f(z) / vol of a 2^600
-    # one underflow unless formed at unit scale
+    # one underflow unless formed at unit scale; a 2^-1070 book's numbers are
+    # subnormal, rounded once, and a 2^1021 book's VaR is past the largest double
     model, alpha = _deep_tail_models()[kind], 1e-250
     delta = np.array([1.0, 0.5])
-    scaled = np.ldexp(delta, power)
-    base, report = risk_report(model, delta, alpha), risk_report(model, scaled, alpha)
-    for name in ("var", "es", "mean", "volatility"):
-        assert getattr(report, name) == math.ldexp(getattr(base, name), power)
-    assert report.quantile == base.quantile
-    es = expected_shortfall(model, scaled, alpha)
-    assert es == math.ldexp(expected_shortfall(model, delta, alpha), power)
-    base_inc, inc = incremental_var(model, delta, alpha), incremental_var(model, scaled, alpha)
-    assert np.array_equal(inc.gamma, base_inc.gamma)
-    assert np.array_equal(inc.contributions, np.ldexp(base_inc.contributions, power))
+
+    def report(d):
+        r = risk_report(model, d, alpha)
+        return [r.var, r.es, r.mean, r.volatility], [r.quantile]
+
+    def shortfall(d):
+        return [expected_shortfall(model, d, alpha)], []
+
+    def euler(d):
+        inc = incremental_var(model, d, alpha)
+        return [inc.total, *inc.contributions], list(inc.gamma)
+
+    for numbers in (report, shortfall, euler):
+        # the scaled numbers, and the scale-free ones, which must not move
+        base, same = numbers(delta)
+        with np.errstate(over="ignore"):
+            want = np.ldexp(base, power)
+        if np.isfinite(want).all():
+            got, kept = numbers(np.ldexp(delta, power))
+            assert np.array_equal(got, want) and kept == same
+        else:
+            with pytest.raises(NumericalError):
+                numbers(np.ldexp(delta, power))
+
+
+@pytest.mark.parametrize(
+    "measure, power",
+    ((var, -1050), (var, 1022), (expected_shortfall, -1050), (expected_shortfall, 1021)),
+)
+def test_a_mixture_root_is_solved_at_unit_scale_at_both_ends_of_the_double_range(
+    measure, power
+):
+    # VaR of the 2^1022 book is about 1.5e308: the root and its bracket would
+    # overflow at the book's own scale
+    model = _deep_tail_models()["mixture"]
+    delta = np.array([1.0, 0.5])
+    scaled = measure(model, np.ldexp(delta, power), 0.01)
+    assert scaled == math.ldexp(measure(model, delta, 0.01), power) != 0.0
+
+
+def test_a_subnormal_book_reads_its_numbers_rounded_once():
+    # -0.3 + 4.54 = 4.24 units of the smallest double round to 4; rounding the
+    # mean and q * vol apart gave 0 and 5
+    model = StudentParams(nu=3.0, mu=np.array([0.3]), sigma=np.eye(1))
+    assert var(model, np.array([5e-324]), 0.01) == 4 * 5e-324
+    assert var(model, np.array([1.0]), 0.01) == pytest.approx(4.24, abs=0.01)
+
+
+def test_a_number_past_the_double_range_raises_with_its_unit_value_and_exponent():
+    # the 1e308 Gaussian book at alpha = 1e-12 has a VaR of 7.03e308; a report
+    # fails on its VaR, the first of its numbers past the largest double
+    model = EllipticModel(mu=np.zeros(1), sigma=np.eye(1), generator=gaussian_generator(1))
+    delta = np.array([1e308])
+    unit = var(model, np.array([math.ldexp(1e308, -1024)]), 1e-12)
+    for call in (var, risk_report, expected_shortfall, incremental_var):
+        with pytest.raises(NumericalError) as err:
+            call(model, delta, 1e-12)
+        assert err.value.diagnostics["exponent"] == 1024
+        if call in (var, risk_report):
+            assert err.value.diagnostics["unit_value"] == unit
+
+
+
+@pytest.mark.parametrize("mu", (1e200, -1e300))
+def test_a_mean_over_2_to_the_1000_vols_sets_the_unit_scale_itself(mu):
+    # the vol is 1e-150: at the vol's unit scale the mean would pass the
+    # largest double, though every number of the book is the mean's order
+    model = EllipticModel(mu=[mu], sigma=[[1e-300]], generator=gaussian_generator(1))
+    delta = np.ones(1)
+    assert var(model, delta, 0.01) == expected_shortfall(model, delta, 0.01) == -mu
+    report = risk_report(model, delta, 0.01)
+    assert (report.mean, report.volatility, report.var) == (mu, 1e-150, -mu)
+    assert incremental_var(model, delta, 0.01).total == -mu
+    assert np.all(simulate_pnl(model, delta, SimulationSpec(paths=8, seed=1)) == mu)
 
 
 @PROPERTY

@@ -115,6 +115,15 @@ def test_student_big_g_hyp2f1_route_small_s():
         )
 
 
+@pytest.mark.parametrize("s", (1e-155, 1e-162, 1e-300, 5e-324))
+def test_student_big_g_hyp2f1_route_raises_where_its_argument_is_past_the_doubles(s):
+    # -nu / s^2 overflows, or s^2 underflows to 0; the beta route still reads 0.5
+    with pytest.raises(NumericalError) as err:
+        student_big_g(s, 4.0, method="hyp2f1")
+    assert err.value.diagnostics == {"s": s, "nu": 4.0}
+    assert student_big_g(1e-150, 4.0, method="hyp2f1") == 0.5000000000000275
+
+
 # mpmath oracle, frozen: G(s) = 1/2 I_x(nu/2, 1/2) at x = nu/(nu + s^2), at
 # points where scipy.special.hyp2f1(1/2, nu/2; 1 + nu/2; x) is nan, so the
 # route's own 2F1 cannot be swapped for scipy's.  The first three take the
