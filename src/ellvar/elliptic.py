@@ -34,7 +34,8 @@ reference.  A quantile is a generator's closed form or a two-stage
 solve: the root of the log tail on the kernel route's fixed rule,
 polished by Newton steps on the adaptive kernel route, with the
 bracketed root of the adaptive log tail, ``_solve_decreasing``, as its
-fallback.  Every quantile ends in the same relative residual check on
+fallback; every bracketed root, a mixture's VaR too, is Chandrupatla's,
+``_root``.  Every quantile ends in the same relative residual check on
 the adaptive route or the closed form.
 
 Every model is its ``components``, (weight, EllipticModel) pairs: an
@@ -128,8 +129,8 @@ _MAX_BRACKET_DOUBLINGS = 64
 # rounding: the floor of _solve_decreasing's xtol, and a few ulps of x
 _NEWTON_XTOL = 1e-15
 _NEWTON_RTOL = 4e-15
-# Brent steps before a root solve gives up (scipy's brentq default)
-_BRENT_MAX_STEPS = 100
+# steps before a root solve gives up: past every solve that converges
+_ROOT_MAX_STEPS = 150
 # solved quantiles are cached per (generator, alpha) and each entry
 # keeps its generator alive, so the oldest entries give way past this size
 _QUANTILE_CACHE_SIZE = 4096
@@ -196,23 +197,21 @@ class DensityGenerator:
             )
 
     def g(self, u: float) -> float:
-        """Normalized radial density at u = |z|^2, or ``_density_error`` for a bad value."""
+        """Normalized radial density at u = |z|^2, or a typed error naming u for a bad value."""
         try:
             value = self.density(u)
             if 0.0 <= value < math.inf:
                 return self._scale * value
         except (OverflowError, TypeError) as err:
-            raise self._density_error(u, err) from err
-        raise self._density_error(u, value)
-
-    def _density_error(self, u: float, value) -> DomainError | NumericalError:
-        """The error for a bad density value at u, or an OverflowError or TypeError reading it."""
+            value = err
         where = f"generator '{self.name}' density at u={u!r}"
         if isinstance(value, TypeError):
-            return DomainError(f"{where} is not a real number: {value}")
-        if not isinstance(value, OverflowError) and -math.inf < value < 0.0:
-            return DomainError(f"{where} is negative: {value!r}")
-        return NumericalError(f"{where} is not finite: {value!r}", u=u, dimension=self.dimension)
+            raise DomainError(f"{where} is not a real number: {value}") from value
+        overflow = isinstance(value, OverflowError)
+        if not overflow and -math.inf < value < 0.0:
+            raise DomainError(f"{where} is negative: {value!r}")
+        error = NumericalError(f"{where} is not finite: {value!r}", u=u, dimension=self.dimension)
+        raise error from value if overflow else None
 
     def tail(self, s: float) -> float:
         """P(Z1 >= s) on the kernel route of ``big_g``."""
@@ -383,12 +382,13 @@ def _radial_integral(
     pair in t, evaluates it at every node at once and returns the
     weighted sum: the density is still called once per node, with one
     float, and the weight, the share and the sum are formed in numpy, by
-    the same operations as a point of the adaptive mode.  Either mode
-    reads a density value by the rule of ``DensityGenerator.g``, the fixed
-    rule in one numpy pass, and a sum that is not finite raises
+    the same operations as a point of the adaptive mode.  The adaptive
+    mode reads each density value through ``DensityGenerator.g``; the
+    fixed rule checks its values by the same rule in one numpy pass,
+    with ``g`` as its slow path, and a sum that is not finite raises
     NumericalError.
     """
-    density, g_scale, log, exp, inf = gen.density, gen._scale, math.log, math.exp, math.inf
+    density, g, log, exp, inf = gen.density, gen.g, math.log, math.exp, math.inf
     c, scale = x * x, max(1.0, abs(x))
     # the log of the weight v^power at v = 0, where 0^0 = 1
     log_at_zero = log_front if power == 0 else -math.inf
@@ -407,7 +407,7 @@ def _radial_integral(
             good = False
         # else read again through g, which raises the first bad value's
         # error and converts a number of any other type
-        gu = g_scale * gu if good else np.array([gen.g(p) for p in points], dtype=np.float64)
+        gu = gen._scale * gu if good else np.array([g(p) for p in points], dtype=np.float64)
         with np.errstate(all="ignore"):
             if not kernel:
                 log_w = np.where(v > 0.0, log_front + power * np.log(v), log_at_zero)
@@ -428,13 +428,7 @@ def _radial_integral(
         v = scale * t
         vv = v * v
         u = c + vv
-        try:
-            gu = density(u)
-            if not 0.0 <= gu < inf:
-                raise gen._density_error(u, gu)
-        except (OverflowError, TypeError) as err:
-            raise gen._density_error(u, err) from err
-        gu = g_scale * gu
+        gu = g(u)
         if gu == 0.0:
             return 0.0
         if not kernel:
@@ -553,12 +547,12 @@ def _solve_decreasing(
 
     lo = 0 is taken to lie below the root, as it does for a symmetric
     tail at alpha < 1/2.  Without ``hi`` the upper end doubles from 1
-    until f falls below alpha.  ``_brent`` finds the root of log f(x) -
-    log alpha, which is nearly linear in x where f itself is not, and the
-    relative residual of f is checked.  An end that rounding puts on the
-    wrong side of alpha is itself the root, if it passes that check.  f
-    is evaluated once per point, the bracket's ends and the root
-    ``_brent`` returns included.
+    until f falls below alpha.  ``_root`` finds the root of log f(x) -
+    log alpha, which is nearly linear in x where f itself is not, to
+    within 2 (1e-15 + 8.9e-16 |x|), and the relative residual of f is
+    checked.  An end that rounding puts on the wrong side of alpha is
+    itself the root, if it passes that check.  f is evaluated once per
+    point, the bracket's ends and the root ``_root`` returns included.
     """
     tail = functools.cache(f)
     if hi is None:
@@ -582,22 +576,19 @@ def _solve_decreasing(
     log_alpha = math.log(alpha)
     # xtol lies below the rounding of any root of unit scale, so the solve
     # stops on rtol and the root is good to a few ulps
-    root = _brent(lambda x: _log_tail(tail, x) - log_alpha, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    root = _root(lambda x: _log_tail(tail, x) - log_alpha, lo, hi, xtol=1e-15, rtol=8.9e-16)
     return _checked_quantile(tail, alpha, root)
 
 
-def _brent(f: Callable[[float], float], lo: float, hi: float, xtol: float, rtol: float) -> float:
-    """A root of f in [lo, hi] by Brent's method.
+def _root(f: Callable[[float], float], lo: float, hi: float, xtol: float, rtol: float) -> float:
+    """A root of f in [lo, hi] by Chandrupatla's method (Adv. Eng. Software 28, 1997).
 
-    Brent (1973), *Algorithms for Minimization without Derivatives*,
-    ch. 4, ported from scipy's ``brentq.c`` statement for statement: the
-    same secant, inverse quadratic and bisection steps, the same stop
-    once half the bracket is below (xtol + rtol * |x|) / 2, and f read
-    once at each end and once per step, so it returns brentq's root bit
-    for bit.  rtol should be at least 4 ulps of 1, as brentq requires.
-    An end where f is 0 is the root.  Ends where f has one sign raise
-    BracketError; a nan value, or no stop within _BRENT_MAX_STEPS steps,
-    raises NumericalError with the point and the step count.
+    Each step reads f once and keeps the sign change in [x1, x2]; the
+    solve stops once |x2 - x1| < 2 (xtol + rtol |x|), x the end with the
+    smaller |f|, and returns x.  An end or a point where f is 0 is the
+    root.  Ends of one sign raise BracketError; a nan value, or no stop
+    within _ROOT_MAX_STEPS steps, NumericalError with the point and the
+    step count.
     """
     steps = 0
 
@@ -607,52 +598,41 @@ def _brent(f: Callable[[float], float], lo: float, hi: float, xtol: float, rtol:
             raise NumericalError("root solve met a nan function value", x=x, iterations=steps)
         return fx
 
-    # xcur is the best point so far, xpre the one before it, xblk the
-    # other end of the bracket; spre and scur are the last two steps
-    xpre, xcur = float(lo), float(hi)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
+    x1, x2 = float(lo), float(hi)
+    f1, f2 = value(x1), value(x2)
+    if f1 == 0.0:
+        return x1
+    if f2 == 0.0:
+        return x2
+    if (f1 < 0.0) == (f2 < 0.0):
         raise BracketError("root bracket ends have one sign", lower=lo, upper=hi)
-    xblk = fblk = spre = scur = 0.0
-    for steps in range(1, _BRENT_MAX_STEPS + 1):
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        short = False
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # inverse quadratic
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                # in C the step is infinite or nan, which the test below refuses
-                stry = math.inf
-            bound = 3.0 * abs(sbis) - delta
-            short = 2.0 * abs(stry) < (abs(spre) if abs(spre) < bound else bound)
-        if short:
-            spre, scur = scur, stry
+    t = 0.5
+    for steps in range(1, _ROOT_MAX_STEPS + 1):
+        x = x1 + t * (x2 - x1)
+        fx = value(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (f1 < 0.0):
+            x3, f3 = x1, f1
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = value(xcur)
-    raise NumericalError("root solve did not converge", x=xcur, iterations=steps)
+            x3, f3, x2, f2 = x2, f2, x1, f1
+        x1, f1 = x, fx
+        x = x1 if abs(f1) < abs(f2) else x2
+        tol = xtol + rtol * abs(x)
+        width = abs(x2 - x1)
+        if width < 2.0 * tol:
+            return x
+        # inverse quadratic where x1, x2 and x3 lie as a smooth f places them,
+        # else bisection; products, not powers: a float power that overflows raises
+        xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+        if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+            ratio = (x3 - x1) / (x2 - x1)
+            t = f1 / (f2 - f1) * f3 / (f2 - f3) + ratio * f1 / (f3 - f1) * f2 / (f3 - f2)
+        else:
+            t = 0.5
+        # at least tol inside the bracket
+        t = min(max(t, tol / width), 1.0 - tol / width)
+    raise NumericalError("root solve did not converge", x=x, iterations=steps)
 
 
 def _rule_quantile(gen: DensityGenerator, alpha: float) -> tuple[float, float]:

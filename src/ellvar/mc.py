@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .elliptic import _binary_exponent, _check_alpha, _component_rows, _scaled
-from .errors import DomainError, _check_array, _check_int
+from .errors import DomainError, NumericalError, _check_array, _check_int
 from .linalg import _cholesky_lower
 from .linalg import cholesky  # noqa: F401  wrapped by bench/tracing.py
 from .mixture import mixture_expected_shortfall  # noqa: F401  wrapped by bench/tracing.py
@@ -168,7 +168,8 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
 
     Batch b consumes the stream ``SFC64(SeedSequence(seed,
     spawn_key=(b,)))`` and fills its own slice of the output in place,
-    so the result is a pure function of (model, delta, spec).
+    so the result is a pure function of (model, delta, spec).  A path
+    that is not finite raises NumericalError naming its batch.
     """
     if not isinstance(spec, SimulationSpec):
         raise DomainError(f"spec must be a SimulationSpec, got {type(spec).__name__}")
@@ -189,9 +190,8 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
     # route to it: on delta at its own unit scale, not the rows', and scaled back
     shift = _binary_exponent(d)
     unit = np.ldexp(d, -shift)
-    scales = np.ldexp(
-        [np.linalg.norm(_cholesky_lower(m.sigma).T @ unit) for _, m in model.components], shift
-    )
+    norms = [np.linalg.norm(_cholesky_lower(m.sigma).T @ unit) for _, m in model.components]
+    scales = _scaled(np.array(norms), shift)
 
     n_batches = -(-spec.paths // spec.batch_size)
     out = np.empty(spec.paths)
@@ -201,7 +201,12 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
         stream = np.random.SeedSequence(spec.seed, spawn_key=(b,))
         rng = np.random.Generator(np.random.SFC64(stream))
         batch = out[start : start + spec.batch_size]
-        _draw_pnl(rng, batch, cdf, scales, means, draws, base, spec.antithetic)
+        # set in the batch, so it holds in the worker thread that runs it
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            try:
+                _draw_pnl(rng, batch, cdf, scales, means, draws, base, spec.antithetic)
+            except FloatingPointError as err:
+                raise NumericalError("pnl is not finite", batch=b, scale=scales.max()) from err
 
     with ThreadPoolExecutor(max_workers=min(spec.workers, n_batches)) as pool:
         # consumed, so a batch's error is raised here
@@ -234,7 +239,7 @@ def _linear_quantile(head: np.ndarray, n: int, q: float) -> float:
 def _estimates(x: np.ndarray, alphas: Sequence[float]) -> list[EmpiricalEstimate]:
     """Order-statistic estimates at every alpha from one selection of the checked sample x.
 
-    x, a float64 array that ``_check_array`` has passed, is reordered in
+    x, a finite float64 array, checked or drawn by the sampler, is reordered in
     place: partitioned once, at the highest order statistic any alpha
     reads, and only the part below it sorted; each alpha then reads its
     VaR, its tail and the two quantiles behind its VaR standard error
@@ -247,9 +252,9 @@ def _estimates(x: np.ndarray, alphas: Sequence[float]) -> list[EmpiricalEstimate
         )
     levels = [(alpha, math.ceil(alpha * n)) for alpha in map(_check_alpha, alphas)]
 
-    # an alpha reads order statistics up to the upper neighbour of its
-    # 3 alpha / 2 quantile, which lies past its VaR at k - 1
-    top = max(max(k - 1, math.floor((n - 1) * (alpha + alpha / 2.0)) + 1) for alpha, k in levels)
+    # an alpha reads up to the upper neighbour of its 3 alpha / 2 quantile,
+    # floor(y) + 1 > y = 1.5 alpha (n - 1) >= alpha n > k - 1, past its VaR
+    top = max(math.floor((n - 1) * (alpha + alpha / 2.0)) + 1 for alpha, _ in levels)
     x.partition(top)
     head = x[: top + 1]
     head.sort()
@@ -347,7 +352,7 @@ def validate_model(
     alphas = tuple(map(_check_alpha, alphas))
     if not alphas:
         raise DomainError("alphas must hold at least one level, got none")
-    estimates = _estimates(_check_array(simulate_pnl(model, delta, spec), "pnl"), alphas)
+    estimates = _estimates(simulate_pnl(model, delta, spec), alphas)
     rows = []
     for alpha, est in zip(alphas, estimates):
         a_var, a_es = _analytic_var_es(model, delta, alpha)

@@ -279,7 +279,7 @@ def _import_integrate():
     It is imported on the first integral, not with the package: with the
     scipy.optimize it loads it adds about 0.2 s to a cold start, which
     runs that need only closed forms, mixtures of them included, do
-    without (the package's root solver is its own ``elliptic._brent``).
+    without (the package's root solver is its own ``elliptic._root``).
     Once bound it is an ordinary module attribute, so a wrapper set in
     its place (as bench/tracing.py sets one) sees every integral.
     """

@@ -110,6 +110,7 @@ _DENSITY_PATHS = {
         (_overflowing_past_4, NumericalError),
         pytest.param(_returning_past_4(math.nan), NumericalError, id="nan_past_4-NumericalError"),
         pytest.param(_returning_past_4(math.inf), NumericalError, id="inf_past_4-NumericalError"),
+        pytest.param(_returning_past_4(-math.inf), NumericalError, id="-inf_past_4-NumericalError"),
         pytest.param(_returning_past_4("0.1"), DomainError, id="str_past_4-DomainError"),
         pytest.param(_returning_past_4(None), DomainError, id="None_past_4-DomainError"),
     ],
@@ -664,14 +665,18 @@ def test_the_engine_calls_the_laws_not_the_module_wrappers(monkeypatch):
     assert calls == []
 
 
-def _brent_case(rng: random.Random):
-    """A seeded (f, lo, hi, xtol, rtol) with the root r of f inside [lo, hi].
+# the index of the cusped shape in _root_case, the one that is not smooth
+_CUSP = 3
 
-    The shapes are smooth (secant and inverse quadratic steps), saturated
-    or cusped (bisections), and cusped on brackets up to 1e60 wide (no
-    stop within 100 steps).  Each f is 0 or at least 1e-150 in size:
-    older scipy releases test signs by the product f(a) * f(b), which
-    only differs from the sign bits where that product underflows.
+
+def _root_case(rng: random.Random):
+    """A seeded (shape, f, lo, hi, xtol, rtol) with the root r of f inside [lo, hi].
+
+    The shapes are smooth, saturated or cusped (shape ``_CUSP``), the
+    cusps on brackets up to 1e60 wide (no stop within the step cap).
+    Each f is 0 or at least 1e-150 in size: older scipy releases test
+    signs by the product f(a) * f(b), which only differs from the sign
+    bits where that product underflows.
     """
     r, k, a = rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-2.0, 3.0), rng.uniform(0.0, 5.0)
     shapes = (
@@ -684,21 +689,20 @@ def _brent_case(rng: random.Random):
     )
     kind = rng.randrange(len(shapes))
     f, sign = shapes[kind], rng.choice((1.0, -1.0))
-    span = 10.0 ** rng.uniform(-3.0, 60.0 if kind == 3 else 2.0)
+    span = 10.0 ** rng.uniform(-3.0, 60.0 if kind == _CUSP else 2.0)
     lo, hi = r - span * rng.uniform(0.01, 1.0), r + span * rng.uniform(0.01, 1.0)
     xtol = rng.choice((1e-15, 2e-12, 5e-324))
     rtol = rng.choice((8.9e-16, 1e-12, 1e-8))
-    return (lambda x: sign * f(x)), lo, hi, xtol, rtol
+    return kind, (lambda x: sign * f(x)), lo, hi, xtol, rtol
 
 
-def _brent_branches(run) -> set[str]:
-    """The step branches of ``elliptic._brent`` that run() takes, traced by line."""
+def _root_branches(run) -> set[str]:
+    """The step kinds of ``elliptic._root`` that run() takes, traced by line."""
     marks = {
-        "secant": "stry = -fcur * (xcur - xpre)",
-        "inverse quadratic": "dpre = ",
-        "bisection": "spre = scur = sbis",
+        "inverse quadratic": "ratio = (x3 - x1)",
+        "bisection": "            t = 0.5",
     }
-    lines, first = inspect.getsourcelines(elliptic._brent)
+    lines, first = inspect.getsourcelines(elliptic._root)
     where = {
         first + i: name
         for i, line in enumerate(lines)
@@ -714,7 +718,7 @@ def _brent_branches(run) -> set[str]:
         return on_line
 
     def on_call(frame, event, arg):
-        return on_line if frame.f_code is elliptic._brent.__code__ else None
+        return on_line if frame.f_code is elliptic._root.__code__ else None
 
     previous = sys.gettrace()
     sys.settrace(on_call)
@@ -725,16 +729,18 @@ def _brent_branches(run) -> set[str]:
     return taken
 
 
-def test_brent_is_brentq_bit_for_bit():
-    # root, function calls and failure to stop all match scipy's brentq
+def test_root_agrees_with_brentq():
+    # wherever scipy's brentq stops, _root stops, within its stop tolerance
+    # of brentq's root, and on the smooth shapes it reads f no more often
     rng = random.Random(20250)
-    cases = [_brent_case(rng) for _ in range(2400)]
-    failures, smallest = 0, math.inf
+    cases = [_root_case(rng) for _ in range(2400)]
+    calls = {"root": 0, "brentq": 0}
+    stuck, smallest = 0, math.inf
 
     def sweep():
-        nonlocal failures, smallest
+        nonlocal stuck, smallest
         for case in cases:
-            f, lo, hi, xtol, rtol = case
+            kind, f, lo, hi, xtol, rtol = case
             ref, res = optimize.brentq(
                 f, lo, hi, xtol=xtol, rtol=rtol, full_output=True, disp=False
             )
@@ -745,33 +751,110 @@ def test_brent_is_brentq_bit_for_bit():
                 return values[-1]
 
             try:
-                root, stuck = elliptic._brent(counted, lo, hi, xtol, rtol), None
+                root = elliptic._root(counted, lo, hi, xtol, rtol)
             except NumericalError as exc:
-                root, stuck = exc.diagnostics["x"], exc.diagnostics["iterations"]
-                failures += 1
-            want = (ref.hex(), res.function_calls, None if res.converged else res.iterations)
-            assert (root.hex(), len(values), stuck) == want, case
+                assert not res.converged, case
+                assert exc.diagnostics["iterations"] == elliptic._ROOT_MAX_STEPS
+                stuck += 1
+                continue
             smallest = min([smallest] + [abs(v) for v in values if v != 0.0])
+            if res.converged:
+                assert abs(root - ref) <= 2.0 * (xtol + rtol * abs(ref)), case
+            if kind != _CUSP:
+                calls["root"] += len(values)
+                calls["brentq"] += res.function_calls
 
-    assert _brent_branches(sweep) == {"secant", "inverse quadratic", "bisection"}
-    assert 0 < failures < len(cases)
+    assert _root_branches(sweep) == {"inverse quadratic", "bisection"}
+    assert 0 < stuck < len(cases)
+    assert calls["root"] <= calls["brentq"]
     assert smallest >= 1e-150
 
 
-def test_brent_raises_typed_errors():
+def test_root_returns_a_zero_it_meets():
+    # at an end without a step, and at a step without another
+    for shift, want, calls in ((0.0, 0.0, 2), (1.0, 1.0, 2), (0.5, 0.5, 3)):
+        points = []
+
+        def f(x):
+            points.append(x)
+            return x - shift
+
+        assert elliptic._root(f, 0.0, 1.0, 1e-15, 8.9e-16) == want
+        assert len(points) == calls
+
+
+def test_root_steps_onto_a_root_whose_inverse_is_quadratic():
+    # x = (f / 2 + 1)^2 is quadratic in f, so the inverse quadratic through the
+    # ends and the midpoint is the root itself, to rounding; one step of the
+    # stop tolerance past it then closes the bracket
+    for lo, hi in ((0.25, 4.0), (0.1, 9.0)):
+        points = []
+
+        def f(x):
+            points.append(x)
+            return 2.0 * (math.sqrt(x) - 1.0)
+
+        root = elliptic._root(f, lo, hi, 1e-15, 8.9e-16)
+        assert points[:3] == [lo, hi, lo + 0.5 * (hi - lo)]
+        assert len(points) == 5 and root == points[3]
+        assert abs(root - 1.0) <= 1e-15
+        tol = 1e-15 + 8.9e-16 * root
+        assert tol / 2.0 < abs(points[4] - root) < 2.0 * tol
+
+
+def test_root_bisects_where_the_points_do_not_lie_as_a_smooth_f_places_them():
+    # after the midpoint, f(1) = -0.001 lies so near f(2) = 1 against f(0) = -10
+    # that the inverse quadratic is not trusted: the next point bisects [1, 2]
+    points = []
+
+    def f(x):
+        points.append(x)
+        return float(np.interp(x, [0.0, 1.0, 2.0], [-10.0, -0.001, 1.0]))
+
+    elliptic._root(f, 0.0, 2.0, 1e-15, 8.9e-16)
+    assert points[:4] == [0.0, 2.0, 1.0, 1.5]
+
+
+def test_root_keeps_its_steps_and_its_stop_to_the_tolerance():
+    # a bisection stops at the first bracket narrower than 2 (xtol + rtol |x|):
+    # at width 1, not at width 2, and on the end with the smaller |f| (ties: x2)
+    points = []
+
+    def step(x):
+        points.append(x)
+        return 1.0 if x >= 2.5 else -1.0
+
+    assert elliptic._root(step, 0.0, 8.0, 1.0, 0.0) == 2.0
+    assert points == [0.0, 8.0, 4.0, 2.0, 3.0]
+    # a root within the tolerance of an end: the inverse quadratic would step
+    # onto it, but the step stops the tolerance short of the end, which closes
+    # the bracket
+    hi = 1.0 + 4.4e-16
+    points.clear()
+
+    def f(x):
+        points.append(x)
+        return 2.0 * (math.sqrt(x) - 1.0)
+
+    assert elliptic._root(f, 0.25, hi, 1e-15, 8.9e-16) == hi
+    tol = 1e-15 + 8.9e-16 * hi
+    assert len(points) == 4 and tol / 2.0 < hi - points[3] < 2.0 * tol
+
+
+def test_root_raises_typed_errors():
     # a nan at a step or at an end, and ends of one sign, are library errors
     def nan_inside(x):
         return math.nan if 0.0 < x < 1.0 else x - 0.5
 
     with pytest.raises(NumericalError) as err:
-        elliptic._brent(nan_inside, 0.0, 1.0, 1e-15, 8.9e-16)
+        elliptic._root(nan_inside, 0.0, 1.0, 1e-15, 8.9e-16)
     assert isinstance(err.value, EllvarError)
     assert 0.0 < err.value.diagnostics["x"] < 1.0 and err.value.diagnostics["iterations"] == 1
     with pytest.raises(NumericalError) as err:
-        elliptic._brent(nan_inside, 0.5, 2.0, 1e-15, 8.9e-16)
+        elliptic._root(nan_inside, 0.5, 2.0, 1e-15, 8.9e-16)
     assert err.value.diagnostics == {"x": 0.5, "iterations": 0}
     with pytest.raises(BracketError):
-        elliptic._brent(lambda x: x - 3.0, 0.0, 1.0, 1e-15, 8.9e-16)
+        elliptic._root(lambda x: x - 3.0, 0.0, 1.0, 1e-15, 8.9e-16)
     # a tail that reads nan inside its bracket fails the quantile solve the same way
     with pytest.raises(NumericalError):
         elliptic._solve_decreasing(
@@ -787,6 +870,23 @@ def test_solve_decreasing_bracket_ends():
     assert err.value.diagnostics == {"alpha": 0.01, "lower": upper / 2.0, "upper": upper}
     # an upper end whose tail is alpha exactly is the root
     assert elliptic._solve_decreasing(lambda x: 0.5 * 2.0**-x, 0.125, 0.0, 2.0) == 2.0
+
+
+def test_solve_decreasing_solves_the_log_tail_to_its_stated_tolerance(monkeypatch):
+    # the root of log f - log alpha within 2 (1e-15 + 8.9e-16 q), on the
+    # tolerances the docstring gives; log f is linear here, so q is known
+    calls = []
+
+    def spy(f, lo, hi, xtol, rtol):
+        calls.append((xtol, rtol))
+        return root(f, lo, hi, xtol, rtol)
+
+    root = elliptic._root
+    monkeypatch.setattr(elliptic, "_root", spy)
+    for alpha in (0.05, 1e-3, 1e-12, 1e-200):
+        q = elliptic._solve_decreasing(lambda x: 0.5 * math.exp(-x), alpha)
+        assert abs(q - math.log(0.5 / alpha)) <= 2.0 * (1e-15 + 8.9e-16 * q)
+    assert calls == [(1e-15, 8.9e-16)] * 4
 
 
 def test_newton_polish_raises_typed_errors():

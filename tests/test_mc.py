@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +30,7 @@ from ellvar import (
     var,
 )
 from ellvar import mc
-from ellvar.errors import DomainError, UnsupportedGeneratorError
+from ellvar.errors import DomainError, NumericalError, UnsupportedGeneratorError
 
 
 def _gaussian_model(sigma=None):
@@ -39,6 +41,14 @@ def _gaussian_model(sigma=None):
 def _student_model(nu=6.0):
     sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
     return EllipticModel(generator=student_generator(2, nu), mu=np.zeros(2), sigma=sigma)
+
+
+def test_spec_defaults():
+    # a million paths in batches of 2^18, seed 0, plain draws, one worker: the
+    # CLI's defaults too
+    assert SimulationSpec() == SimulationSpec(
+        paths=1_000_000, seed=0, batch_size=262_144, antithetic=False, workers=1
+    )
 
 
 def test_spec_validation():
@@ -151,10 +161,30 @@ def test_empirical_var_es_normal_sample():
 
 
 def test_empirical_var_es_warns_on_thin_tail():
+    # 49 paths in the tail warn, naming the line that called, and 50 do not
     rng = np.random.default_rng(19)
     pnl = rng.standard_normal(10_000)
     with pytest.warns(RuntimeWarning):
         empirical_var_es(pnl, 0.004)
+    with pytest.warns(RuntimeWarning, match="only 49 paths") as record:
+        empirical_var_es(pnl, 0.0049)
+    assert [w.filename for w in record] == [__file__]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        empirical_var_es(pnl, 0.005)
+
+
+def test_es_standard_error_of_one_and_two_tail_paths():
+    # one tail path has no spread, so no ES standard error, and only the
+    # thin-tail warning says so; two paths have one
+    pnl = np.random.default_rng(29).standard_normal(10_000)
+    with pytest.warns(RuntimeWarning) as record:
+        one, two = empirical_var_es(pnl, 1e-4), empirical_var_es(pnl, 2e-4)
+    assert [w.message.args[0] for w in record] == [
+        f"only {k} paths in the 0.000{k} tail; estimates will be noisy" for k in (1, 2)
+    ]
+    assert one.tail_count == 1 and math.isnan(one.es_se)
+    assert two.tail_count == 2 and 0.0 < two.es_se < math.inf
 
 
 @pytest.mark.parametrize(
@@ -206,17 +236,30 @@ def test_empirical_var_es_rejects_non_finite_pnl(bad):
         empirical_var_es(pnl, 0.05)
 
 
-def test_validate_model_rejects_non_finite_pnl(monkeypatch):
-    def simulate(model, delta, spec):
-        pnl = np.random.default_rng(47).standard_normal(spec.paths)
-        pnl[-1] = math.nan
-        return pnl
-
-    monkeypatch.setattr(mc, "simulate_pnl", simulate)
-    with pytest.raises(DomainError, match="finite"):
-        validate_model(
-            _gaussian_model(), np.array([1.0, 0.0]), spec=SimulationSpec(paths=20_000)
-        )
+def test_validate_model_refuses_a_sample_past_the_double_range():
+    # at 2^1020 some Student nu = 3 paths overflow: the draw raises, naming the
+    # batch and the pnl scale, in a worker thread too, before anything is estimated
+    model = StudentParams(nu=3.0, mu=np.zeros(1), sigma=np.eye(1))
+    for run, spec in (
+        (simulate_pnl, SimulationSpec(paths=100_000, seed=1)),
+        (validate_model, SimulationSpec(paths=100_000, seed=1)),
+        (simulate_pnl, SimulationSpec(paths=100_000, seed=1, batch_size=25_000, workers=2)),
+    ):
+        with pytest.raises(NumericalError, match="pnl is not finite") as err:
+            run(model, np.array([2.0**1020]), spec=spec)
+        assert err.value.diagnostics["scale"] == 2.0**1020
+        assert err.value.diagnostics["batch"] in range(-(-spec.paths // spec.batch_size))
+    # a pnl scale past the double range raises before any path is drawn
+    wide = StudentParams(nu=3.0, mu=np.zeros(1), sigma=np.full((1, 1), 16.0))
+    with pytest.raises(NumericalError, match="double range") as err:
+        simulate_pnl(wide, np.array([2.0**1023]), spec)
+    # 2^1023 is 1/2 at exponent 1024, and its scale 4 * 1/2
+    assert err.value.diagnostics["unit_value"].tolist() == [2.0]
+    assert err.value.diagnostics["exponent"] == 1024
+    # at 2^1010 every path is the unit book's, scaled exactly
+    unit = simulate_pnl(model, np.ones(1), spec)
+    book = simulate_pnl(model, np.array([2.0**1010]), spec)
+    assert book.tobytes() == np.ldexp(unit, 1010).tobytes()
 
 
 @pytest.mark.parametrize("alpha", [0.7, 0.0, math.nan])
@@ -280,6 +323,15 @@ def test_empirical_var_es_matches_full_partition_and_quantile(sample):
         assert est.es == pytest.approx(es_ref, rel=1e-14, abs=0.0)
         assert est.es_se == pytest.approx(es_se_ref, rel=1e-14, abs=1e-300)
         assert est.tail_count == math.ceil(alpha * pnl.shape[0])
+
+
+def test_linear_quantile_is_numpys_at_gamma_one_half():
+    # 16 * 0.28125 = 4.5: the two forms of the interpolation differ by an ulp for
+    # these neighbours, and numpy's linear method takes b - (b - a) (1 - gamma)
+    for a, b in ((-0.9910457662660677, 7.487210707144394), (0.10483593194374219, 8.80612275317112)):
+        x = np.array([-5.0] * 4 + [a, b] + [9.0] * 11)
+        assert a + (b - a) * 0.5 != b - (b - a) * 0.5
+        assert mc._linear_quantile(np.sort(x), x.size, 0.28125) == np.quantile(x, 0.28125)
 
 
 @pytest.mark.parametrize(
@@ -427,6 +479,64 @@ def test_choice_of_base_component_never_changes_a_byte(antithetic):
     assert len(pnl) == 1
 
 
+# sha256 of simulate_pnl's bytes at 263,145 paths, seed 2026: the default
+# batch of 262,144 paths and a short last batch of 1,001, one-factor books so
+# no BLAS reduction enters the scale
+PNL_DIGESTS = {
+    ("student", False): "d169c07e4ee076cf61a3a8ed810af11b276a37574c43c5842d1cb98224594f96",
+    ("student", True): "5cd269a033a189fd9f39980109d10a055884e70e66b667d4c9bb6c2d94951385",
+    ("mixture", False): "7f9c9a97a0150dce4ab81b010a41d3886e4d7dd6c063f1aab1d93d4800b32bc4",
+    ("mixture", True): "f603d59ecb0fdba9e4202b7f7b859f6b684f88706efacde8b88de1655ecdea37",
+}
+
+
+@pytest.mark.parametrize("law, antithetic", PNL_DIGESTS)
+def test_seeded_pnl_is_unchanged_at_the_default_batch_size(law, antithetic):
+    """A one-component model draws no labels: its stream starts with the normals."""
+    student = StudentParams(nu=4.0, mu=np.array([0.25]), sigma=np.array([[2.25]]))
+    gauss = EllipticModel(
+        mu=np.array([-0.5]), sigma=np.array([[0.25]]), generator=gaussian_generator(1)
+    )
+    model = student if law == "student" else MixtureModel([(0.7, gauss), (0.3, student)])
+    spec = SimulationSpec(paths=263_145, seed=2026, antithetic=antithetic)
+    pnl = simulate_pnl(model, np.array([3.0]), spec)
+    assert hashlib.sha256(pnl.tobytes()).hexdigest() == PNL_DIGESTS[law, antithetic]
+
+
+def test_component_edges_are_normalised_as_rng_choice_normalises_p(monkeypatch):
+    # weights may miss 1 by up to 1e-12; the edges end at 1 exactly, which no
+    # uniform reaches, so every row gets a component
+    seen = []
+    monkeypatch.setattr(mc, "_draw_pnl", lambda rng, out, cdf, *rest: seen.append(cdf.copy()))
+    gauss = EllipticModel(mu=np.zeros(1), sigma=np.eye(1), generator=gaussian_generator(1))
+    for weights in ((0.3, 0.7 + 0.8e-12), (0.25, 0.5, 0.25 - 0.8e-12)):
+        mix = MixtureModel(components=[(w, gauss) for w in weights])
+        simulate_pnl(mix, np.ones(1), SimulationSpec(paths=10))
+        want = np.cumsum(weights)
+        want /= want[-1]
+        assert seen[-1].tobytes() == want.tobytes() and seen[-1][-1] == 1.0
+
+
+def test_labels_of_a_large_mixture_are_rng_choice_on_the_batch_stream():
+    """Past 256 components a label needs 16 bits: component j has mean j and a tiny
+    scale, so each path rounds to its label, which is rng.choice's pick."""
+    k = 257
+    weights = np.arange(1.0, k + 1.0) / (k * (k + 1) / 2.0)
+    gen, sigma = gaussian_generator(1), np.full((1, 1), 1e-12)
+    mix = MixtureModel(
+        components=[
+            (w, EllipticModel(generator=gen, mu=np.full(1, j), sigma=sigma))
+            for j, w in enumerate(weights)
+        ]
+    )
+    spec = SimulationSpec(paths=20_000, seed=113)
+    labels = np.rint(simulate_pnl(mix, np.ones(1), spec))
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(113, spawn_key=(0,))))
+    want = rng.choice(k, size=spec.paths, p=[w for w, _ in mix.components])
+    assert np.count_nonzero(want == k - 1) > 100
+    assert np.array_equal(labels, want)
+
+
 WEIGHTS = {1: (1.0,), 2: (0.6, 0.4), 3: (0.5, 0.3, 0.2)}
 
 
@@ -540,6 +650,19 @@ def test_validate_model_selects_in_place_on_its_sample(shape):
     """Beyond the sample it draws, a validation holds the sampler's scratch, not a copy of it."""
     mixture, bound = PEAK_BOUNDS[shape]
     assert max(_peaks_past_the_sample(validate_model, mixture)) <= bound
+
+
+@pytest.mark.parametrize("offset, ok", [(3.0, True), (3.25, False)])
+def test_validate_model_verdicts_are_three_standard_errors(monkeypatch, offset, ok):
+    # a row passes with its analytic numbers within 3 SE of the estimates, the
+    # boundary included (exact in binary here), and fails past them
+    est = mc.EmpiricalEstimate(var=1.0, es=2.0, var_se=0.25, es_se=0.5, paths=10, tail_count=1)
+    monkeypatch.setattr(mc, "simulate_pnl", lambda *args: np.zeros(10))
+    monkeypatch.setattr(mc, "_estimates", lambda x, alphas: [est] * len(alphas))
+    analytic = (1.0 + offset * 0.25, 2.0 - offset * 0.5)
+    monkeypatch.setattr(mc, "_analytic_var_es", lambda *args: analytic)
+    [row] = validate_model(_gaussian_model(), np.ones(2), (0.05,))
+    assert (row.var_ok, row.es_ok) == (ok, ok)
 
 
 def test_validate_model_gaussian():

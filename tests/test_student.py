@@ -201,6 +201,14 @@ def test_only_the_t_normalisers_call_log_gamma():
     assert callers == {"_log_gamma_ratio"}
 
 
+def test_student_big_g_is_one_half_at_zero_on_both_routes():
+    # the hyp2f1 route has no argument -nu / s^2 at s = 0; the centre is exact
+    for nu in (2.5, 7.0, 1e4):
+        for s in (0.0, -0.0):
+            assert student_big_g(s, nu, "hyp2f1") == 0.5
+            assert student_big_g(s, nu) == 0.5
+
+
 def test_student_big_g_rejects_unknown_method():
     with pytest.raises(DomainError):
         student_big_g(1.0, 5.0, method="series")
@@ -271,8 +279,10 @@ def test_student_tail_expectation_formula():
 
 # mpmath (50 digits) oracle of f(t) (nu + t^2) / (nu - 1), frozen: t so far
 # out that f(t) falls below the normal doubles, and past 1.3e154 nu + t^2
-# overflows; nu = 5 and 50 give 1.2e-799 and 1.7e-9759, which round to 0
+# overflows; nu = 5 and 50 give 1.2e-799 and 1.7e-9759, which round to 0.
+# At nu = 1000, t = 56, f(t) is 1.0e-309 and nu / t^2 = 0.32 is not negligible.
 HUGE_T_TAIL_EXPECTATION_CASES = [
+    (56.0, 1000.0, 4.16160854026743e-309),
     (1e200, 2.01, 1.0015888293556568e-202),
     (-1e200, 2.01, 1.0015888293556568e-202),
     (1e300, 2.01, 1.0015888293557058e-303),
@@ -337,6 +347,19 @@ def test_student_tail_expectation_at_large_nu(t, nu, expected):
 @pytest.mark.parametrize("alpha, nu, q, expected", LARGE_NU_ES_MULTIPLIER_CASES)
 def test_student_es_multiplier_at_large_nu(alpha, nu, q, expected):
     assert student_es_multiplier(alpha, nu, quantile=q) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+# mpmath (50 digits) oracles, frozen, of lgamma(x + 1/2) - lgamma(x) at the
+# switch to its series and past it, where the plain difference of log_gamma
+# values is 2.1e-13 and 9.5e-14 off and the series 9.4e-17 and 1.8e-17
+LOG_GAMMA_RATIO_CASES = [(1000.0, 3.453752639496277), (1200.0, 3.5449342512243933)]
+
+
+@pytest.mark.parametrize("x, expected", LOG_GAMMA_RATIO_CASES)
+def test_log_gamma_ratio_takes_its_series_from_the_switch_on(x, expected):
+    from ellvar.student import _log_gamma_ratio
+
+    assert abs(_log_gamma_ratio(x) / expected - 1.0) <= 1e-15
 
 
 # mpmath (50 digits) oracles, frozen, of the n-variate t constant
@@ -534,6 +557,8 @@ def test_dispersion_from_covariance_round_trip():
     assert np.allclose(params.covariance, cov, rtol=1e-14)
     with pytest.raises(DomainError):
         dispersion_from_covariance(cov, 2.0)
+    # any nu above 2 has a covariance
+    assert np.array_equal(dispersion_from_covariance(cov, 2.5), (0.5 / 2.5) * cov)
 
 
 def test_student_var_reduces_to_quantile_times_vol():
@@ -579,8 +604,11 @@ def test_student_expected_shortfall_rejects_other_models(kind):
         ),
         "not a model": {"nu": 5.0},
     }[kind]
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as err:
         student_expected_shortfall(model, np.ones(2), 0.05)
+    if kind != "not a model":
+        count = len(model.components)
+        assert f"got {count} component(s), the first with generator 'gaussian'" in str(err.value)
 
 
 def test_student_to_model_round_trip():
