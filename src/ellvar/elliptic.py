@@ -267,6 +267,7 @@ class EllipticModel:
     mu: np.ndarray
     sigma: np.ndarray
     generator: DensityGenerator
+    _form_exponents: tuple[int, int] = field(init=False, default=(0, 0), repr=False)
 
     def __post_init__(self):
         _check_generator(self.generator)
@@ -279,6 +280,16 @@ class EllipticModel:
                 f"generator dimension {n} does not match mu ({self.mu.shape[0]}) "
                 f"or sigma ({self.sigma.shape[0]})"
             )
+        # (j, k): _component_rows divides mu by 2^j and sigma by 4^k before
+        # it takes their forms of a vector of entries below 1 in size.  Those
+        # are below n max|mu| and n^2 max|sigma| (an SPD matrix's largest
+        # entry lies on its diagonal), and j and k are the least shifts that
+        # keep them below 2^1022: 0, so no array is copied, unless a form
+        # could pass it, and small enough that an ordinary entry next to a
+        # huge one keeps its bits.
+        bits = n.bit_length()
+        j, k = _binary_exponent(self.mu), _binary_exponent(np.diagonal(self.sigma))
+        self._form_exponents = (max(0, j + bits - 1022), max(0, (k + 2 * bits - 1021) // 2))
 
     @property
     def dimension(self) -> int:
@@ -319,8 +330,11 @@ def _component_rows(model, delta) -> tuple[np.ndarray, int, list[tuple]]:
     they were built.  The one scale rule: each row holds its mean and vol
     divided by 2^e, e the exponent of delta plus that of the largest vol,
     which so lies in [1/2, 1), or, where a mean is over 2^1000 times that
-    vol, that of the mean less 1000, so no mean passes 2^1000.  A delta
-    with zero vol has no risk and raises.
+    vol, that of the mean less 1000, so no mean passes 2^1000.  A mean or
+    vol is formed at the model's form exponents (see ``EllipticModel``)
+    and never passes the double range on the way, so one that fits comes
+    out right and one past it raises at ``_scaled``.  A delta with zero
+    vol has no risk and raises.
     """
     try:
         components = model.components
@@ -329,15 +343,23 @@ def _component_rows(model, delta) -> tuple[np.ndarray, int, list[tuple]]:
     d = _check_array(delta, "delta", length=model.dimension)
     e = _binary_exponent(d)
     unit = np.ldexp(d, -e)
-    # an SPD sigma can only give a negative form through rounding
-    vols = [math.sqrt(max(float(unit @ m.sigma @ unit), 0.0)) for _, m in components]
-    if min(vols) == 0.0:
+    means, vols = [], []
+    for _, m in components:
+        j, k = m._form_exponents
+        mu = m.mu if j == 0 else np.ldexp(m.mu, -j)
+        sigma = m.sigma if k == 0 else np.ldexp(m.sigma, -2 * k)
+        means.append((float(unit @ mu), j))
+        # an SPD sigma can only give a negative form through rounding
+        vols.append((math.sqrt(max(float(unit @ sigma @ unit), 0.0)), k))
+    if min(vol for vol, _ in vols) == 0.0:
         raise DomainError("delta has zero volatility; there is no risk to measure")
-    means = [float(unit @ m.mu) for _, m in components]
-    shift = max(math.frexp(max(vols))[1], math.frexp(max(map(abs, means)))[1] - 1000)
+    shift = max(
+        max(math.frexp(vol)[1] + k for vol, k in vols),
+        max((math.frexp(mean)[1] + j for mean, j in means if mean), default=0) - 1000,
+    )
     rows = [
-        (w, m.generator, math.ldexp(mean, -shift), math.ldexp(vol, -shift))
-        for (w, m), mean, vol in zip(components, means, vols)
+        (w, m.generator, math.ldexp(mean, j - shift), math.ldexp(vol, k - shift))
+        for (w, m), (mean, j), (vol, k) in zip(components, means, vols)
     ]
     return d, e + shift, rows
 

@@ -10,7 +10,10 @@ here is scalar float-in/float-out.  The incomplete beta is
 ``scipy.special.betainc`` behind this module's argument checks.  The
 hypergeometric function is summed here: it is the route the Student tail
 is checked by, independent of ``stdtr``, and ``scipy.special.hyp2f1``
-gives nan near argument 1, where that route's Pfaff argument lies.
+gives nan near argument 1, where that route's Pfaff argument lies.  The
+quadrature is QUADPACK's QAGI on scipy's compiled extension, loaded on
+the first integral without ``scipy.integrate``: a run loads
+``scipy.special`` and, once it integrates, that one module, no more.
 
 ``hyp2f1`` only supports z <= 0, the branch the tail formulas evaluate,
 reached by one Pfaff transformation into the unit disk.  Arguments far
@@ -25,10 +28,15 @@ that the two terms cancel; those are left to the direct series.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from typing import Callable
 
 import numpy as np
+import scipy
 from scipy.special import betainc
 
 from .errors import DomainError, NumericalError, QuadratureError, _check_int, _check_real
@@ -276,12 +284,10 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 def _import_integrate():
     """Bind ``scipy.integrate`` as this module's ``integrate`` and return it.
 
-    It is imported on the first integral, not with the package: with the
-    scipy.optimize it loads it adds about 0.2 s to a cold start, which
-    runs that need only closed forms, mixtures of them included, do
-    without (the package's root solver is its own ``elliptic._root``).
-    Once bound it is an ordinary module attribute, so a wrapper set in
-    its place (as bench/tracing.py sets one) sees every integral.
+    The package itself never calls it: ``integrate_semi_infinite`` calls
+    QUADPACK's extension directly.  It stays only as the hook that
+    bench/tracing.py reads, and importing it loads the scipy.optimize,
+    scipy.linalg and scipy.sparse stack that the package does without.
     """
     global integrate
     from scipy import integrate
@@ -290,10 +296,42 @@ def _import_integrate():
 
 
 def __getattr__(name: str):
-    # ``specfun.integrate`` resolves before the first integral too
+    # ``specfun.integrate`` resolves on first read, for the tracer
     if name == "integrate":
         return _import_integrate()
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+_QUADPACK = "scipy.integrate._quadpack"
+_quadpack = None
+
+
+def _load_quadpack():
+    """Bind scipy's compiled QUADPACK extension as ``_quadpack`` and return it.
+
+    The extension is found in the installed scipy's ``integrate`` folder
+    by importlib's path finder and loaded without running
+    ``scipy/integrate/__init__.py``,
+    whose imports (scipy.optimize, scipy.linalg, scipy.sparse, ...) hold
+    about 26 MB and 0.18 s of a cold start that no integral here needs.
+    It is registered under its own name, so a later ``import
+    scipy.integrate`` shares this module, and an entry already registered
+    is reused.  Should a scipy keep it elsewhere, scipy.integrate is
+    imported for it.
+    """
+    global _quadpack
+    module = sys.modules.get(_QUADPACK)
+    if module is None:
+        folder = os.path.join(os.path.dirname(scipy.__file__), "integrate")
+        spec = PathFinder.find_spec(_QUADPACK, [folder])
+        if spec is not None:
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            module = sys.modules.setdefault(_QUADPACK, module)
+        else:
+            from scipy.integrate import _quadpack as module
+    _quadpack = module
+    return module
 
 
 def integrate_semi_infinite(
@@ -303,33 +341,34 @@ def integrate_semi_infinite(
 ) -> float:
     """Integrate f over [lower, infinity) to the requested tolerance.
 
-    QUADPACK's QAGI routine does the work: it compactifies the interval
-    with a rational change of variables and refines panels adaptively.
-    Non-convergence within the subdivision budget raises QuadratureError
-    carrying the achieved error estimate.
+    QUADPACK's QAGI routine does the work (Piessens et al. 1983): it
+    compactifies the interval with a rational change of variables and
+    refines panels adaptively.  It is called as ``scipy.integrate.quad``
+    calls it for [lower, inf), so the values are quad's, bit for bit, but
+    only the compiled extension is loaded (see ``_load_quadpack``).  A
+    return code other than 0 (the subdivision budget spent, roundoff, a
+    divergent or badly behaved integrand) or a value that is not finite
+    raises QuadratureError carrying the value, the achieved error
+    estimate and the code; an error the integrand raises passes through.
     """
     if spec is None:
         spec = DEFAULT_QUADRATURE
     elif not isinstance(spec, QuadratureSpec):
         raise DomainError(f"spec must be a QuadratureSpec, got {type(spec).__name__}")
     lower = _check_real(lower, "lower limit")
-    if "integrate" not in globals():
-        _import_integrate()
-    out = integrate.quad(
-        f,
-        lower,
-        np.inf,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
-        full_output=True,
+    quadpack = _quadpack or _load_quadpack()
+    # bound code 1 is [lower, inf), with no extra arguments; full_output 0,
+    # where quad's 1 only adds an info dict to what it returns
+    value, abserr, ier = quadpack._qagie(
+        f, lower, 1, (), 0, spec.abs_tol, spec.rel_tol, spec.max_subdivisions
     )
-    value, abserr = out[0], out[1]
-    if len(out) > 3 or not math.isfinite(value):
+    if ier != 0 or not math.isfinite(value):
+        reason = f"QAGI returned code {ier}" if ier else "the value is not finite"
         raise QuadratureError(
-            "semi-infinite quadrature did not converge: " + str(out[3] if len(out) > 3 else value),
+            f"semi-infinite quadrature did not converge: {reason}",
             value=value,
             achieved_abs_error=abserr,
+            ier=ier,
             lower=lower,
             rel_tol=spec.rel_tol,
             abs_tol=spec.abs_tol,

@@ -889,6 +889,41 @@ def test_solve_decreasing_solves_the_log_tail_to_its_stated_tolerance(monkeypatc
     assert calls == [(1e-15, 8.9e-16)] * 4
 
 
+def _hook_less_deck(n):
+    """Generators as the generic workload builds them: powexp, bare Student, bare normal."""
+    for beta in (0.4, 0.7, 1.0):
+        yield DensityGenerator(n, lambda u, b=beta: math.exp(-(u**b) / 2.0), auto_rescale=True)
+    for nu in (3.0, 10.0, 30.0):
+        log_norm = math.lgamma((nu + n) / 2.0) - math.lgamma(nu / 2.0) - n / 2.0 * math.log(nu * math.pi)
+        yield DensityGenerator(
+            n, lambda u, nu=nu: (1.0 + u / nu) ** (-(nu + n) / 2.0), normalizer=math.exp(log_norm)
+        )
+    yield DensityGenerator(n, lambda u: math.exp(-0.5 * u), normalizer=(2.0 * math.pi) ** (-n / 2.0))
+
+
+def test_hook_less_solves_never_fall_back_to_the_adaptive_bracket(monkeypatch):
+    # the fixed rule's root and slope must let Newton settle on the adaptive
+    # route: a second _solve_decreasing, on that route, is the fallback, which
+    # would still return a quantile that passes its residual check
+    calls = []
+    solve = elliptic._solve_decreasing
+
+    def spy(f, alpha, *bracket):
+        calls.append(alpha)
+        return solve(f, alpha, *bracket)
+
+    monkeypatch.setattr(elliptic, "_solve_decreasing", spy)
+    fell_back = []
+    for n in (1, 2, 3, 5):
+        for gen in _hook_less_deck(n):
+            for alpha in (0.05, 0.01, 1e-3, 1e-6):
+                calls.clear()
+                solve_quantile(alpha, gen)
+                if calls != [alpha]:
+                    fell_back.append((n, gen.name, gen.density, alpha, len(calls)))
+    assert fell_back == []
+
+
 def test_newton_polish_raises_typed_errors():
     def tail(x):
         return 0.5 * math.exp(-x)

@@ -495,6 +495,109 @@ def test_a_mean_over_2_to_the_1000_vols_sets_the_unit_scale_itself(mu):
     assert np.all(simulate_pnl(model, delta, SimulationSpec(paths=8, seed=1)) == mu)
 
 
+def _book_near_the_largest_double(kind: str, mu, sigma):
+    n = mu.shape[0]
+    gauss = EllipticModel(mu=mu, sigma=sigma, generator=gaussian_generator(n))
+    student = EllipticModel(mu=mu, sigma=0.5 * sigma, generator=student_generator(n, 4.0))
+    if kind == "mixture":
+        return MixtureModel([(0.7, gauss), (0.3, student)])
+    return {"gaussian": gauss, "student": student}[kind]
+
+
+# 1.7e308 x 3 - 1.7e308 x 2: delta . mu is 1.7e308, but its partial sums pass
+# the largest double; and a dispersion of entries near it, whose form with a
+# delta of ones is 23 times 1.7e308, though its square root, the vol, is 6.3e154
+_NEAR_THE_LARGEST_DOUBLE = {
+    "mean": (np.array([1.7e308] * 3 + [-1.7e308] * 2), np.eye(5)),
+    "vol": (np.zeros(5), 1.7e308 * (0.9 + 0.1 * np.eye(5))),
+}
+
+
+# a mixture's root is not solved for means 1e154 vols apart (the root's ulp
+# would pass its vols), so the mixture takes the vol case alone
+@pytest.mark.parametrize(
+    "kind, case",
+    (("gaussian", "mean"), ("student", "mean"), ("gaussian", "vol"), ("student", "vol"), ("mixture", "vol")),
+)
+def test_a_model_near_the_largest_double_reads_the_numbers_of_its_scaled_copy(kind, case):
+    # its numbers fit, and they are its copy's at 2^-200 of its location and
+    # 2^-400 of its dispersion, scaled back to the bit
+    mu, sigma = _NEAR_THE_LARGEST_DOUBLE[case]
+    big = _book_near_the_largest_double(kind, mu, sigma)
+    small = _book_near_the_largest_double(kind, np.ldexp(mu, -200), np.ldexp(sigma, -400))
+    delta, alpha = np.ones(5), 0.01
+    numbers = []
+    for model in (big, small):
+        r, inc = risk_report(model, delta, alpha), incremental_var(model, delta, alpha)
+        numbers.append(
+            [r.var, r.es, r.mean, r.volatility, var(model, delta, alpha),
+             expected_shortfall(model, delta, alpha), inc.total, *inc.contributions, *inc.gamma]
+        )
+        numbers[-1] = (np.array(numbers[-1]), r.quantile)
+    (got, quantile), (base, base_quantile) = numbers
+    assert np.array_equal(got, np.ldexp(base, 200)) and np.isfinite(got).all()
+    assert quantile == base_quantile
+    if kind == "gaussian":
+        r = risk_report(big, delta, alpha)
+        if case == "mean":
+            assert r.mean == pytest.approx(1.7e308, rel=1e-15)
+        else:
+            assert r.volatility == pytest.approx(math.sqrt(23.0) * math.sqrt(1.7e308), rel=1e-15)
+
+
+# one entry near the largest double that delta leaves out, next to ordinary
+# ones: the forms shift by no more than that entry needs, so the ordinary
+# entries keep their bits (a shift by the whole of its exponent, 2^-1024,
+# takes 1e-300 to 0 and 1e-100 to a subnormal)
+_HUGE_ENTRY_OFF_DELTA = {
+    "vol": (np.zeros(2), np.diag([1.7e308, 1e-300]), np.diag([1.0, 1e-300])),
+    "vol 1e308": (np.zeros(2), np.diag([1e308, 1e-20]), np.diag([1.0, 1e-20])),
+    "mean": (np.array([1.7e308, 1e-100]), np.diag([1.0, 1e-200]), np.array([0.0, 1e-100])),
+}
+
+
+@pytest.mark.parametrize("kind", ("gaussian", "student", "mixture"))
+@pytest.mark.parametrize("case", sorted(_HUGE_ENTRY_OFF_DELTA))
+def test_a_huge_entry_that_delta_leaves_out_moves_no_number(kind, case):
+    # the book reads as the same book with that entry made ordinary, but for
+    # that entry's own marginal VaR, which is -1.7e308 in the mean case
+    mu, sigma, ordinary = _HUGE_ENTRY_OFF_DELTA[case]
+    if case == "mean":
+        plain = _book_near_the_largest_double(kind, ordinary, sigma)
+    else:
+        plain = _book_near_the_largest_double(kind, mu, ordinary)
+    huge = _book_near_the_largest_double(kind, mu, sigma)
+    delta, alpha = np.array([0.0, 1.0]), 0.01
+    numbers = []
+    for model in (huge, plain):
+        r, inc = risk_report(model, delta, alpha), incremental_var(model, delta, alpha)
+        numbers.append(
+            [r.var, r.es, r.mean, r.volatility, r.quantile, var(model, delta, alpha),
+             expected_shortfall(model, delta, alpha), inc.total, *inc.contributions, inc.gamma[1]]
+        )
+    got, base = np.array(numbers[0]), np.array(numbers[1])
+    assert np.array_equal(got, base) and np.isfinite(got).all()
+    if kind == "gaussian":
+        r = risk_report(huge, delta, alpha)
+        assert (r.mean, r.volatility) == (mu[1], math.sqrt(sigma[1, 1]))
+
+
+@pytest.mark.parametrize(
+    "kind, case",
+    (("gaussian", "mean"), ("student", "mean"), ("gaussian", "vol"), ("student", "vol"), ("mixture", "vol")),
+)
+def test_a_mean_or_vol_past_the_double_range_raises(kind, case):
+    # a mean of 5.1e308, or a vol of 2.3e454
+    mu, sigma, delta = {
+        "mean": (np.full(3, 1.7e308), np.eye(3), np.ones(3)),
+        "vol": (np.zeros(3), 1.7e308 * np.eye(3), np.full(3, 1e300)),
+    }[case]
+    model = _book_near_the_largest_double(kind, mu, sigma)
+    for call in (var, expected_shortfall, risk_report, incremental_var):
+        with pytest.raises(NumericalError, match="past the double range"):
+            call(model, delta, 0.01)
+
+
 @PROPERTY
 @given(
     case=cases(SAMPLED_KINDS),
