@@ -7,14 +7,19 @@ component, and a path is its component's pnl mean plus its pnl scale
 ||L' delta|| times one standard normal times the per-path factor its
 generator's ``mixing`` draw gives, if it draws one.  Sampling is exact
 for every generator that has a mixing draw, and memory is O(batch_size)
-whatever the number of risk factors.  The heaviest component scales
-and shifts a whole batch in place; each other component finds its rows
-once by index, and every path gets the same arithmetic whichever
-component is the heaviest, so that choice never changes a byte of the
-output.  Every batch draws from its own SFC64 stream, addressed by the
-seed and its index, and fills its own slice of the output in place, so
-results are reproducible for a fixed seed however many worker threads
-run the batches.  The analytic side is ``risk_report``; the estimator
+whatever the number of risk factors.  Every batch draws from its own
+SFC64 stream, addressed by the seed and its index, and fills its own
+slice of the output in place, so results are reproducible for a fixed
+seed however many worker threads run the batches.  A mixture's batch is
+stratified by component: one uniform sets each component's row count,
+w_k times the batch on average, and its rows come as one contiguous
+segment, in component order.  So a whole batch is a sample of the
+mixture but a prefix of one is not, and the estimator's iid standard
+errors are conservative: a proportionally stratified sample has no
+more variance than an iid one (Glasserman 2004, section 4.3).  Each
+stream is read in one order: the mixture's uniform, one standard
+normal per drawn row, then each component's mixing factors in
+component order.  The analytic side is ``risk_report``; the estimator
 selects the order statistics of a sample once, for every alpha of a
 validation.  ``validate_model`` selects them in place on the one
 sample it drew, so a request holds no second sample-sized array;
@@ -54,6 +59,9 @@ DEFAULT_ALPHAS = (0.01, 0.025, 0.05)
 
 _MIN_PATHS_FOR_ESTIMATE = 10_000
 
+# rows per mixing draw: the sampler's scratch is one chunk of factors, not a batch
+_CHUNK = 32_768
+
 
 @dataclass(frozen=True)
 class SimulationSpec:
@@ -82,85 +90,54 @@ class SimulationSpec:
 
 
 def _draw_pnl(
-    rng: np.random.Generator, out: np.ndarray, cdf, scales, means, draws, base, antithetic: bool
+    rng: np.random.Generator, out: np.ndarray, cdf, scales, means, draws, antithetic: bool
 ) -> None:
     """Fill ``out`` with one pnl draw per path: mean + scale * z * factor, one normal z per row.
 
     ``cdf`` holds the K components' cumulative weights, normalised to
     end at 1, ``scales`` their pnl scales ||L_k' delta||, ``means``
     their pnl means and ``draws`` their generators' ``mixing`` draws,
-    each giving its rows' factors or None for none.  The stream is
-    consumed in a fixed order: the label of every row, then one standard
-    normal per row, then one mixing block per component, in component
-    order, for the components that have rows and draw one.  A row's
-    label is the number of cumulative weights at or below one uniform,
-    the component ``rng.choice(K, p=weights)`` picks from the same
-    stream, without its per-call checks.
+    each giving its rows' factors or None for none.  The B drawn rows
+    are stratified by component (systematic rounding, Kitagawa 1996):
+    one uniform u gives component k the contiguous rows
+    [floor(B c_{k-1} + u), floor(B c_k + u)), with c_{-1} = 0, so its
+    expected count is w_k B exactly.  The stream is consumed in a fixed
+    order: u (a mixture only), then one standard normal per row, then
+    each component's mixing factors, in component order, in chunks of
+    ``_CHUNK`` rows, which read the stream exactly as one block does.
+    A component with no rows draws nothing.
 
-    The normals are drawn into ``out``.  Component ``base`` (the
-    heaviest) scales, multiplies and shifts the whole batch in place;
-    every other component finds its rows once by index, takes their
-    normals before that, and writes its own rows back after it.  Every
-    row gets ((z * s_k) * f_k) + m_k, or m_k - z * s_k * f_k for its
-    mirror, whichever component is the base, so the choice of base
-    never changes a byte.  Antithetic draws come in pairs (m + t, m - t):
+    The normals are drawn into ``out`` and every chunk is filled in
+    place: each row gets ((z * s_k) * f_k) + m_k, or m_k - (z * s_k) *
+    f_k for its mirror.  Antithetic draws come in pairs (m + t, m - t):
     mirrored normals with a shared mixing variable and component, so
-    half as many rows are drawn, into one half-size buffer.  Both kinds
-    share one write-back over two views: m + t to ``even``, out[0::2] or
-    all of ``out``, and m - t for the first ``half`` rows to ``odd``,
-    out[1::2] (one row short at an odd count) or none.
+    half as many rows are drawn, into one half-size buffer, drawn row i
+    giving out[2 i] and, below an odd count's last row, out[2 i + 1].
     """
     count = out.shape[0]
     rows = (count + 1) // 2 if antithetic else count
-    k = len(draws)
-    if k > 1:
-        # cdf[-1] is 1, which no uniform reaches; the smallest unsigned type
-        # that holds K - 1, since a mixture may have more than 255 components
-        uniform = rng.random(rows)
-        label = (uniform >= cdf[0]).astype(np.min_scalar_type(k - 1))
-        for edge in cdf[1:-1]:
-            label += uniform >= edge
-        # freed before the normals, so a batch holds one row-sized temporary less
-        del uniform
+    # a mixture's one uniform; rows + u rounds up to rows + 1 when u is within an ulp of 1
+    u = rng.random() if len(cdf) > 1 else 0.0
+    stops = np.minimum(np.floor(rows * cdf + u), rows).astype(int)
     core = rng.standard_normal(out=np.empty(rows) if antithetic else out)
-    # every other component finds its rows once and takes their normals
-    # before the base scales the whole batch; the base has the rest
-    taken = {}
-    for j in range(k):
-        if j != base:
-            index = np.flatnonzero(label == j)
-            taken[j] = (index, core[index])
-    core *= scales[base]
-    # one mixing block per component in component order, each applied as it
-    # is drawn, so no two are held at once; a component with no rows draws nothing
-    for j, draw in enumerate(draws):
-        if j == base:
-            n = rows - sum(index.size for index, _ in taken.values())
-        else:
-            index, t = taken[j]
-            t *= scales[j]
-            n = index.size
-        factor = draw(rng, n) if n else None
-        if factor is not None:
-            if j != base:
+    even, odd = out[0::2], out[1::2]
+    start = 0
+    for stop, scale, mean, draw in zip(stops, scales, means, draws):
+        for a in range(start, stop, _CHUNK):
+            t = core[a : min(a + _CHUNK, stop)]
+            t *= scale
+            factor = draw(rng, t.size)
+            if factor is not None:
                 t *= factor
-            elif n == rows:
-                # every row is the base's, as in a one-component model
-                core *= factor
+            # freed before the next chunk's draw, so one chunk of factors is held at a time
+            del factor
+            if antithetic:
+                # the mirrors stop one row short of the drawn rows at an odd count
+                np.subtract(mean, t[: odd.size - a], out=odd[a : a + t.size])
+                np.add(mean, t, out=even[a : a + t.size])
             else:
-                # in place on the base's rows, with no gathered copy of them
-                np.multiply.at(core, np.flatnonzero(label == base), factor)
-        del factor
-    even, odd = (out[0::2], out[1::2]) if antithetic else (out, out[:0])
-    half = count // 2 if antithetic else 0
-    np.add(means[base], core, out=even)
-    np.subtract(means[base], core[:half], out=odd)
-    for j, (index, t) in taken.items():
-        # index is sorted: its rows below half have a mirror
-        paired = np.searchsorted(index, half)
-        odd[index[:paired]] = means[j] - t[:paired]
-        t += means[j]
-        even[index] = t
+                t += mean
+        start = stop
 
 
 def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.ndarray:
@@ -168,8 +145,13 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
 
     Batch b consumes the stream ``SFC64(SeedSequence(seed,
     spawn_key=(b,)))`` and fills its own slice of the output in place,
-    so the result is a pure function of (model, delta, spec).  A path
-    that is not finite raises NumericalError naming its batch.
+    so the result is a pure function of (model, delta, spec).  The
+    stream gives a mixture's one uniform, then one standard normal per
+    drawn row, then each component's mixing factors (see ``_draw_pnl``).
+    Within a batch a mixture's paths come grouped by component, so a
+    whole batch is a sample of the mixture, stratified by component,
+    but a prefix of one is not.  A path that is not finite raises
+    NumericalError naming its batch.
     """
     if not isinstance(spec, SimulationSpec):
         raise DomainError(f"spec must be a SimulationSpec, got {type(spec).__name__}")
@@ -179,12 +161,9 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
     probe = np.random.Generator(np.random.SFC64(0))
     for draw in draws:
         draw(probe, 0)
-    # normalised as rng.choice normalises its p
-    weights = [w for w, _, _, _ in rows]
-    cdf = np.cumsum(weights)
+    # normalised to end at 1 exactly, so the last component's rows end at the batch's
+    cdf = np.cumsum([w for w, _, _, _ in rows])
     cdf /= cdf[-1]
-    # the heaviest component acts on the whole batch, so the fewest rows move by index
-    base = int(np.argmax(weights))
     means = _scaled(np.array([mean for _, _, mean, _ in rows]), e)
     # from the Cholesky factor, not the rows' vol, so the check has its own
     # route to it: on delta at its own unit scale, not the rows', and scaled back
@@ -204,7 +183,7 @@ def simulate_pnl(model, delta, spec: SimulationSpec = SimulationSpec()) -> np.nd
         # set in the batch, so it holds in the worker thread that runs it
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             try:
-                _draw_pnl(rng, batch, cdf, scales, means, draws, base, spec.antithetic)
+                _draw_pnl(rng, batch, cdf, scales, means, draws, spec.antithetic)
             except FloatingPointError as err:
                 raise NumericalError("pnl is not finite", batch=b, scale=scales.max()) from err
 

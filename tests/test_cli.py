@@ -117,7 +117,7 @@ def test_model_file_moments(two_factor, tmp_path, capsys):
     assert code == 0
     row = json.loads(out)[0]
     want = student_quantile(0.05, 5.0) * math.sqrt(5.0)
-    assert row["var"] == pytest.approx(want, rel=1e-12)
+    assert row["var"] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_mixture_spec(two_factor, tmp_path, capsys):
@@ -344,7 +344,9 @@ def test_student_nu_floor_is_the_generators_for_model_and_mixture(one_factor, tm
                              "--mixture-spec", str(spec), *tail])
     assert student == mixed
     assert student[0] == 0
-    assert json.loads(student[1])[0]["var"] == pytest.approx(stats.t.isf(0.01, 1.5), rel=1e-12)
+    assert json.loads(student[1])[0]["var"] == pytest.approx(
+        stats.t.isf(0.01, 1.5), rel=1e-12, abs=0.0
+    )
 
 
 def test_student_covariance_needs_nu_above_two(one_factor, capsys):
@@ -451,7 +453,7 @@ def test_student_var_deep_tail_is_exact_or_numerical_error(one_factor, capsys):
          "--alpha", "1e-30", "--format", "json"],
     )
     assert code == 0
-    assert json.loads(out)[0]["var"] == pytest.approx(stats.t.isf(1e-30, 3.0), rel=1e-12)
+    assert json.loads(out)[0]["var"] == pytest.approx(stats.t.isf(1e-30, 3.0), rel=1e-12, abs=0.0)
     # stdtrit gives -inf here; the closed form must fail its residual check
     code, _, err = run_cli(
         capsys,

@@ -125,7 +125,7 @@ def test_generator_auto_rescale():
         dimension=2, density=lambda u: math.exp(-u), auto_rescale=True
     )
     # rescaled shape is the bivariate normal with variance 1/2 per axis
-    assert gen.g(0.0) == pytest.approx(1.0 / math.pi, rel=1e-9)
+    assert gen.g(0.0) == pytest.approx(1.0 / math.pi, rel=1e-9, abs=0.0)
 
 
 def test_normalizer_and_auto_rescale_are_not_both():
@@ -244,8 +244,8 @@ def test_gaussian_big_g_both_routes(n):
     gen = gaussian_generator(n)
     for s in (0.0, 0.3, 1.0, 2.5, -1.7):
         ref = stats.norm.sf(s)
-        assert big_g(s, gen, route="double") == pytest.approx(ref, rel=1e-9)
-        assert big_g(s, gen, route="kernel") == pytest.approx(ref, rel=1e-9)
+        assert big_g(s, gen, route="double") == pytest.approx(ref, rel=1e-9, abs=0.0)
+        assert big_g(s, gen, route="kernel") == pytest.approx(ref, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -254,8 +254,8 @@ def test_student_big_g_both_routes(n, nu):
     gen = student_generator(n, nu)
     for s in (0.0, 0.5, 2.0, 6.0, -1.2):
         ref = stats.t.sf(s, nu)
-        assert big_g(s, gen, route="double") == pytest.approx(ref, rel=1e-9)
-        assert big_g(s, gen, route="kernel") == pytest.approx(ref, rel=1e-9)
+        assert big_g(s, gen, route="double") == pytest.approx(ref, rel=1e-9, abs=0.0)
+        assert big_g(s, gen, route="kernel") == pytest.approx(ref, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -263,9 +263,9 @@ def test_kernel_route_small_and_large_s(n):
     # relative accuracy holds both next to s = 0 and deep in the tail
     for s in (1e-3, 1e-2, 8.0):
         gauss = big_g(s, gaussian_generator(n), route="kernel")
-        assert gauss == pytest.approx(stats.norm.sf(s), rel=1e-9)
+        assert gauss == pytest.approx(stats.norm.sf(s), rel=1e-9, abs=0.0)
         student = big_g(s, student_generator(n, 5.0), route="kernel")
-        assert student == pytest.approx(stats.t.sf(s, 5.0), rel=1e-9)
+        assert student == pytest.approx(stats.t.sf(s, 5.0), rel=1e-9, abs=0.0)
 
 
 def _bare(gen):
@@ -350,8 +350,10 @@ def test_solve_quantile_deep_tail(n):
     gen = _bare(gaussian_generator(n))
     for alpha in (1e-12, 1e-15):
         q = solve_quantile(alpha, gen)
-        assert q == pytest.approx(-special.ndtri(alpha), rel=1e-12)
-        assert marginal_tail_expectation(gen, q) == pytest.approx(stats.norm.pdf(q), rel=1e-10)
+        assert q == pytest.approx(-special.ndtri(alpha), rel=1e-12, abs=0.0)
+        assert marginal_tail_expectation(gen, q) == pytest.approx(
+            stats.norm.pdf(q), rel=1e-10, abs=0.0
+        )
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -383,7 +385,7 @@ def test_cython_betainc_matches_the_ufunc_bit_for_bit():
 
 def test_large_dimension_generator_is_built_in_log_space():
     gen = DensityGenerator(dimension=100, density=lambda u: math.exp(-0.5 * u), auto_rescale=True)
-    assert gen.g(0.0) == pytest.approx((2.0 * math.pi) ** -50, rel=1e-9)
+    assert gen.g(0.0) == pytest.approx((2.0 * math.pi) ** -50, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [100, 300, 1000])
@@ -399,7 +401,7 @@ def test_large_dimension_quantile_is_accurate_or_typed(n):
             # the density's values leave double range at this dimension
             assert n > 100
             continue
-        assert q == pytest.approx(ref, rel=1e-10)
+        assert q == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 def test_big_g_routes_agree_for_custom_generator():
@@ -409,7 +411,7 @@ def test_big_g_routes_agree_for_custom_generator():
         k = big_g(s, gen, route="kernel")
         assert d == pytest.approx(k, abs=1e-9)
     # total mass splits evenly around zero
-    assert big_g(0.0, gen) == pytest.approx(0.5, rel=1e-9)
+    assert big_g(0.0, gen) == pytest.approx(0.5, rel=1e-9, abs=0.0)
 
 
 def test_big_g_rejects_bad_route_and_argument():
@@ -483,11 +485,11 @@ def test_quantile_multiplier_prefers_closed_tail():
 
 def test_marginal_tail_and_expectation_hooks():
     gen = gaussian_generator(4)
-    assert marginal_tail(gen, 1.3) == pytest.approx(stats.norm.sf(1.3), rel=1e-12)
+    assert marginal_tail(gen, 1.3) == pytest.approx(stats.norm.sf(1.3), rel=1e-12, abs=0.0)
     # E[Z 1{Z >= t}] = phi(t) for the standard normal, at any sign of t
     for t in (-1.0, 0.0, 2.0):
         assert marginal_tail_expectation(gen, t) == pytest.approx(
-            stats.norm.pdf(t), rel=1e-10
+            stats.norm.pdf(t), rel=1e-10, abs=0.0
         )
 
 
@@ -514,7 +516,7 @@ def test_marginal_tail_expectation_custom_generator():
     for t in (0.5, 1.5):
         s = 2.0 * t
         ref = stats.t.pdf(s, 4) * (4.0 + s * s) / 3.0 / 2.0
-        assert marginal_tail_expectation(gen, t) == pytest.approx(ref, rel=1e-10)
+        assert marginal_tail_expectation(gen, t) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 def test_marginal_tail_expectation_divergent():
@@ -546,7 +548,7 @@ def test_var_gaussian_closed_form():
     mean = float(d @ mu)
     for alpha in (0.01, 0.05):
         expected = -mean + stats.norm.ppf(1.0 - alpha) * vol
-        assert var(model, d, alpha) == pytest.approx(expected, rel=1e-10)
+        assert var(model, d, alpha) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
 def test_expected_shortfall_gaussian_closed_form():
@@ -556,7 +558,7 @@ def test_expected_shortfall_gaussian_closed_form():
     for alpha in (0.01, 0.025, 0.05):
         z = stats.norm.ppf(1.0 - alpha)
         assert expected_shortfall(model, d, alpha) == pytest.approx(
-            stats.norm.pdf(z) / alpha, rel=1e-10
+            stats.norm.pdf(z) / alpha, rel=1e-10, abs=0.0
         )
 
 
@@ -580,7 +582,7 @@ def test_var_translation_and_scaling():
     d = np.array([1.0, 2.0])
     v1 = var(model, d, 0.025)
     v3 = var(model, 3.0 * d, 0.025)
-    assert v3 == pytest.approx(3.0 * v1, rel=1e-12)
+    assert v3 == pytest.approx(3.0 * v1, rel=1e-12, abs=0.0)
 
 
 def test_var_rejects_alpha_outside_range():

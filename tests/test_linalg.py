@@ -104,7 +104,7 @@ def test_quadratic_form_value():
     sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
     d = np.array([1.0, -2.0])
     expected = float(d @ sigma @ d)
-    assert quadratic_form(d, sigma) == pytest.approx(expected, rel=1e-15)
+    assert quadratic_form(d, sigma) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 def test_quadratic_form_never_negative():

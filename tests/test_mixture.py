@@ -88,8 +88,10 @@ def test_mixture_var_far_below_zero(m, expected):
     ref = optimize.brentq(tail, -4.0 * m, 0.0, xtol=1e-14, rtol=8.9e-16)
     got = var(mix, d, 0.01)
     assert got == pytest.approx(expected, abs=5e-7)
-    assert got == pytest.approx(ref, rel=1e-13)
-    assert math.fsum(incremental_var(mix, d, 0.01).contributions) == pytest.approx(got, rel=1e-13)
+    assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+    assert math.fsum(incremental_var(mix, d, 0.01).contributions) == pytest.approx(
+        got, rel=1e-13, abs=0.0
+    )
 
 
 def test_var_threshold_recovers_alpha():
@@ -121,7 +123,7 @@ def test_deep_tail_normal_student_mixture():
             lambda x: 0.7 * special.ndtr(-x) + 0.3 * special.stdtr(5.0, -x / 2.0) - alpha,
             1.0, 1e6, xtol=1e-300, rtol=8.9e-16,
         )
-        assert mixture_var(mix, d, alpha) == pytest.approx(ref, rel=1e-10)
+        assert mixture_var(mix, d, alpha) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 # (alpha, VaR, ES) of a 0.99 Gaussian + 0.01 Student nu = 4 mixture at n = 3,
@@ -153,7 +155,7 @@ def test_var_solve_does_not_depend_on_book_scale():
         base = mixture_var(mix, np.array([1.0]), alpha)
         for scale in (1e3, 1e-5, 1e-8):
             assert mixture_var(mix, np.array([scale]), alpha) == pytest.approx(
-                scale * base, rel=1e-12
+                scale * base, rel=1e-12, abs=0.0
             )
 
 
@@ -196,7 +198,7 @@ def test_es_accepts_precomputed_var():
     d = np.array([2.0, -1.0])
     v = mixture_var(mix, d, 0.025)
     assert mixture_expected_shortfall(mix, d, 0.025, var=v) == pytest.approx(
-        mixture_expected_shortfall(mix, d, 0.025), rel=1e-14
+        mixture_expected_shortfall(mix, d, 0.025), rel=1e-14, abs=0.0
     )
 
 

@@ -85,7 +85,7 @@ def test_equity_deltas_linearization_error_is_second_order():
     d = equity_deltas(shares, price)
     for r in (0.01, -0.01, 0.005):
         exact = shares[0] * price[0] * r
-        assert float(d[0] * r) == pytest.approx(exact, rel=1e-12)
+        assert float(d[0] * r) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_equity_deltas_validation():
@@ -116,13 +116,13 @@ def test_business_unit_var_uncorrelated_vs_comonotone():
     q = student_quantile(0.05, 5.0)
 
     indep = StudentParams(nu=5.0, mu=np.zeros(3), sigma=np.eye(3))
-    assert var(indep, d, 0.05) == pytest.approx(q * math.sqrt(3.0), rel=1e-12)
+    assert var(indep, d, 0.05) == pytest.approx(q * math.sqrt(3.0), rel=1e-12, abs=0.0)
 
     rho = 1.0 - 1e-12
     tight = np.full((3, 3), rho)
     np.fill_diagonal(tight, 1.0)
     common = StudentParams(nu=5.0, mu=np.zeros(3), sigma=tight)
-    assert var(common, d, 0.05) == pytest.approx(3.0 * q, rel=1e-9)
+    assert var(common, d, 0.05) == pytest.approx(3.0 * q, rel=1e-9, abs=0.0)
 
 
 def test_incremental_var_single_factor():
@@ -133,8 +133,8 @@ def test_incremental_var_single_factor():
     )
     inc = incremental_var(model, np.array([1.0, 0.0]), 0.05)
     assert isinstance(inc, IncrementalVar)
-    assert inc.total == pytest.approx(var(model, np.array([1.0, 0.0]), 0.05), rel=1e-14)
-    assert inc.contributions[0] == pytest.approx(inc.total, rel=1e-14)
+    assert inc.total == pytest.approx(var(model, np.array([1.0, 0.0]), 0.05), rel=1e-14, abs=0.0)
+    assert inc.contributions[0] == pytest.approx(inc.total, rel=1e-14, abs=0.0)
     assert inc.contributions[1] == 0.0
 
 
@@ -149,7 +149,7 @@ def test_incremental_var_euler_identity():
             generator=student_generator(n, 7.0), mu=np.zeros(n), sigma=sigma
         )
         inc = incremental_var(model, d, 0.01)
-        assert float(np.sum(inc.contributions)) == pytest.approx(inc.total, rel=1e-12)
+        assert float(np.sum(inc.contributions)) == pytest.approx(inc.total, rel=1e-12, abs=0.0)
 
 
 def _hookless_student(n: int, nu: float) -> DensityGenerator:
@@ -213,8 +213,8 @@ def test_incremental_var_matches_finite_differences(name):
         fd = (
             risk_report(model, d + bump, 0.025).var - risk_report(model, d - bump, 0.025).var
         ) / (2.0 * h)
-        assert inc.gamma[i] == pytest.approx(fd, rel=1e-6)
-    assert float(np.sum(inc.contributions)) == pytest.approx(inc.total, rel=1e-12)
+        assert inc.gamma[i] == pytest.approx(fd, rel=1e-6, abs=0.0)
+    assert float(np.sum(inc.contributions)) == pytest.approx(inc.total, rel=1e-12, abs=0.0)
 
 
 def test_incremental_var_mixture_route():
@@ -232,8 +232,8 @@ def test_incremental_var_mixture_route():
     mix = MixtureModel(components=comps)
     d = np.array([1.0, 2.0])
     inc = incremental_var(mix, d, 0.05)
-    assert inc.total == pytest.approx(mixture_var(mix, d, 0.05), rel=1e-12)
-    assert float(np.sum(inc.contributions)) == pytest.approx(inc.total, rel=1e-12)
+    assert inc.total == pytest.approx(mixture_var(mix, d, 0.05), rel=1e-12, abs=0.0)
+    assert float(np.sum(inc.contributions)) == pytest.approx(inc.total, rel=1e-12, abs=0.0)
 
 
 def test_incremental_var_rejects_unknown_model():
@@ -292,8 +292,8 @@ def test_risk_report_student_dispatch():
     d = np.array([1.0, 0.0])
     report = risk_report(params, d, 0.05)
     assert report.model == "student(nu=5)"
-    assert report.var == pytest.approx(student_quantile(0.05, 5.0), rel=1e-12)
-    assert report.quantile == pytest.approx(student_quantile(0.05, 5.0), rel=1e-12)
+    assert report.var == pytest.approx(student_quantile(0.05, 5.0), rel=1e-12, abs=0.0)
+    assert report.quantile == pytest.approx(student_quantile(0.05, 5.0), rel=1e-12, abs=0.0)
     assert report.volatility == pytest.approx(1.0)
     assert report.es > report.var
 
@@ -317,7 +317,9 @@ def test_risk_report_mixture_dispatch():
     assert report.es == mixture_expected_shortfall(mix, d, 0.01)
     assert report.es > report.var
     # pooled second moment of the scale: 0.8 * 2 + 0.2 * 4
-    assert report.volatility == pytest.approx(math.sqrt(0.8 * 2.0 + 0.2 * 4.0), rel=1e-12)
+    assert report.volatility == pytest.approx(
+        math.sqrt(0.8 * 2.0 + 0.2 * 4.0), rel=1e-12, abs=0.0
+    )
 
 
 def test_risk_report_mixture_mean_and_quantile():
@@ -328,7 +330,7 @@ def test_risk_report_mixture_mean_and_quantile():
     mix = MixtureModel(components=[(0.8, gauss), (0.2, student)])
     report = risk_report(mix, np.ones(2), 0.01)
     # E[pnl] = 0.8 * (0.1 - 0.2) + 0.2 * 0.3, and the quantile is (VaR + mean) / vol
-    assert report.mean == pytest.approx(-0.02, rel=1e-12)
+    assert report.mean == pytest.approx(-0.02, rel=1e-12, abs=0.0)
     assert report.quantile == (report.var + report.mean) / report.volatility
 
 
@@ -339,9 +341,9 @@ def test_risk_report_nonzero_mean_shifts_var():
     d = np.array([1.0])
     report = risk_report(model, d, 0.05)
     assert report.mean == pytest.approx(0.5)
-    assert report.var == pytest.approx(-0.5 + report.quantile, rel=1e-12)
+    assert report.var == pytest.approx(-0.5 + report.quantile, rel=1e-12, abs=0.0)
     assert report.es == pytest.approx(
-        expected_shortfall(model, d, 0.05), rel=1e-14
+        expected_shortfall(model, d, 0.05), rel=1e-14, abs=0.0
     )
 
 
@@ -378,8 +380,8 @@ def test_risk_report_large_book_matches_scipy(nu):
         tail_mean = stats.t.pdf(q, nu) * (nu + q * q) / (nu - 1.0)
     vol = math.sqrt(float(d @ sigma @ d))
     report = risk_report(model, d, 0.01)
-    assert report.var == pytest.approx(q * vol, rel=1e-12)
-    assert report.es == pytest.approx(vol * tail_mean / 0.01, rel=1e-12)
+    assert report.var == pytest.approx(q * vol, rel=1e-12, abs=0.0)
+    assert report.es == pytest.approx(vol * tail_mean / 0.01, rel=1e-12, abs=0.0)
 
 
 def _zero_exposure_models():

@@ -155,7 +155,7 @@ def test_positive_scale_equivariance_in_delta(case, alpha, factor):
     scale = factor * (abs(base.var) + base.volatility)
     assert scaled.var == pytest.approx(factor * base.var, rel=REL, abs=REL * scale)
     assert scaled.es == pytest.approx(factor * base.es, rel=REL, abs=REL * scale)
-    assert scaled.volatility == pytest.approx(factor * base.volatility, rel=1e-12)
+    assert scaled.volatility == pytest.approx(factor * base.volatility, rel=1e-12, abs=0.0)
 
 
 @PROPERTY
@@ -540,9 +540,11 @@ def test_a_model_near_the_largest_double_reads_the_numbers_of_its_scaled_copy(ki
     if kind == "gaussian":
         r = risk_report(big, delta, alpha)
         if case == "mean":
-            assert r.mean == pytest.approx(1.7e308, rel=1e-15)
+            assert r.mean == pytest.approx(1.7e308, rel=1e-15, abs=0.0)
         else:
-            assert r.volatility == pytest.approx(math.sqrt(23.0) * math.sqrt(1.7e308), rel=1e-15)
+            assert r.volatility == pytest.approx(
+                math.sqrt(23.0) * math.sqrt(1.7e308), rel=1e-15, abs=0.0
+            )
 
 
 # one entry near the largest double that delta leaves out, next to ordinary

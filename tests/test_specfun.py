@@ -39,16 +39,16 @@ def test_log_gamma_rejects_nonpositive():
 
 
 def test_beta_values():
-    assert beta(1.0, 1.0) == pytest.approx(1.0, rel=1e-15)
-    assert beta(2.5, 3.5) == pytest.approx(special.beta(2.5, 3.5), rel=1e-13)
-    assert beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-13)
+    assert beta(1.0, 1.0) == pytest.approx(1.0, rel=1e-15, abs=0.0)
+    assert beta(2.5, 3.5) == pytest.approx(special.beta(2.5, 3.5), rel=1e-13, abs=0.0)
+    assert beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-13, abs=0.0)
 
 
 def test_beta_symmetric():
     rng = np.random.default_rng(41)
     for _ in range(50):
         a, b = rng.uniform(0.05, 60.0, size=2)
-        assert beta(a, b) == pytest.approx(beta(b, a), rel=1e-12)
+        assert beta(a, b) == pytest.approx(beta(b, a), rel=1e-12, abs=0.0)
 
 
 # scipy.special.betainc oracle, frozen
@@ -200,14 +200,16 @@ def test_hyp2f1_connection_formula_is_tried_only_within_its_reach(factor, connec
     # ratios; past that the direct series sums
     z = 1.0 - 64.0 / factor
     assert (specfun._hyp2f1_parts(0.5, 1.25, 2.0, z)[1] != 0.0) is connected
-    assert hyp2f1(0.5, 1.25, 2.0, z) == pytest.approx(special.hyp2f1(0.5, 1.25, 2.0, z), rel=1e-13)
+    assert hyp2f1(0.5, 1.25, 2.0, z) == pytest.approx(
+        special.hyp2f1(0.5, 1.25, 2.0, z), rel=1e-13, abs=0.0
+    )
 
 
 def test_hyp2f1_fast_series_takes_term_ratios_up_to_one_quarter():
     # the first term ratio is a b w / c: 15/64 is taken, 20/64 is refused
     w = 1.0 / 64.0
     assert specfun._fast_series(3.0, 5.0, 1.0, w) == pytest.approx(
-        special.hyp2f1(3.0, 5.0, 1.0, w), rel=1e-14
+        special.hyp2f1(3.0, 5.0, 1.0, w), rel=1e-14, abs=0.0
     )
     assert specfun._fast_series(4.0, 5.0, 1.0, w) is None
 
@@ -234,7 +236,7 @@ def test_hyp2f1_at_a_zero_parameter_far_out_is_one():
     # 1/Gamma(0) is at its pole too, so the connection formula's second term drops
     assert specfun._log_gamma_quotient((1.0,), (0.0,)) == (0.0, -math.inf)
     assert specfun._hyp2f1_parts(0.0, 5.55, 11.8, -1031.4)[1] != 0.0  # the connection route
-    assert hyp2f1(0.0, 5.55, 11.8, -1031.4) == pytest.approx(1.0, rel=1e-14)
+    assert hyp2f1(0.0, 5.55, 11.8, -1031.4) == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
 
 def test_hyp2f1_domain_restrictions():
@@ -248,7 +250,7 @@ def test_hyp2f1_domain_restrictions():
 def test_hyp2f1_log_consistency():
     for a, b, c, z in ((0.5, 1.0, 3.0, -5.0), (3.0, 2.5, 6.0, -0.4)):
         assert math.exp(hyp2f1_log(a, b, c, z)) == pytest.approx(
-            hyp2f1(a, b, c, z), rel=1e-12
+            hyp2f1(a, b, c, z), rel=1e-12, abs=0.0
         )
 
 
@@ -264,7 +266,7 @@ def test_hyp2f1_log_below_double_range():
     # mpmath oracle: 2F1(30, 60, 90, -1e12) = 7.589e-354, under the double
     # floor; only the log form can represent it.
     assert hyp2f1_log(30.0, 60.0, 90.0, -1e12) == pytest.approx(
-        -813.08842228376939, rel=1e-13
+        -813.08842228376939, rel=1e-13, abs=0.0
     )
 
 
@@ -279,21 +281,21 @@ def test_quadrature_spec_validation():
 
 def test_integrate_semi_infinite_known_values():
     assert integrate_semi_infinite(lambda x: math.exp(-x), 0.0) == pytest.approx(
-        1.0, rel=1e-12
+        1.0, rel=1e-12, abs=0.0
     )
     assert integrate_semi_infinite(lambda x: x ** -2.0, 1.0) == pytest.approx(
-        1.0, rel=1e-12
+        1.0, rel=1e-12, abs=0.0
     )
     gauss_half = integrate_semi_infinite(
         lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi), 0.0
     )
-    assert gauss_half == pytest.approx(0.5, rel=1e-12)
+    assert gauss_half == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
 
 def test_integrate_semi_infinite_shifted_lower_bound():
     # integral of exp(-x) from 3 to infinity
     assert integrate_semi_infinite(lambda x: math.exp(-x), 3.0) == pytest.approx(
-        math.exp(-3.0), rel=1e-12
+        math.exp(-3.0), rel=1e-12, abs=0.0
     )
 
 

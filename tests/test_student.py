@@ -47,7 +47,7 @@ BIG_G_CASES = [
 
 @pytest.mark.parametrize("s, nu, expected", BIG_G_CASES)
 def test_student_big_g_oracle(s, nu, expected):
-    assert student_big_g(s, nu) == pytest.approx(expected, rel=1e-12)
+    assert student_big_g(s, nu) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 # mpmath (50 digits, exact s) oracle, frozen: small s, where nu/(nu + s^2)
@@ -79,7 +79,7 @@ def test_student_big_g_symmetry_and_center():
     assert student_big_g(0.0, 5.0) == 0.5
     for s, nu in ((0.7, 3.0), (2.2, 11.0)):
         assert student_big_g(-s, nu) == pytest.approx(
-            1.0 - student_big_g(s, nu), rel=1e-14
+            1.0 - student_big_g(s, nu), rel=1e-14, abs=0.0
         )
 
 
@@ -111,7 +111,7 @@ def test_student_big_g_hyp2f1_route_small_s():
     cases += [(1e-4 * 1e3 ** rng.uniform(), 2.5 * 400.0 ** rng.uniform()) for _ in range(60)]
     for s, nu in cases:
         assert student_big_g(s, nu, method="hyp2f1") == pytest.approx(
-            stats.t.sf(s, nu), rel=1e-11
+            stats.t.sf(s, nu), rel=1e-11, abs=0.0
         )
 
 
@@ -140,7 +140,7 @@ HYP2F1_ROUTE_CASES = [
 
 @pytest.mark.parametrize("s, nu, expected", HYP2F1_ROUTE_CASES)
 def test_student_big_g_hyp2f1_route_near_argument_one(s, nu, expected):
-    assert student_big_g(s, nu, method="hyp2f1") == pytest.approx(expected, rel=1e-11)
+    assert student_big_g(s, nu, method="hyp2f1") == pytest.approx(expected, rel=1e-11, abs=0.0)
 
 
 # mpmath (50 digits) oracle, frozen: large nu, where the route's argument
@@ -171,7 +171,7 @@ def _fastest_of_three(call) -> float:
 
 @pytest.mark.parametrize("s, nu, expected", HYP2F1_LARGE_NU_CASES)
 def test_student_big_g_hyp2f1_route_at_large_nu(s, nu, expected):
-    assert student_big_g(s, nu, method="hyp2f1") == pytest.approx(expected, rel=1e-7)
+    assert student_big_g(s, nu, method="hyp2f1") == pytest.approx(expected, rel=1e-7, abs=0.0)
     assert _fastest_of_three(lambda: student_big_g(s, nu, method="hyp2f1")) <= 0.02
 
 
@@ -272,9 +272,9 @@ def test_student_tail_expectation_formula():
     for t in (-2.0, 0.0, 1.0, 4.0):
         for nu in (3.0, 9.0):
             ref = stats.t.pdf(t, nu) * (nu + t * t) / (nu - 1.0)
-            assert student_tail_expectation(t, nu) == pytest.approx(ref, rel=1e-12)
+            assert student_tail_expectation(t, nu) == pytest.approx(ref, rel=1e-12, abs=0.0)
     num, _ = integrate.quad(lambda z: z * stats.t.pdf(z, 5.0), 1.3, np.inf)
-    assert student_tail_expectation(1.3, 5.0) == pytest.approx(num, rel=1e-9)
+    assert student_tail_expectation(1.3, 5.0) == pytest.approx(num, rel=1e-9, abs=0.0)
 
 
 # mpmath (50 digits) oracle of f(t) (nu + t^2) / (nu - 1), frozen: t so far
@@ -427,7 +427,7 @@ def test_mixture_expected_shortfall_at_a_huge_var_is_finite():
     # is 1 and ES is -(1/alpha) sum_k w_k delta.mu_k
     assert mixture_expected_shortfall(mix, d, 0.05, var=1e300) == 0.0
     far_in = mixture_expected_shortfall(mix, d, 0.05, var=-1e300)
-    assert far_in == pytest.approx(-0.6 * 0.02 / 0.05, rel=1e-15)
+    assert far_in == pytest.approx(-0.6 * 0.02 / 0.05, rel=1e-15, abs=0.0)
 
 
 # univariate oracle es = f(q) (nu + q^2) / (alpha (nu - 1)), frozen
@@ -446,13 +446,13 @@ ES_MULTIPLIER_CASES = [
 
 @pytest.mark.parametrize("alpha, nu, expected", ES_MULTIPLIER_CASES)
 def test_student_es_multiplier_oracle(alpha, nu, expected):
-    assert student_es_multiplier(alpha, nu) == pytest.approx(expected, rel=1e-11)
+    assert student_es_multiplier(alpha, nu) == pytest.approx(expected, rel=1e-11, abs=0.0)
 
 
 def test_student_es_multiplier_accepts_precomputed_quantile():
     q = student_quantile(0.025, 7.0)
     assert student_es_multiplier(0.025, 7.0, quantile=q) == pytest.approx(
-        student_es_multiplier(0.025, 7.0), rel=1e-14
+        student_es_multiplier(0.025, 7.0), rel=1e-14, abs=0.0
     )
 
 
@@ -461,7 +461,7 @@ def test_student_es_multiplier_no_overflow_at_large_nu():
     for nu in (150.0, 500.0, 1000.0):
         q = stats.t.ppf(0.99, nu)
         ref = stats.t.pdf(q, nu) * (nu + q * q) / (0.01 * (nu - 1.0))
-        assert student_es_multiplier(0.01, nu) == pytest.approx(ref, rel=1e-10)
+        assert student_es_multiplier(0.01, nu) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 # the closed forms a law's class defines over DensityGenerator's quadratures
@@ -479,7 +479,7 @@ def test_student_generator_mass_and_hooks():
         mass, _ = integrate.quad(
             lambda r: area * r ** (n - 1) * gen.g(r * r), 0.0, np.inf
         )
-        assert mass == pytest.approx(1.0, rel=1e-9)
+        assert mass == pytest.approx(1.0, rel=1e-9, abs=0.0)
         assert type(gen) is StudentGenerator and gen.nu == nu
         assert _CLOSED_FORMS <= vars(StudentGenerator).keys()
         assert not _CLOSED_FORMS & vars(gen).keys()
@@ -493,7 +493,7 @@ def test_gaussian_generator_hooks():
     assert _CLOSED_FORMS <= vars(GaussianGenerator).keys()
     assert not _CLOSED_FORMS & vars(gen).keys()
     assert (gen.family, gen.family_params) == ("gaussian", ())
-    assert gen.tail(1.1) == pytest.approx(stats.norm.sf(1.1), rel=1e-13)
+    assert gen.tail(1.1) == pytest.approx(stats.norm.sf(1.1), rel=1e-13, abs=0.0)
     assert quantile_multiplier(gen, 0.025) == pytest.approx(
         stats.norm.ppf(0.975), abs=1e-10
     )
@@ -569,7 +569,7 @@ def test_student_var_reduces_to_quantile_times_vol():
     vol = math.sqrt(float(d @ sigma @ d))
     mean = float(d @ mu)
     expected = -mean + student_quantile(0.025, 6.0) * vol
-    assert student_var(params, d, 0.025) == pytest.approx(expected, rel=1e-12)
+    assert student_var(params, d, 0.025) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_student_expected_shortfall_closed_vs_engine():
@@ -578,7 +578,7 @@ def test_student_expected_shortfall_closed_vs_engine():
     d = np.array([1.0, 3.0])
     closed = student_expected_shortfall(params, d, 0.01)
     engine = expected_shortfall(params, d, 0.01)
-    assert closed == pytest.approx(engine, rel=1e-12)
+    assert closed == pytest.approx(engine, rel=1e-12, abs=0.0)
     assert closed > student_var(params, d, 0.01)
 
 
@@ -618,7 +618,7 @@ def test_student_to_model_round_trip():
     assert isinstance(params, EllipticModel)
     d = np.array([1.0, 1.0, 1.0])
     assert var(params, d, 0.05) == pytest.approx(
-        student_var(params, d, 0.05), rel=1e-14
+        student_var(params, d, 0.05), rel=1e-14, abs=0.0
     )
 
 
